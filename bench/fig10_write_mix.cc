@@ -79,6 +79,8 @@ int main(int argc, char** argv) {
             GenerateTrace(cluster.graph(), cluster.assignment(), reads);
         const double hermes_vps =
             RunWorkload(&cluster, read_trace).VerticesPerSecond();
+        // The Metis rerun partitions by the weights these reads counted.
+        HERMES_CHECK_OK(cluster.FoldReadCounts());
 
         const auto metis_asg = MatchLabels(
             cluster.assignment(),

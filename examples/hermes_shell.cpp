@@ -63,6 +63,11 @@ void MakeCluster(Graph g, PartitionId alpha) {
 void CmdStats() {
   RequireCluster();
   if (!g_cluster) return;
+  // Weights include the reads the servers counted since the last fold.
+  if (const Status folded = g_cluster->FoldReadCounts(); !folded.ok()) {
+    std::printf("error: %s\n", folded.ToString().c_str());
+    return;
+  }
   const auto& g = g_cluster->graph();
   const auto& asg = g_cluster->assignment();
   std::printf("vertices=%zu edges=%zu servers=%u\n", g.NumVertices(),
@@ -107,6 +112,10 @@ void CmdWorkload(const TraceOptions& topt) {
               static_cast<unsigned long long>(report.failed_ops),
               report.VerticesPerSecond(),
               static_cast<unsigned long long>(report.remote_hops));
+  if (const Status folded = g_cluster->FoldReadCounts(); !folded.ok()) {
+    std::printf("error: %s\n", folded.ToString().c_str());
+    return;
+  }
   std::printf("imbalance now: %.3f\n",
               ImbalanceFactor(g_cluster->graph(), g_cluster->assignment()));
 }

@@ -69,6 +69,12 @@ int main(int argc, char** argv) {
   std::printf("  throughput: %.0f vertices/s, remote hops: %llu\n",
               before.VerticesPerSecond(),
               static_cast<unsigned long long>(before.remote_hops));
+  // The servers counted the reads; fold the counts into the weights.
+  if (const Status folded = cluster.FoldReadCounts(); !folded.ok()) {
+    std::printf("  folding read counts failed: %s\n",
+                folded.ToString().c_str());
+    return 1;
+  }
   std::printf("  imbalance factor now: %.3f (reads bumped hot weights)\n",
               ImbalanceFactor(cluster.graph(), cluster.assignment()));
 

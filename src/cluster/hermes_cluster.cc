@@ -265,6 +265,8 @@ Status HermesCluster::Checkpoint() {
   if (!durable()) {
     return Status::InvalidArgument("cluster is not durable");
   }
+  // Fold first, so the snapshots hold every read counted so far.
+  HERMES_RETURN_NOT_OK(FoldReadCountsLocked());
   for (PartitionId p = 0; p < num_servers(); ++p) {
     // audit:allow(blocking, checkpoint is the documented quiesce point: the
     // exclusive directory hold is what makes the per-partition snapshots
@@ -278,16 +280,27 @@ Status HermesCluster::Checkpoint() {
 
 // --- Message-bus round-trips ----------------------------------------------
 //
-// Every cross-server operation below is one Call() on the bus: encode,
-// send, block for the matching reply (bounded by the call timeout). The
-// typed wrappers unwrap the expected reply payload; a payload of the
-// wrong type is a protocol bug, not an I/O error.
+// Every cross-server operation below is one Call() on the bus, or one
+// CallMany() for a fan-out: encode, send, block for the matching reply
+// (bounded by the call timeout). The typed wrappers unwrap the expected
+// reply payload; a payload of the wrong type is a protocol bug, not an
+// I/O error.
 
 Result<Envelope> HermesCluster::BusCall(PartitionId p,
                                         MessagePayload payload) const {
   Envelope request;
   request.payload = std::move(payload);
   return bus_->Call(p, std::move(request));
+}
+
+std::vector<Result<Envelope>> HermesCluster::BusCallMany(
+    std::vector<std::pair<PartitionId, MessagePayload>> calls) const {
+  std::vector<MessageBus::Outgoing> requests(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    requests[i].dst = calls[i].first;
+    requests[i].request.payload = std::move(calls[i].second);
+  }
+  return bus_->CallMany(std::move(requests));
 }
 
 namespace {
@@ -327,11 +340,6 @@ Result<ExtractReply> HermesCluster::CallExtract(PartitionId p,
   req.vertex = v;
   return UnwrapReply<ExtractReply>(BusCall(p, MessagePayload(std::move(req))));
 }
-Result<AuxExchangeReply> HermesCluster::CallAuxExchange(
-    PartitionId p, AuxExchangeRequest req) const {
-  return UnwrapReply<AuxExchangeReply>(
-      BusCall(p, MessagePayload(std::move(req))));
-}
 Result<HealthReply> HermesCluster::CallHealth(PartitionId p) const {
   return UnwrapReply<HealthReply>(BusCall(p, MessagePayload(HealthRequest{})));
 }
@@ -367,15 +375,6 @@ Status HermesCluster::DoSetNodeState(PartitionId p, VertexId v,
   req.op = MutateRequest::Op::kSetNodeState;
   req.vertex = v;
   req.node_state = state;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
-}
-Status HermesCluster::DoAddNodeWeight(PartitionId p, VertexId v,
-                                      double delta) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kAddNodeWeight;
-  req.vertex = v;
-  req.weight = delta;
   HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
   return reply.status;
 }
@@ -437,49 +436,56 @@ Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,
     return Status::NotFound("start vertex is tombstoned");
   }
   const PartitionId p0 = assignment_.PartitionOf(start);
-  {
-    ProbeRequest probe;
-    probe.mode = ProbeRequest::Mode::kHasNode;
-    probe.vertex = start;
-    // audit:allow(blocking, bus round-trip under the shared directory
-    // hold: the dispatch thread serving it takes only its own server
-    // mutex, never a cluster lock, so the reply always arrives or the
-    // call times out retryably (DESIGN.md §12))
-    HERMES_ASSIGN_OR_RETURN(ProbeReply reply, CallProbe(p0, std::move(probe)));
-    HERMES_RETURN_NOT_OK(reply.status);
-    if (!reply.truth) {
-      return Status::Unavailable("start vertex unavailable (mid-migration)");
-    }
-  }
-
   TraversalRun run;
   run.segments.emplace_back(p0, 1);
   run.vertices_processed = 1;
   run.unique_vertices = 1;
 
-  // Level-synchronous execution with per-server batching: at each hop the
-  // query is forwarded once to every server that hosts touched vertices —
-  // a single NeighborsRequest carries the whole level's vertices for that
-  // server (scatter-gather), not one message per edge. Touching a
-  // vertex's record happens on its host, so the per-server visit counts —
-  // and the number of distinct remote servers per level — are what
-  // edge-cut controls.
+  // Level-synchronous scatter-gather: at each hop the query is forwarded
+  // once to every server that hosts touched vertices — a single
+  // NeighborsRequest carries the whole level's vertices for that server,
+  // not one message per edge — and the level's requests are all in
+  // flight at once, so a level costs one round trip. Replies are
+  // processed in partition order. Touching a vertex's record happens on
+  // its host, so the per-server visit counts — and the number of
+  // distinct remote servers per level — are what edge-cut controls.
   std::unordered_set<VertexId> seen{start};
   std::vector<VertexId> level{start};
   PartitionId position = p0;  // server currently holding the traversal
-  for (int depth = 0; depth < hops && !level.empty(); ++depth) {
+  for (int depth = 0; depth < std::max(hops, 1) && !level.empty(); ++depth) {
     std::map<PartitionId, NeighborsRequest> batches;
     for (VertexId v : level) {
       batches[assignment_.PartitionOf(v)].vertices.push_back(v);
     }
+    std::vector<std::pair<PartitionId, MessagePayload>> calls;
+    calls.reserve(batches.size());
+    for (auto& [pv, batch] : batches) {
+      // Level 0 is the start alone; its server counts the read.
+      batch.count_reads = depth == 0 && options_.count_reads_in_weights;
+      calls.emplace_back(pv, std::move(batch));
+    }
+    // audit:allow(blocking, bus round-trips under the shared directory
+    // hold: the dispatch threads serving them take only their own server
+    // mutex, never a cluster lock, so every reply arrives or its call
+    // times out retryably (DESIGN.md §12))
+    std::vector<Result<Envelope>> replies = BusCallMany(std::move(calls));
+    std::vector<NeighborsReply> fetched;
+    fetched.reserve(replies.size());
+    for (Result<Envelope>& reply : replies) {
+      HERMES_ASSIGN_OR_RETURN(NeighborsReply neighbors,
+                              UnwrapReply<NeighborsReply>(std::move(reply)));
+      HERMES_RETURN_NOT_OK(neighbors.status);
+      fetched.push_back(std::move(neighbors));
+    }
+    if (depth == 0 && (fetched[0].results.size() != 1 ||
+                       !fetched[0].results[0].status.ok())) {
+      return Status::Unavailable("start vertex unavailable (mid-migration)");
+    }
+    if (depth >= hops) break;  // hops <= 0: the start fetch is the read
+
     std::vector<VertexId> next_level;
     std::map<PartitionId, std::uint32_t> visits_by_server;
-    for (auto& [pv, batch] : batches) {
-      // audit:allow(blocking, bus round-trip under the shared directory
-      // hold — same non-deadlock argument as the probe above)
-      HERMES_ASSIGN_OR_RETURN(NeighborsReply reply,
-                              CallNeighbors(pv, std::move(batch)));
-      HERMES_RETURN_NOT_OK(reply.status);
+    for (const NeighborsReply& reply : fetched) {
       for (const auto& adjacency : reply.results) {
         // Per-vertex failure = unavailable (mid-migration barrier): skip
         // the vertex, keep the batch.
@@ -517,37 +523,43 @@ Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,
     }
     level = std::move(next_level);
   }
-
-  if (options_.count_reads_in_weights) {
-    {
-      MutexLock topo(&topo_mu_);
-      graph_.AddVertexWeight(start, 1.0);
-      aux_.OnVertexWeightChanged(start, 1.0, assignment_);
-    }
-    AuxExchangeRequest bump_req;
-    bump_req.entries.push_back({start, 1.0});
-    // audit:allow(blocking, bus round-trip under the shared directory
-    // hold — same non-deadlock argument as the probe above)
-    const Result<AuxExchangeReply> bump =
-        CallAuxExchange(p0, std::move(bump_req));
-    const Status bump_st = bump.ok() ? bump->status : bump.status();
-    if (!bump_st.ok()) {
-      // The server missed the bump (e.g. a WAL append failure, or the
-      // reply was lost). Undo the in-memory side — otherwise graph_ and
-      // the store diverge permanently: recovery reconstructs the lower
-      // weight and every repartition decision runs on phantom load.
-      // Surface the error so the caller sees the fault (the traversal
-      // result itself is sacrificed; reads are retryable under the
-      // Unavailable contract).
-      MutexLock topo(&topo_mu_);
-      graph_.AddVertexWeight(start, -1.0);
-      aux_.OnVertexWeightChanged(start, -1.0, assignment_);
-      return bump_st;
-    }
-  }
   m_reads_->Increment();
   m_read_remote_hops_->Increment(run.remote_hops);
   return run;
+}
+
+Status HermesCluster::FoldReadCounts() {
+  ReaderMutexLock dir(&dir_mu_);
+  return FoldReadCountsLocked();
+}
+
+Status HermesCluster::FoldReadCountsLocked() {
+  if (!options_.count_reads_in_weights) return Status::OK();
+  std::vector<std::pair<PartitionId, MessagePayload>> calls;
+  calls.reserve(num_servers());
+  for (PartitionId p = 0; p < num_servers(); ++p) {
+    calls.emplace_back(p, AuxExchangeRequest{});
+  }
+  // audit:allow(blocking, bus round-trips under the directory hold — same
+  // non-deadlock argument as ExecuteRead's fan-out)
+  std::vector<Result<Envelope>> replies = BusCallMany(std::move(calls));
+  Status first_error;
+  MutexLock topo(&topo_mu_);
+  for (Result<Envelope>& envelope : replies) {
+    Result<AuxExchangeReply> reply =
+        UnwrapReply<AuxExchangeReply>(std::move(envelope));
+    const Status st = reply.ok() ? reply->status : reply.status();
+    if (first_error.ok()) first_error = st;
+    if (!reply.ok()) continue;
+    // Even a failed fold lists the counts its store took before the
+    // failure; applying them keeps graph_, aux_ and the stores equal.
+    for (const AuxExchangeReply::Entry& entry : reply->folded) {
+      const double delta = static_cast<double>(entry.reads);
+      graph_.AddVertexWeight(entry.vertex, delta);
+      aux_.OnVertexWeightChanged(entry.vertex, delta, assignment_);
+    }
+  }
+  return first_error;
 }
 
 NeighborProvider HermesCluster::MakeNeighborProvider() const {
@@ -700,6 +712,9 @@ Status HermesCluster::InsertEdge(VertexId u, VertexId v, std::uint32_t type) {
 Result<MigrationStats> HermesCluster::RunLightweightRepartition() {
   TraceSpan span("cluster.repartition");
   MutexLock migration(&migration_mu_);
+  // audit:allow(blocking, only migration_mu_ — the repartition
+  // serialization token, which guards no reader or writer path — is held)
+  HERMES_RETURN_NOT_OK(FoldReadCounts());
   LightweightRepartitioner repartitioner(options_.repartitioner);
   RepartitionResult logical;
   std::optional<PartitionAssignment> target;
@@ -738,6 +753,9 @@ Result<MigrationStats> HermesCluster::RunLightweightRepartition() {
 Result<MigrationStats> HermesCluster::MigrateToAssignment(
     const PartitionAssignment& target) {
   MutexLock migration(&migration_mu_);
+  // audit:allow(blocking, only migration_mu_ — the repartition
+  // serialization token, which guards no reader or writer path — is held)
+  HERMES_RETURN_NOT_OK(FoldReadCounts());
   double cut_before = 0.0;
   double imbalance_before = 0.0;
   {
@@ -939,9 +957,15 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
         const PartitionId sp = sources[i];
         const PartitionId tp = after->PartitionOf(snap.id);
         {
-          // Live counters (not the phase-one copies): concurrent weight
-          // bumps between chunks stay accounted.
+          // Live counters (not the phase-one copies). The extracted
+          // weight includes the reads counted on the source since the
+          // last fold; the source drops them with the record below, so
+          // the vertex takes that weight here.
           MutexLock topo(&topo_mu_);
+          aux_.OnVertexWeightChanged(
+              snap.id, snap.weight - graph_.VertexWeight(snap.id),
+              assignment_);
+          graph_.SetVertexWeight(snap.id, snap.weight);
           aux_.OnVertexMigrated(graph_, snap.id, sp, tp);
         }
         assignment_.Assign(snap.id, tp);

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -54,7 +55,7 @@ struct MigrationStats {
 /// traversals are forwarded along partition boundaries as remote hops.
 ///
 /// Every cross-server operation — adjacency fetches, record mutations,
-/// migration chunk copy/remove traffic, weight exchange, health,
+/// migration chunk copy/remove traffic, read-count folds, health,
 /// checkpoint, recovery dumps — travels as a typed message through the
 /// MessageBus over a Transport (DESIGN.md §12). The cluster object holds
 /// no store pointers at all: the partition-server boundary is the wire
@@ -104,8 +105,10 @@ class HermesCluster {
   struct Options {
     NetworkParams net;
     RepartitionerOptions repartitioner;
-    /// Bump the start vertex's popularity weight on every read (the
-    /// paper's vertex weight = read-request count).
+    /// Count every read in its start vertex's popularity weight (the
+    /// paper's vertex weight = read-request count). The start's server
+    /// counts the read in memory; FoldReadCounts() adds the counts to the
+    /// weights. Off: nothing is counted and no fold is ever sent.
     bool count_reads_in_weights = true;
     /// When non-empty, every server's store is durable: mutations are
     /// WAL-logged under `<durability_dir>/p<i>/` and Checkpoint() /
@@ -195,12 +198,27 @@ class HermesCluster {
   /// Executes a `hops`-hop traversal from `start` against the stores
   /// (walking real relationship chains) and records per-server segments.
   /// Holds dir_mu_ shared for the whole traversal (placement is stable
-  /// for one query); each level's adjacency fetches are batched into one
-  /// NeighborsRequest per touched server (scatter-gather), so traversals
-  /// run concurrently with each other and with writes. Reads bump the
-  /// start vertex's weight when configured.
+  /// for one query), so traversals run concurrently with each other and
+  /// with writes. Each level's adjacency fetches are batched into one
+  /// NeighborsRequest per touched server, and all of a level's batches
+  /// are in flight at once (scatter-gather): one bus round trip per
+  /// level. Level 0 fetches the start alone, even for `hops == 0`: a
+  /// start that is not available returns kUnavailable, and when
+  /// configured its server counts the read (see FoldReadCounts()).
   [[nodiscard]] Result<TraversalRun> ExecuteRead(VertexId start, int hops)
       EXCLUDES(dir_mu_);
+
+  /// Folds every server's pending read counts into the vertex weights:
+  /// one deduplicated AuxExchange per server, all in flight at once,
+  /// whose replies update graph() and aux() by what each server added
+  /// to its store. Until a fold, counted reads are soft state that
+  /// graph(), aux(), Validate() and the stores do not see, and a crash
+  /// loses them (DESIGN.md §12, read-weight contract).
+  /// RunLightweightRepartition(), MigrateToAssignment() and Checkpoint()
+  /// fold first. On a storage failure, the counts folded before it are
+  /// applied everywhere, the rest stay pending, and the error is
+  /// returned. A no-op without count_reads_in_weights.
+  [[nodiscard]] Status FoldReadCounts() EXCLUDES(dir_mu_);
 
   /// Adapter for the declarative traversal API (graphdb/traversal.h):
   /// routes each adjacency fetch to the owning server over the bus, i.e.
@@ -283,21 +301,26 @@ class HermesCluster {
   [[nodiscard]] Result<MigrationStats> MigrateDiffChunked(const PartitionAssignment& target)
       REQUIRES(migration_mu_) EXCLUDES(dir_mu_);
 
+  /// FoldReadCounts() for a caller that holds dir_mu_ in either mode.
+  [[nodiscard]] Status FoldReadCountsLocked() REQUIRES_SHARED(dir_mu_);
+
   // --- Message-bus round-trips ----------------------------------------------
-  // All cross-server traffic funnels through BusCall; the typed wrappers
-  // unwrap the expected reply payload. Every one of these blocks on the
-  // reply (bounded by options_.bus.call_timeout_us). Locking contract:
-  // issuing a call while holding dir_mu_/topo_mu_ is legal (see the
-  // class comment); dispatch threads never take cluster locks.
+  // All cross-server traffic funnels through BusCall or, for fan-outs,
+  // BusCallMany; the typed wrappers unwrap the expected reply payload.
+  // Every one of these blocks on the reply (bounded by
+  // options_.bus.call_timeout_us). Locking contract: issuing a call while
+  // holding dir_mu_/topo_mu_ is legal (see the class comment); dispatch
+  // threads never take cluster locks.
   [[nodiscard]] Result<Envelope> BusCall(PartitionId p, MessagePayload payload) const;
+  /// One request per element, all in flight at once; replies in order.
+  [[nodiscard]] std::vector<Result<Envelope>> BusCallMany(
+      std::vector<std::pair<PartitionId, MessagePayload>> calls) const;
   [[nodiscard]] Result<NeighborsReply> CallNeighbors(PartitionId p, NeighborsRequest req) const;
   [[nodiscard]] Result<ProbeReply> CallProbe(PartitionId p, ProbeRequest req) const;
   [[nodiscard]] Result<MutateReply> CallMutate(PartitionId p, MutateRequest req) const;
   [[nodiscard]] Result<InstallChunkReply> CallInstallChunk(PartitionId p,
                                                            InstallChunkRequest req) const;
   [[nodiscard]] Result<ExtractReply> CallExtract(PartitionId p, VertexId v) const;
-  [[nodiscard]] Result<AuxExchangeReply> CallAuxExchange(PartitionId p,
-                                                         AuxExchangeRequest req) const;
   [[nodiscard]] Result<HealthReply> CallHealth(PartitionId p) const;
   [[nodiscard]] Result<CheckpointReply> CallCheckpoint(PartitionId p) const;
 
@@ -307,7 +330,6 @@ class HermesCluster {
   [[nodiscard]] Status DoCreateNode(PartitionId p, VertexId id, double weight);
   [[nodiscard]] Status DoRemoveNode(PartitionId p, VertexId v);
   [[nodiscard]] Status DoSetNodeState(PartitionId p, VertexId v, WireNodeState state);
-  [[nodiscard]] Status DoAddNodeWeight(PartitionId p, VertexId v, double delta);
   [[nodiscard]] Result<RecordId> DoAddEdge(PartitionId p, VertexId v, VertexId other,
                              std::uint32_t type, bool other_is_local);
   [[nodiscard]] Status DoRemoveEdge(PartitionId p, VertexId v, VertexId other);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -29,17 +30,65 @@ Status MessageBus::Start() {
 }
 
 Result<Envelope> MessageBus::Call(EndpointId dst, Envelope request) {
-  request.src = self_;
-  request.dst = dst;
+  std::vector<Outgoing> one;
+  one.push_back({dst, std::move(request)});
+  return std::move(CallMany(std::move(one)).front());
+}
+
+std::vector<Result<Envelope>> MessageBus::CallMany(
+    std::vector<Outgoing> requests) {
+  std::vector<PendingCall> calls(requests.size());
   {
     MutexLock lock(&mu_);
     if (shutdown_) {
-      return Status::Unavailable("message bus: shut down");
+      return std::vector<Result<Envelope>>(
+          requests.size(), Status::Unavailable("message bus: shut down"));
     }
-    request.request_id = next_request_id_++;
-    waiting_.insert(request.request_id);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      Envelope& request = calls[i].request;
+      request = std::move(requests[i].request);
+      request.src = self_;
+      request.dst = requests[i].dst;
+      request.request_id = next_request_id_++;
+      waiting_.insert(request.request_id);
+    }
   }
-  const std::uint64_t id = request.request_id;
+  const std::uint64_t start_us = SteadyNowMicros();
+  m_calls_->Increment(calls.size());
+  // Every first attempt is on the wire before any reply is awaited;
+  // replies that arrive while an earlier request is still being awaited
+  // wait in done_ for their turn.
+  for (PendingCall& call : calls) SendAttempt(&call, 0);
+  std::vector<Result<Envelope>> replies;
+  replies.reserve(calls.size());
+  for (PendingCall& call : calls) {
+    replies.push_back(AwaitReply(&call, start_us));
+  }
+  return replies;
+}
+
+void MessageBus::SendAttempt(PendingCall* call, std::uint32_t attempt) {
+  // Every attempt resends the SAME request id — the idempotency token.
+  // A server that already applied this mutation replays its cached
+  // reply instead of re-executing, which is what makes the retry loop
+  // exactly-once rather than at-least-once.
+  call->request.attempt = static_cast<std::uint16_t>(attempt);
+  auto encoded = EncodeFrame(call->request);
+  if (!encoded.ok()) {
+    call->sent = encoded.status();
+    return;
+  }
+  // The pending-table mutex is NOT held across Send: a bounded inbox
+  // can block the sender, and the reply handler needs the mutex to
+  // complete this very call.
+  call->sent = transport_->Send(call->request.dst, std::move(*encoded));
+  call->deadline = std::chrono::steady_clock::now() +
+                   std::chrono::microseconds(options_.call_timeout_us);
+}
+
+Result<Envelope> MessageBus::AwaitReply(PendingCall* call,
+                                        std::uint64_t start_us) {
+  const std::uint64_t id = call->request.request_id;
   auto cleanup = [this, id]() EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     waiting_.erase(id);
@@ -47,8 +96,6 @@ Result<Envelope> MessageBus::Call(EndpointId dst, Envelope request) {
   };
   const std::uint32_t max_attempts =
       options_.max_attempts == 0 ? 1 : options_.max_attempts;
-  const std::uint64_t start_us = SteadyNowMicros();
-  m_calls_->Increment();
   Envelope reply;
   bool have_reply = false;
   std::uint32_t attempts_used = 1;
@@ -73,34 +120,19 @@ Result<Envelope> MessageBus::Call(EndpointId dst, Envelope request) {
       }
       m_retries_->Increment();
       attempts_used = attempt + 1;
+      SendAttempt(call, attempt);
     }
-    // Every attempt resends the SAME request id — the idempotency token.
-    // A server that already applied this mutation replays its cached
-    // reply instead of re-executing, which is what makes the retry loop
-    // exactly-once rather than at-least-once.
-    request.attempt = static_cast<std::uint16_t>(attempt);
-    auto encoded = EncodeFrame(request);
-    if (!encoded.ok()) {
-      cleanup();
-      return encoded.status();
-    }
-    // The pending-table mutex is NOT held across Send: a bounded inbox
-    // can block the sender, and the reply handler needs the mutex to
-    // complete this very call.
-    const Status sent = transport_->Send(dst, std::move(*encoded));
-    if (!sent.ok()) {
-      last_error = sent;
-      if (sent.IsNotFound() || sent.IsInvalidArgument()) {
-        // No such endpoint / malformed destination: permanent, fail fast.
+    if (!call->sent.ok()) {
+      last_error = call->sent;
+      if (last_error.IsNotFound() || last_error.IsInvalidArgument()) {
+        // No such endpoint / malformed destination / unencodable
+        // request: permanent, fail fast.
         cleanup();
-        return sent;
+        return last_error;
       }
       continue;  // retryable send failure: back off, then resend
     }
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.call_timeout_us);
-    const WaitOutcome w = WaitForReply(id, deadline, &reply);
+    const WaitOutcome w = WaitForReply(id, call->deadline, &reply);
     if (w == WaitOutcome::kShutdown) {
       return Status::Unavailable("message bus: shut down");
     }

@@ -1,15 +1,16 @@
-/// Request/reply bus over a Transport (DESIGN.md §12). Call() stamps a
-/// fresh request id, sends the encoded frame, and blocks until the
-/// matching reply frame arrives on this bus's own endpoint or the call
-/// deadline passes — a timeout surfaces as kUnavailable ("retryable"),
-/// never a hang, which is what the delivery-fault tests pin down.
-/// Replies are matched purely by request id, so duplicated or reordered
-/// frames at the transport layer cannot mispair a call: stale and
-/// duplicate replies are counted and dropped.
+/// Request/reply bus over a Transport (DESIGN.md §12). CallMany() stamps
+/// a fresh request id on each request, sends every encoded frame, and
+/// then blocks until each matching reply arrives on this bus's own
+/// endpoint or its deadline passes — a timeout surfaces as kUnavailable
+/// ("retryable"), never a hang, which is what the delivery-fault tests
+/// pin down. Call() is a one-request CallMany(). Replies are matched
+/// purely by request id, so duplicated or reordered frames at the
+/// transport layer cannot mispair a call: stale and duplicate replies
+/// are counted and dropped.
 ///
-/// Retries are idempotent by construction: a Call that times out or hits
-/// a retryable send error resends the SAME request id (never a fresh
-/// one), with bounded attempts and exponential, deterministically
+/// Retries are idempotent by construction: a request that times out or
+/// hits a retryable send error is resent with the SAME request id (never
+/// a fresh one), with bounded attempts and exponential, deterministically
 /// jittered backoff. Servers deduplicate on (src, request_id) and replay
 /// the cached reply, which upgrades mutations from at-most-once to
 /// exactly-once under message loss (the exactly-once contract, DESIGN.md
@@ -23,6 +24,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/lock_order.h"
 #include "common/metrics.h"
@@ -39,7 +41,7 @@ class MessageBus {
     /// How long one attempt waits for the reply before timing out (and,
     /// if attempts remain, resending the same token).
     std::uint64_t call_timeout_us = 30'000'000;
-    /// Total delivery attempts per Call (0 behaves as 1). Every attempt
+    /// Total delivery attempts per request (0 behaves as 1). Every attempt
     /// reuses the request id minted on the first, so server-side dedup
     /// makes retried mutations exactly-once.
     std::uint32_t max_attempts = 3;
@@ -63,10 +65,23 @@ class MessageBus {
   /// Opens this bus's reply endpoint on the transport.
   [[nodiscard]] Status Start() EXCLUDES(mu_);
 
-  /// Sends `request` to `dst` and waits for the matching reply.
-  /// `request.payload` must be set; the routing header is filled in
-  /// here. Returns the transport error, the encode error, or
-  /// kUnavailable on reply timeout / bus shutdown.
+  /// One request of a CallMany() fan-out.
+  struct Outgoing {
+    EndpointId dst = 0;
+    Envelope request;
+  };
+
+  /// Sends every request, then waits for every reply, so the requests
+  /// are in flight at once: a fan-out to N servers costs one round trip,
+  /// not N. Each `request.payload` must be set; the routing header is
+  /// filled in here. Element i of the result answers `requests[i]`: its
+  /// reply, or the transport error, the encode error, or kUnavailable on
+  /// reply timeout / bus shutdown. Each request retries with its own
+  /// token, independently of the others.
+  [[nodiscard]] std::vector<Result<Envelope>> CallMany(
+      std::vector<Outgoing> requests) EXCLUDES(mu_);
+
+  /// CallMany() with one request.
   [[nodiscard]] Result<Envelope> Call(EndpointId dst, Envelope request)
       EXCLUDES(mu_);
 
@@ -79,7 +94,26 @@ class MessageBus {
  private:
   enum class WaitOutcome { kReply, kShutdown, kTimeout };
 
+  /// A request whose id has been minted, plus its latest delivery.
+  struct PendingCall {
+    Envelope request;
+    /// Result of the latest send, and when its reply is due.
+    Status sent;
+    std::chrono::steady_clock::time_point deadline;
+  };
+
   void OnFrame(std::string frame) EXCLUDES(mu_);
+
+  /// Encodes and sends attempt `attempt` of `call`, recording the send
+  /// status and the reply deadline.
+  void SendAttempt(PendingCall* call, std::uint32_t attempt) EXCLUDES(mu_);
+
+  /// The retry loop: waits for the reply to `call`'s first attempt (sent
+  /// already), resending the same token with backoff until a reply, a
+  /// permanent error, shutdown, or the last attempt.
+  [[nodiscard]] Result<Envelope> AwaitReply(PendingCall* call,
+                                            std::uint64_t start_us)
+      EXCLUDES(mu_);
 
   /// Blocks until the reply for `id` arrives (claims it into `*out`),
   /// the bus shuts down, or `deadline` passes. On kTimeout the id stays

@@ -140,7 +140,6 @@ void InProcTransport::DispatchLoop(Inbox* inbox) {
       inbox->depth_gauge->Set(static_cast<double>(inbox->frames.size()));
       inbox->not_full.NotifyAll();
     }
-    TraceSpan span("msg.dispatch");
     inbox->handler(std::move(frame));
   }
 }

@@ -11,7 +11,7 @@ constexpr std::size_t kMinAdjacencyBytes = 9;  // status (1+4) + count u32
 constexpr std::size_t kMinNodeBytes = 20;      // id + weight + prop count
 constexpr std::size_t kMinEdgeBytes = 26;      // ids + type + flags + count
 constexpr std::size_t kMinRelBytes = 17;       // other + type + flag + count
-constexpr std::size_t kMinAuxEntryBytes = 16;  // vertex + delta
+constexpr std::size_t kMinAuxEntryBytes = 16;  // vertex + reads
 constexpr std::size_t kMinDumpNodeBytes = 16;  // id + weight
 constexpr std::size_t kMinDumpRelBytes = 21;   // src + dst + type + ghost
 
@@ -60,6 +60,7 @@ void NeighborsRequest::EncodeTo(WireWriter* w) const {
   PutVertices(vertices, w);
   w->PutBool(has_type);
   w->PutU32(type);
+  w->PutBool(count_reads);
 }
 
 Result<NeighborsRequest> NeighborsRequest::DecodeFrom(WireReader* r) {
@@ -67,6 +68,7 @@ Result<NeighborsRequest> NeighborsRequest::DecodeFrom(WireReader* r) {
   HERMES_RETURN_NOT_OK(ReadVertices(r, &m.vertices));
   HERMES_RETURN_NOT_OK(r->ReadBool(&m.has_type));
   HERMES_RETURN_NOT_OK(r->ReadU32(&m.type));
+  HERMES_RETURN_NOT_OK(r->ReadBool(&m.count_reads));
   return m;
 }
 
@@ -275,37 +277,34 @@ Result<ExtractReply> ExtractReply::DecodeFrom(WireReader* r) {
   return m;
 }
 
-void AuxExchangeRequest::EncodeTo(WireWriter* w) const {
-  w->PutU32(static_cast<std::uint32_t>(entries.size()));
-  for (const Entry& e : entries) {
-    w->PutU64(e.vertex);
-    w->PutF64(e.delta);
-  }
-}
+void AuxExchangeRequest::EncodeTo(WireWriter* w) const { (void)w; }
 
 Result<AuxExchangeRequest> AuxExchangeRequest::DecodeFrom(WireReader* r) {
-  AuxExchangeRequest m;
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinAuxEntryBytes, &n));
-  m.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Entry e;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&e.vertex));
-    HERMES_RETURN_NOT_OK(r->ReadF64(&e.delta));
-    m.entries.push_back(e);
-  }
-  return m;
+  (void)r;
+  return AuxExchangeRequest{};
 }
 
 void AuxExchangeReply::EncodeTo(WireWriter* w) const {
   PutStatus(status, w);
-  w->PutU64(applied);
+  w->PutU32(static_cast<std::uint32_t>(folded.size()));
+  for (const Entry& e : folded) {
+    w->PutU64(e.vertex);
+    w->PutU64(e.reads);
+  }
 }
 
 Result<AuxExchangeReply> AuxExchangeReply::DecodeFrom(WireReader* r) {
   AuxExchangeReply m;
   HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.applied));
+  std::uint32_t n = 0;
+  HERMES_RETURN_NOT_OK(r->ReadCount(kMinAuxEntryBytes, &n));
+  m.folded.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Entry e;
+    HERMES_RETURN_NOT_OK(r->ReadU64(&e.vertex));
+    HERMES_RETURN_NOT_OK(r->ReadU64(&e.reads));
+    m.folded.push_back(e);
+  }
   return m;
 }
 

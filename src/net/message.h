@@ -1,7 +1,7 @@
 /// Typed request/reply messages for every cluster↔partition-server
 /// boundary operation (DESIGN.md §12): batched neighbor reads, existence
 /// probes, single-record mutations, migration chunk install/extract,
-/// aux-weight exchange, health, checkpoint, and recovery dumps. Each
+/// the read-count fold, health, checkpoint, and recovery dumps. Each
 /// payload knows how to encode itself into a WireWriter and decode from a
 /// WireReader with full bounds checking; EncodeFrame/DecodeFrame wrap a
 /// payload in the versioned, CRC-sealed frame that actually travels:
@@ -72,6 +72,10 @@ struct NeighborsRequest {
   std::vector<VertexId> vertices;
   bool has_type = false;
   std::uint32_t type = 0;
+  /// Count one read of every vertex served OK into the server's pending
+  /// read counts (the vertex weight, folded by AuxExchange). Set on the
+  /// level-0 request of a traversal, whose only vertex is the start.
+  bool count_reads = false;
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<NeighborsRequest> DecodeFrom(WireReader* r);
@@ -217,22 +221,23 @@ struct ExtractReply {
   [[nodiscard]] static Result<ExtractReply> DecodeFrom(WireReader* r);
 };
 
-/// Popularity-weight deltas pushed to the server owning the vertices
-/// (the read path's weight bump).
+/// Folds the server's pending read counts into its vertex weights
+/// (DESIGN.md §12, read-weight contract). A mutation: deduplicated by
+/// token, so a retried fold replays its reply and folds nothing twice.
 struct AuxExchangeRequest {
-  struct Entry {
-    VertexId vertex = 0;
-    double delta = 0.0;
-  };
-  std::vector<Entry> entries;
-
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<AuxExchangeRequest> DecodeFrom(WireReader* r);
 };
 
 struct AuxExchangeReply {
+  struct Entry {
+    VertexId vertex = 0;
+    std::uint64_t reads = 0;
+  };
   Status status;
-  std::uint64_t applied = 0;
+  /// The counts added to vertex weights, in vertex order. On a storage
+  /// failure, the ones folded before it; the rest stay pending.
+  std::vector<Entry> folded;
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<AuxExchangeReply> DecodeFrom(WireReader* r);

@@ -27,7 +27,10 @@ namespace hermes {
 ///   v2 — the reserved u16 became the retry `attempt` counter so servers
 ///        can distinguish first deliveries from client retries (DESIGN.md
 ///        §12, exactly-once mutation contract).
-inline constexpr std::uint8_t kWireVersion = 2;
+///   v3 — NeighborsRequest gained `count_reads`; AuxExchange became the
+///        read-count fold (empty request, reply lists the folded
+///        (vertex, reads) pairs) — DESIGN.md §12, read-weight contract.
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Hard ceiling on a single frame (length prefix included). Large enough
 /// for a single-shot recovery dump at test scale; bulk paths (store

@@ -101,6 +101,8 @@ void PartitionServer::HandleFrame(std::string frame) {
     return;
   }
   const bool mutating = IsMutatingRequest(env->payload);
+  const auto* read = std::get_if<NeighborsRequest>(&env->payload);
+  const bool counted_read = read != nullptr && read->count_reads;
   const DedupKey key{env->src, env->request_id};
   std::string encoded;
   {
@@ -128,6 +130,9 @@ void PartitionServer::HandleFrame(std::string frame) {
       } else {
         if (mutating) RememberLocked(key);
         reply.payload = ApplyLocked(env->payload, env->src, env->request_id);
+        if (counted_read && RememberLocked(key)) {
+          CountReadsLocked(*read, std::get<NeighborsReply>(reply.payload));
+        }
         m_requests_->Increment();
       }
       auto frame_bytes = EncodeFrame(reply);
@@ -156,13 +161,21 @@ bool PartitionServer::IsMutatingRequest(const MessagePayload& request) {
          std::get_if<AuxExchangeRequest>(&request) != nullptr;
 }
 
-void PartitionServer::RememberLocked(const DedupKey& key) {
-  if (!seen_.insert(key).second) return;
+bool PartitionServer::RememberLocked(const DedupKey& key) {
+  if (!seen_.insert(key).second) return false;
   seen_fifo_.push_back(key);
   if (seen_fifo_.size() > dedup_window_) {
     replies_.erase(seen_fifo_.front());
     seen_.erase(seen_fifo_.front());
     seen_fifo_.pop_front();
+  }
+  return true;
+}
+
+void PartitionServer::CountReadsLocked(const NeighborsRequest& req,
+                                       const NeighborsReply& reply) {
+  for (std::size_t i = 0; i < req.vertices.size(); ++i) {
+    if (reply.results[i].status.ok()) ++read_counts_[req.vertices[i]];
   }
 }
 
@@ -184,8 +197,8 @@ MessagePayload PartitionServer::ApplyLocked(const MessagePayload& request,
   if (const auto* m = std::get_if<ExtractRequest>(&request)) {
     return DoExtract(*m);
   }
-  if (const auto* m = std::get_if<AuxExchangeRequest>(&request)) {
-    return DoAux(*m, src, request_id);
+  if (std::get_if<AuxExchangeRequest>(&request) != nullptr) {
+    return DoFold(src, request_id);
   }
   if (std::get_if<HealthRequest>(&request) != nullptr) {
     return DoHealth();
@@ -231,10 +244,13 @@ MessagePayload PartitionServer::RecoveredReplyLocked(
     }
     return reply;
   }
-  if (const auto* m = std::get_if<AuxExchangeRequest>(&request)) {
+  if (std::get_if<AuxExchangeRequest>(&request) != nullptr) {
+    // The folded counts are in the recovered weights. The reply that
+    // listed them died with the process, and so did the client that
+    // sent the fold: the cluster recovers as a whole and rebuilds its
+    // weights from Dump().
     AuxExchangeReply reply;
     reply.status = Status::OK();
-    reply.applied = m->entries.size();
     return reply;
   }
   MutateReply reply;
@@ -299,6 +315,8 @@ MutateReply PartitionServer::DoMutate(const MutateRequest& req,
     case MutateRequest::Op::kRemoveNode:
       reply.status = durable_raw_ ? durable_raw_->RemoveNode(req.vertex, token)
                                   : store_->RemoveNode(req.vertex);
+      // A migrated vertex took its pending reads along in ExtractReply.
+      if (reply.status.ok()) read_counts_.erase(req.vertex);
       break;
     case MutateRequest::Op::kSetNodeState: {
       const NodeState state = static_cast<NodeState>(req.node_state);
@@ -425,7 +443,12 @@ ExtractReply PartitionServer::DoExtract(const ExtractRequest& req) {
   }
   reply.status = Status::OK();
   reply.id = snap->id;
-  reply.weight = snap->weight;
+  // The pending reads travel with the vertex: the target installs them
+  // as weight and the source drops them when it removes the record.
+  const auto pending = read_counts_.find(req.vertex);
+  reply.weight = snap->weight + (pending == read_counts_.end()
+                                     ? 0.0
+                                     : static_cast<double>(pending->second));
   reply.wire_bytes = snap->WireBytes();
   reply.properties.reserve(snap->properties.size());
   for (const auto& [key, value] : snap->properties) {
@@ -446,22 +469,20 @@ ExtractReply PartitionServer::DoExtract(const ExtractRequest& req) {
   return reply;
 }
 
-AuxExchangeReply PartitionServer::DoAux(const AuxExchangeRequest& req,
-                                        EndpointId src,
-                                        std::uint64_t request_id) {
+AuxExchangeReply PartitionServer::DoFold(EndpointId src,
+                                         std::uint64_t request_id) {
   const WalToken token{src, request_id};
   AuxExchangeReply reply;
   reply.status = Status::OK();
-  for (const auto& entry : req.entries) {
-    const Status st =
-        durable_raw_
-            ? durable_raw_->AddNodeWeight(entry.vertex, entry.delta, token)
-                     : store_->AddNodeWeight(entry.vertex, entry.delta);
-    if (!st.ok()) {
-      reply.status = st;
-      return reply;
-    }
-    ++reply.applied;
+  for (auto it = read_counts_.begin(); it != read_counts_.end();) {
+    const auto [vertex, reads] = *it;
+    const double delta = static_cast<double>(reads);
+    reply.status = durable_raw_
+                       ? durable_raw_->AddNodeWeight(vertex, delta, token)
+                       : store_->AddNodeWeight(vertex, delta);
+    if (!reply.status.ok()) break;  // the rest stay pending
+    reply.folded.push_back({vertex, reads});
+    it = read_counts_.erase(it);
   }
   return reply;
 }

@@ -94,7 +94,8 @@ class PartitionServer {
   /// True for request payloads that mutate the store (Mutate /
   /// InstallChunk / AuxExchange): these are deduplicated by token and
   /// their replies cached for replay. Reads are idempotent and simply
-  /// re-execute on duplicate delivery.
+  /// re-execute on duplicate delivery; a counted read counts only on its
+  /// first delivery (its token joins the window, with no cached reply).
   [[nodiscard]] static bool IsMutatingRequest(const MessagePayload& request);
 
   /// Applies one decoded request and produces the reply payload. `src`
@@ -113,9 +114,13 @@ class PartitionServer {
   [[nodiscard]] MessagePayload RecoveredReplyLocked(
       const MessagePayload& request) REQUIRES(mu_);
 
-  /// Records a mutation token, evicting the oldest entry (and its cached
-  /// reply) once the window overflows.
-  void RememberLocked(const DedupKey& key) REQUIRES(mu_);
+  /// Records a token, evicting the oldest entry (and its cached reply)
+  /// once the window overflows. False when the token was already known.
+  bool RememberLocked(const DedupKey& key) REQUIRES(mu_);
+
+  /// Adds one pending read to every vertex of `req` that `reply` served.
+  void CountReadsLocked(const NeighborsRequest& req,
+                        const NeighborsReply& reply) REQUIRES(mu_);
 
   NeighborsReply DoNeighbors(const NeighborsRequest& req) REQUIRES(mu_);
   ProbeReply DoProbe(const ProbeRequest& req) REQUIRES(mu_);
@@ -124,8 +129,8 @@ class PartitionServer {
   InstallChunkReply DoInstall(const InstallChunkRequest& req, EndpointId src,
                               std::uint64_t request_id) REQUIRES(mu_);
   ExtractReply DoExtract(const ExtractRequest& req) REQUIRES(mu_);
-  AuxExchangeReply DoAux(const AuxExchangeRequest& req, EndpointId src,
-                         std::uint64_t request_id) REQUIRES(mu_);
+  AuxExchangeReply DoFold(EndpointId src, std::uint64_t request_id)
+      REQUIRES(mu_);
   HealthReply DoHealth() REQUIRES(mu_);
   CheckpointReply DoCheckpoint() REQUIRES(mu_);
   DumpReply DoDump() REQUIRES(mu_);
@@ -147,14 +152,19 @@ class PartitionServer {
   GraphStore* store_;
   /// Dedup window capacity (Options::dedup_window, defaulted).
   const std::size_t dedup_window_;
-  /// Mutation tokens this server has applied (or recovered from the WAL),
-  /// plus their FIFO eviction order. Exactly-once contract: a token in
-  /// `seen_` is never re-applied; if its encoded reply is in `replies_`
-  /// it is replayed verbatim, otherwise (recovered token) the reply is
-  /// synthesized from store state. All three structures evict together.
+  /// Mutation and counted-read tokens this server has applied (or
+  /// recovered from the WAL), plus their FIFO eviction order.
+  /// Exactly-once contract: a token in `seen_` is never re-applied; if
+  /// its encoded reply is in `replies_` it is replayed verbatim,
+  /// otherwise (recovered token) the reply is synthesized from store
+  /// state. All three structures evict together.
   std::set<DedupKey> seen_ GUARDED_BY(mu_);
   std::deque<DedupKey> seen_fifo_ GUARDED_BY(mu_);
   std::map<DedupKey, std::string> replies_ GUARDED_BY(mu_);
+  /// Reads counted since the last fold, by vertex: soft state, lost on a
+  /// crash. A fold adds them to the stored weights; an extract carries a
+  /// vertex's count in its weight, and removing the record drops it.
+  std::map<VertexId, std::uint64_t> read_counts_ GUARDED_BY(mu_);
   // audit:allow(guard, set once in Open() before the endpoint is registered)
   std::uint64_t max_recovered_token_id_ = 0;
   Counter* const m_requests_;

@@ -84,6 +84,9 @@ TEST(ClusterRecoveryTest, WritesAndWeightsSurviveCrash) {
     const auto trace =
         GenerateTrace(cluster.graph(), cluster.assignment(), topt);
     RunWorkload(&cluster, trace);
+    // Read counts are soft state until a fold; the checkpoint folds them
+    // into the weights it snapshots.
+    ASSERT_OK(cluster.Checkpoint());
     edges_after_workload = cluster.graph().NumEdges();
     weight_of_zero = cluster.graph().VertexWeight(0);
     // Crash.
@@ -95,6 +98,41 @@ TEST(ClusterRecoveryTest, WritesAndWeightsSurviveCrash) {
   EXPECT_EQ((*recovered)->graph().NumEdges(), edges_after_workload);
   EXPECT_DOUBLE_EQ((*recovered)->graph().VertexWeight(0), weight_of_zero);
   EXPECT_TRUE((*recovered)->Validate());
+}
+
+TEST(ClusterRecoveryTest, CrashBeforeFoldLosesOnlyUnfoldedReads) {
+  const std::string dir = FreshDir("hermes_cluster_unfolded");
+  Graph g = SmallSocial(3);
+  const auto asg = HashPartitioner(1).Partition(g, 4);
+  const double initial = g.VertexWeight(5);
+  VertexId u = 0;
+  VertexId w = 0;
+  {
+    HermesCluster::Options opt;
+    opt.durability_dir = dir;
+    HermesCluster cluster(std::move(g), asg, opt);
+    for (int i = 0; i < 3; ++i) ASSERT_OK(cluster.ExecuteRead(5, 1));
+    ASSERT_OK(cluster.FoldReadCounts());  // logged: survives the crash
+    for (int i = 0; i < 2; ++i) ASSERT_OK(cluster.ExecuteRead(5, 1));
+    // A write after the unfolded reads, which must survive them.
+    while (cluster.graph().HasEdge(u, w) || u == w) ++w;
+    ASSERT_OK(cluster.InsertEdge(u, w));
+    // Crash with two reads counted and not folded.
+  }
+  HermesCluster::Options opt;
+  opt.durability_dir = dir;
+  auto recovered = HermesCluster::Recover(4, opt);
+  ASSERT_OK(recovered);
+  HermesCluster& cluster = **recovered;
+  EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(5), initial + 3.0);
+  EXPECT_DOUBLE_EQ(
+      *cluster.store(cluster.assignment().PartitionOf(5))->NodeWeight(5),
+      initial + 3.0);
+  EXPECT_TRUE(cluster.graph().HasEdge(u, w));
+  EXPECT_TRUE(cluster.Validate());
+  // Nothing of the lost counts lingers: a fold now adds nothing.
+  ASSERT_OK(cluster.FoldReadCounts());
+  EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(5), initial + 3.0);
 }
 
 TEST(ClusterRecoveryTest, RepartitioningSurvivesCrash) {

@@ -1,6 +1,10 @@
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +12,7 @@
 #include "test_util.h"
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "cluster/hermes_cluster.h"
 #include "graphdb/graph_store.h"
 #include "gen/social_graph.h"
@@ -82,9 +87,16 @@ TEST(HermesClusterTest, ReadsBumpStartVertexWeight) {
   const double before = cluster.graph().VertexWeight(0);
   ASSERT_OK(cluster.ExecuteRead(0, 1));
   ASSERT_OK(cluster.ExecuteRead(0, 1));
+  ASSERT_OK(cluster.FoldReadCounts());
   EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(0), before + 2.0);
   EXPECT_DOUBLE_EQ(*cluster.store(0)->NodeWeight(0), before + 2.0);
   EXPECT_DOUBLE_EQ(cluster.aux().PartitionWeight(0), 7.0);
+}
+
+std::uint64_t CounterValue(const std::string& name) {
+  const auto snap = MetricsRegistry::Global().Snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
 TEST(HermesClusterTest, WeightCountingCanBeDisabled) {
@@ -92,7 +104,226 @@ TEST(HermesClusterTest, WeightCountingCanBeDisabled) {
   options.count_reads_in_weights = false;
   HermesCluster cluster(TwoCommunities(), GoodSplit(), options);
   ASSERT_OK(cluster.ExecuteRead(0, 1));
+  // Counting off means no fold: not a single bus call goes out.
+  const std::uint64_t calls_before = CounterValue("msg.calls");
+  ASSERT_OK(cluster.FoldReadCounts());
+  EXPECT_EQ(CounterValue("msg.calls"), calls_before);
   EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(0), 1.0);
+  EXPECT_DOUBLE_EQ(*cluster.store(0)->NodeWeight(0), 1.0);
+}
+
+TEST(HermesClusterTest, ZeroHopReadOfUnavailableStartIsUnavailable) {
+  HermesCluster cluster(TwoCommunities(), GoodSplit());
+  ASSERT_OK(cluster.store(0)->SetNodeState(3, NodeState::kUnavailable));
+  for (int hops : {0, 1}) {
+    const auto run = cluster.ExecuteRead(3, hops);
+    EXPECT_TRUE(run.status().IsUnavailable())
+        << "hops=" << hops << ": " << run.status().ToString();
+  }
+  ASSERT_OK(cluster.store(0)->SetNodeState(3, NodeState::kAvailable));
+  // A refused read is not counted.
+  ASSERT_OK(cluster.FoldReadCounts());
+  EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(3), 1.0);
+  EXPECT_DOUBLE_EQ(*cluster.store(0)->NodeWeight(3), 1.0);
+}
+
+TEST(HermesClusterTest, ZeroHopReadIsCounted) {
+  HermesCluster cluster(TwoCommunities(), GoodSplit());
+  auto run = cluster.ExecuteRead(7, 0);
+  ASSERT_OK(run);
+  EXPECT_EQ(run->vertices_processed, 1u);
+  EXPECT_EQ(run->unique_vertices, 1u);
+  EXPECT_EQ(run->remote_hops, 0u);
+  EXPECT_EQ(run->segments,
+            (std::vector<std::pair<PartitionId, std::uint32_t>>{{1, 1}}));
+  ASSERT_OK(cluster.ExecuteRead(7, 0));
+  ASSERT_OK(cluster.FoldReadCounts());
+  EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(7), 3.0);
+  EXPECT_DOUBLE_EQ(*cluster.store(1)->NodeWeight(7), 3.0);
+  EXPECT_DOUBLE_EQ(cluster.aux().PartitionWeight(1), 7.0);
+}
+
+/// The traversal shape the paper-figure benches replay, computed from
+/// the logical graph and directory alone: a start segment, each level's
+/// local visits merged into the current segment, then one segment per
+/// remote server in ascending id.
+HermesCluster::TraversalRun ReferenceRun(const Graph& g,
+                                         const PartitionAssignment& asg,
+                                         VertexId start, int hops) {
+  HermesCluster::TraversalRun run;
+  run.segments.emplace_back(asg.PartitionOf(start), 1);
+  run.vertices_processed = 1;
+  run.unique_vertices = 1;
+  std::set<VertexId> seen{start};
+  std::vector<VertexId> level{start};
+  PartitionId position = asg.PartitionOf(start);
+  for (int depth = 0; depth < hops; ++depth) {
+    std::map<PartitionId, std::uint32_t> visits;
+    std::vector<VertexId> next;
+    for (VertexId v : level) {
+      for (VertexId w : g.Neighbors(v)) {
+        ++visits[asg.PartitionOf(w)];
+        ++run.vertices_processed;
+        if (seen.insert(w).second) {
+          ++run.unique_vertices;
+          next.push_back(w);
+        }
+      }
+    }
+    if (auto it = visits.find(position); it != visits.end()) {
+      run.segments.back().second += it->second;
+      visits.erase(it);
+    }
+    for (const auto& [server, count] : visits) {
+      ++run.remote_hops;
+      run.segments.emplace_back(server, count);
+      position = server;
+    }
+    level = std::move(next);
+  }
+  return run;
+}
+
+TEST(HermesClusterTest, TraversalShapeMatchesReferenceForEveryStart) {
+  SocialGraphOptions gopt;
+  gopt.num_vertices = 300;
+  gopt.seed = 17;
+  Graph g = GenerateSocialGraph(gopt);
+  const auto asg = HashPartitioner(5).Partition(g, 4);
+  HermesCluster cluster(std::move(g), asg);
+  for (int hops : {1, 2}) {
+    for (VertexId v = 0; v < cluster.graph().NumVertices(); ++v) {
+      const auto run = cluster.ExecuteRead(v, hops);
+      ASSERT_OK(run) << "start " << v << " hops " << hops;
+      const auto expected =
+          ReferenceRun(cluster.graph(), cluster.assignment(), v, hops);
+      EXPECT_EQ(run->segments, expected.segments)
+          << "start " << v << " hops " << hops;
+      EXPECT_EQ(run->remote_hops, expected.remote_hops) << "start " << v;
+      EXPECT_EQ(run->vertices_processed, expected.vertices_processed)
+          << "start " << v;
+      EXPECT_EQ(run->unique_vertices, expected.unique_vertices)
+          << "start " << v;
+    }
+  }
+}
+
+// --- Read-weight contract (DESIGN.md §12) ----------------------------------
+
+/// Every view of `v`'s weight — graph(), the hosting store, and the
+/// partition totals in aux() — agrees with `expected`.
+void ExpectWeightEverywhere(const HermesCluster& cluster, VertexId v,
+                            double expected) {
+  const PartitionId p = cluster.assignment().PartitionOf(v);
+  EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(v), expected) << "graph";
+  const auto stored = cluster.store(p)->NodeWeight(v);
+  ASSERT_OK(stored);
+  EXPECT_DOUBLE_EQ(*stored, expected) << "store " << p;
+  for (PartitionId q = 0; q < cluster.num_servers(); ++q) {
+    double sum = 0.0;
+    for (VertexId u = 0; u < cluster.graph().NumVertices(); ++u) {
+      if (cluster.assignment().PartitionOf(u) == q) {
+        sum += cluster.graph().VertexWeight(u);
+      }
+    }
+    EXPECT_DOUBLE_EQ(cluster.aux().PartitionWeight(q), sum) << "aux " << q;
+  }
+}
+
+TEST(HermesClusterTest, CountedReadsReachEveryViewAtTheFold) {
+  HermesCluster cluster(TwoCommunities(), GoodSplit());
+  constexpr int kReads = 5;
+  for (int i = 0; i < kReads; ++i) {
+    ASSERT_OK(cluster.ExecuteRead(6, i % 3));
+  }
+  // Soft state until the fold: no view has moved yet.
+  ExpectWeightEverywhere(cluster, 6, 1.0);
+  ASSERT_OK(cluster.FoldReadCounts());
+  ExpectWeightEverywhere(cluster, 6, 1.0 + kReads);
+  // A second fold right away finds nothing to add.
+  ASSERT_OK(cluster.FoldReadCounts());
+  ExpectWeightEverywhere(cluster, 6, 1.0 + kReads);
+  EXPECT_TRUE(cluster.Validate());
+}
+
+TEST(HermesClusterTest, MigratingVertexCarriesItsUnfoldedReads) {
+  // Chunks {1}, {2}, {3} migrate to partition 1 one at a time. Reads of
+  // 2 and 3 land in chunk {1}'s barrier, after the migration's own fold:
+  // 2 carries its count in the extracted weight with no fold in between;
+  // 3 is also folded inside its own barrier (the record is unavailable
+  // but still on the source), which must not count it twice.
+  HermesCluster::Options options;
+  options.migration_chunk = 1;
+  HermesCluster* live = nullptr;
+  Status hook_status;
+  options.migration_barrier_hook = [&](const std::vector<VertexId>& chunk) {
+    Status st;
+    if (chunk.front() == 1) {
+      for (int i = 0; i < 3 && st.ok(); ++i) {
+        st = live->ExecuteRead(2, 1).status();
+      }
+      for (int i = 0; i < 2 && st.ok(); ++i) {
+        st = live->ExecuteRead(3, 1).status();
+      }
+    } else if (chunk.front() == 3) {
+      st = live->FoldReadCounts();
+    }
+    if (hook_status.ok()) hook_status = st;
+  };
+  HermesCluster cluster(TwoCommunities(), GoodSplit(), options);
+  live = &cluster;
+  ASSERT_OK(cluster.ExecuteRead(1, 1));  // folded by the migration itself
+  PartitionAssignment target = GoodSplit();
+  for (VertexId v : {1u, 2u, 3u}) target.Assign(v, 1);
+  ASSERT_OK(cluster.MigrateToAssignment(target));
+  ASSERT_OK(hook_status);
+  ASSERT_OK(cluster.FoldReadCounts());
+  ExpectWeightEverywhere(cluster, 1, 2.0);
+  ExpectWeightEverywhere(cluster, 2, 4.0);
+  ExpectWeightEverywhere(cluster, 3, 3.0);
+  EXPECT_TRUE(cluster.Validate());
+}
+
+TEST(HermesClusterTest, CountedReadWhoseReplyIsLostCountsOnce) {
+  // Loading two partitions takes four InstallChunk calls, so the reply to
+  // the read is the 5th frame to reach the bus endpoint, and every 5th is
+  // dropped. The resend re-executes the read under the same token; the
+  // server serves it again but counts it once.
+  HermesCluster::Options options;
+  options.transport.drop_every_n = 5;
+  options.transport.drop_dst = 2;  // the client bus endpoint
+  options.bus.call_timeout_us = 50'000;
+  options.bus.retry_backoff_us = 500;
+  HermesCluster cluster(TwoCommunities(), GoodSplit(), options);
+  const std::uint64_t dropped_before = CounterValue("msg.dropped");
+  ASSERT_OK(cluster.ExecuteRead(3, 1));
+  EXPECT_EQ(CounterValue("msg.dropped"), dropped_before + 1);
+  ASSERT_OK(cluster.FoldReadCounts());
+  ExpectWeightEverywhere(cluster, 3, 2.0);
+}
+
+TEST(HermesClusterTest, FoldWhoseReplyIsLostIsReplayedNotRepeated) {
+  // Loading two partitions takes four InstallChunk calls, then come four
+  // one-call reads: the fold's replies are the 9th and 10th frames to
+  // reach the bus endpoint, and every 9th is dropped. The server that
+  // lost its reply answers the same-token resend from its dedup cache.
+  HermesCluster::Options options;
+  options.transport.drop_every_n = 9;
+  options.transport.drop_dst = 2;  // the client bus endpoint
+  options.bus.call_timeout_us = 50'000;
+  options.bus.retry_backoff_us = 500;
+  HermesCluster cluster(TwoCommunities(), GoodSplit(), options);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK(cluster.ExecuteRead(2, 1));
+    ASSERT_OK(cluster.ExecuteRead(8, 1));
+  }
+  const std::uint64_t dropped_before = CounterValue("msg.dropped");
+  const std::uint64_t dedup_before = CounterValue("msg.dedup_hits");
+  ASSERT_OK(cluster.FoldReadCounts());
+  EXPECT_EQ(CounterValue("msg.dropped"), dropped_before + 1);
+  EXPECT_EQ(CounterValue("msg.dedup_hits"), dedup_before + 1);
+  ExpectWeightEverywhere(cluster, 2, 3.0);
+  ExpectWeightEverywhere(cluster, 8, 3.0);
 }
 
 TEST(HermesClusterTest, InsertVertexPlacesByHash) {

@@ -39,8 +39,9 @@ TEST(IntegrationTest, SkewedWorkloadTriggersAndBenefitsFromRepartitioning) {
   copt.net.client_request_us = 40.0;
   HermesCluster cluster(std::move(g), initial, copt);
 
-  // Phase 1: skewed reads heat partition 0 (weights accumulate). A strong
-  // skew makes the hot server the clear bottleneck.
+  // Phase 1: skewed reads heat partition 0 (the servers count them; the
+  // fold adds them to the weights). A strong skew makes the hot server
+  // the clear bottleneck.
   TraceOptions skew;
   skew.num_requests = 8000;
   skew.hot_partition = 0;
@@ -50,6 +51,7 @@ TEST(IntegrationTest, SkewedWorkloadTriggersAndBenefitsFromRepartitioning) {
       GenerateTrace(cluster.graph(), cluster.assignment(), skew);
   const ThroughputReport during_skew = RunWorkload(&cluster, trace);
   EXPECT_GT(during_skew.reads_completed, 0u);
+  ASSERT_OK(cluster.FoldReadCounts());
   EXPECT_GT(ImbalanceFactor(cluster.graph(), cluster.assignment()), 1.1);
 
   // Phase 2: repartition.

@@ -48,6 +48,7 @@ MessagePayload GoldenPayload(MsgType type) {
       m.vertices = {1, 2, 0xdeadbeefull};
       m.has_type = true;
       m.type = 7;
+      m.count_reads = true;
       return m;
     }
     case MsgType::kNeighborsReply: {
@@ -130,15 +131,12 @@ MessagePayload GoldenPayload(MsgType type) {
       m.relationships[0].properties_included = false;
       return m;
     }
-    case MsgType::kAuxExchangeRequest: {
-      AuxExchangeRequest m;
-      m.entries = {{21, 0.5}, {22, -1.0}};
-      return m;
-    }
+    case MsgType::kAuxExchangeRequest:
+      return AuxExchangeRequest{};
     case MsgType::kAuxExchangeReply: {
       AuxExchangeReply m;
       m.status = Status::OK();
-      m.applied = 2;
+      m.folded = {{21, 3}, {22, 1}};
       return m;
     }
     case MsgType::kHealthRequest:
@@ -179,12 +177,12 @@ MessagePayload GoldenPayload(MsgType type) {
 struct GoldenCase {
   MsgType type;
   const char* name;
-  /// EncodeFrame() output at kWireVersion == 2, hex-encoded.
+  /// EncodeFrame() output at kWireVersion == 3, hex-encoded.
   const char* hex;
 };
 
 // Fixture frames use request_id 0x0102030405060708, attempt 0x0102
-// (a retry, so the v2 attempt counter is visible in the bytes), src 4,
+// (a retry, so the attempt counter is visible in the bytes), src 4,
 // dst 1.
 constexpr std::uint64_t kGoldenRequestId = 0x0102030405060708ull;
 constexpr std::uint16_t kGoldenAttempt = 0x0102;
@@ -193,82 +191,79 @@ constexpr EndpointId kGoldenDst = 1;
 
 const GoldenCase kGoldenCases[] = {
     {MsgType::kNeighborsRequest, "NeighborsRequest",
-     "3900000002010201080706050403020104000000010000000300000001000000000000"
-     "000200000000000000efbeadde000000000107000000be756197"},
+     "3a00000003010201080706050403020104000000010000000300000001000000000000"
+     "000200000000000000efbeadde000000000107000000015389ee88"},
     {MsgType::kNeighborsReply, "NeighborsReply",
-     "4700000002020201080706050403020104000000010000000000000000020000000000"
+     "4700000003020201080706050403020104000000010000000000000000020000000000"
      "000000020000000a000000000000000b000000000000000204000000676f6e65000000"
-     "001daa4173"},
+     "00454e00fe"},
     {MsgType::kProbeRequest, "ProbeRequest",
-     "290000000203020108070605040302010400000001000000022a000000000000002b00"
-     "00000000000090c9d25d"},
+     "290000000303020108070605040302010400000001000000022a000000000000002b00"
+     "0000000000008fde22dd"},
     {MsgType::kProbeReply, "ProbeReply",
-     "1e0000000204020108070605040302010400000001000000000000000001f08f5e8e"},
+     "1e000000030402010807060504030201040000000100000000000000000167294369"},
     {MsgType::kMutateRequest, "MutateRequest",
-     "3f00000002050201080706050403020104000000010000000405000000000000000600"
-     "0000000000000300000001000000000000f83f010400000070726f70b8282452"},
+     "3f00000003050201080706050403020104000000010000000405000000000000000600"
+     "0000000000000300000001000000000000f83f010400000070726f70492d683b"},
     {MsgType::kMutateReply, "MutateReply",
-     "25000000020602010807060504030201040000000100000000000000004d0000000000"
-     "0000bf29a6da"},
+     "25000000030602010807060504030201040000000100000000000000004d0000000000"
+     "00004cb954ec"},
     {MsgType::kInstallChunkRequest, "InstallChunkRequest",
-     "6100000002070201080706050403020104000000010000000100000009000000000000"
+     "6100000003070201080706050403020104000000010000000100000009000000000000"
      "000000000000000040010000000100000001000000610100000009000000000000000a"
-     "000000000000000100000000010100000002000000020000006262bbef6751"},
+     "000000000000000100000000010100000002000000020000006262a2f5a900"},
     {MsgType::kInstallChunkReply, "InstallChunkReply",
-     "2d00000002080201080706050403020104000000010000000000000000010000000000"
-     "000002000000000000008630a2d8"},
+     "2d00000003080201080706050403020104000000010000000000000000010000000000"
+     "0000020000000000000027a0b530"},
     {MsgType::kExtractRequest, "ExtractRequest",
-     "200000000209020108070605040302010400000001000000d204000000000000667a98"
-     "54"},
+     "200000000309020108070605040302010400000001000000d2040000000000007b872d"
+     "55"},
     {MsgType::kExtractReply, "ExtractReply",
-     "59000000020a0201080706050403020104000000010000000000000000d20400000000"
+     "59000000030a0201080706050403020104000000010000000000000000d20400000000"
      "00000000000000000a40e70300000000000001000000040000000300000076616c0100"
-     "000038000000000000000200000000000000007fe1d716"},
+     "00003800000000000000020000000000000000fe3d561d"},
     {MsgType::kAuxExchangeRequest, "AuxExchangeRequest",
-     "3c000000020b0201080706050403020104000000010000000200000015000000000000"
-     "00000000000000e03f1600000000000000000000000000f0bff265689c"},
+     "18000000030b020108070605040302010400000001000000c4759a30"},
     {MsgType::kAuxExchangeReply, "AuxExchangeReply",
-     "25000000020c0201080706050403020104000000010000000000000000020000000000"
-     "0000bfc0caf1"},
+     "41000000030c0201080706050403020104000000010000000000000000020000001500"
+     "0000000000000300000000000000160000000000000001000000000000004733520e"},
     {MsgType::kHealthRequest, "HealthRequest",
-     "18000000020d020108070605040302010400000001000000914521c8"},
+     "18000000030d020108070605040302010400000001000000d77e46ad"},
     {MsgType::kHealthReply, "HealthReply",
-     "3d000000020e0201080706050403020104000000010000000000000000001000000000"
-     "00006400000000000000c80000000000000032000000000000009e9a7f8f"},
+     "3d000000030e0201080706050403020104000000010000000000000000001000000000"
+     "00006400000000000000c8000000000000003200000000000000fa48d597"},
     {MsgType::kCheckpointRequest, "CheckpointRequest",
-     "18000000020f020108070605040302010400000001000000604395bc"},
+     "18000000030f0201080706050403020104000000010000002678f2d9"},
     {MsgType::kCheckpointReply, "CheckpointReply",
-     "21000000021002010807060504030201040000000100000008040000006469736b06be"
-     "dbcd"},
+     "21000000031002010807060504030201040000000100000008040000006469736b2267"
+     "dcae"},
     {MsgType::kDumpRequest, "DumpRequest",
-     "180000000211020108070605040302010400000001000000fc6eaa3b"},
+     "180000000311020108070605040302010400000001000000ba55cd5e"},
     {MsgType::kDumpReply, "DumpReply",
-     "5a00000002120201080706050403020104000000010000000000000000020000000100"
+     "5a00000003120201080706050403020104000000010000000000000000020000000100"
      "000000000000000000000000f03f020000000000000000000000000010400100000001"
-     "000000000000000200000000000000000000000199b364c9"},
+     "0000000000000002000000000000000000000001f381d053"},
 };
 
 TEST(NetGoldenTest, WireVersionIsPinned) {
-  // The fixtures below were generated at version 2 (the reserved u16
-  // became the retry attempt counter); a version bump must come with
-  // regenerated fixtures (see the procedure in the header comment).
-  EXPECT_EQ(kWireVersion, 2);
+  // The fixtures below were generated at version 3 (NeighborsRequest
+  // gained count_reads; AuxExchange became the read-count fold); a
+  // version bump must come with regenerated fixtures (see the procedure
+  // in the header comment).
+  EXPECT_EQ(kWireVersion, 3);
 }
 
-TEST(NetGoldenTest, VersionOneFrameIsRejected) {
-  // The v1 HealthRequest fixture, byte for byte as committed before the
-  // v2 bump. Mixed-version clusters must fail loudly: a v1 frame decodes
-  // to InvalidArgument, never to a misread envelope.
-  static constexpr char kV1HealthRequestHex[] =
-      "18000000010d0000080706050403020104000000010000009ba8fae5";
+/// Decodes a committed hex fixture from an older wire version and checks
+/// it is rejected: mixed-version clusters must fail loudly, with
+/// InvalidArgument naming the version, never with a misread envelope.
+void ExpectOldVersionRejected(const char* hex) {
   std::string frame;
-  for (std::size_t i = 0; kV1HealthRequestHex[i] != '\0'; i += 2) {
+  for (std::size_t i = 0; hex[i] != '\0'; i += 2) {
     auto nibble = [](char c) {
       return c <= '9' ? c - '0' : c - 'a' + 10;
     };
-    frame.push_back(static_cast<char>(
-        (nibble(kV1HealthRequestHex[i]) << 4) |
-        nibble(kV1HealthRequestHex[i + 1])));
+    frame.push_back(
+        static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
   }
   Result<Envelope> decoded = DecodeFrame(frame);
   ASSERT_FALSE(decoded.ok());
@@ -276,6 +271,20 @@ TEST(NetGoldenTest, VersionOneFrameIsRejected) {
       << decoded.status().ToString();
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
       << decoded.status().ToString();
+}
+
+TEST(NetGoldenTest, VersionOneFrameIsRejected) {
+  // The v1 HealthRequest fixture, byte for byte as committed before the
+  // v2 bump.
+  ExpectOldVersionRejected(
+      "18000000010d0000080706050403020104000000010000009ba8fae5");
+}
+
+TEST(NetGoldenTest, VersionTwoFrameIsRejected) {
+  // The v2 HealthRequest fixture, byte for byte as committed before the
+  // v3 bump.
+  ExpectOldVersionRejected(
+      "18000000020d020108070605040302010400000001000000914521c8");
 }
 
 TEST(NetGoldenTest, EveryMessageTypeMatchesItsFixture) {

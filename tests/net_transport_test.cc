@@ -421,6 +421,72 @@ TEST(NetTransportRetryTest, ExhaustedRetriesStillApplyExactlyOnce) {
   EXPECT_DOUBLE_EQ(*weight, 1.5);
 }
 
+/// `n` partition servers (endpoints 0..n-1, each seeded with node id ==
+/// endpoint at weight 1) plus a client bus at endpoint n, torn down in
+/// the same order as Rig.
+struct FanOutRig {
+  FanOutRig(EndpointId n, InProcTransport::Options topt,
+            MessageBus::Options bopt)
+      : transport(topt) {
+    for (EndpointId e = 0; e < n; ++e) {
+      auto opened = PartitionServer::Open(e, e, &transport, {});
+      HERMES_CHECK(opened.ok());
+      HERMES_CHECK((*opened)->store_for_test()->CreateNode(e, 1.0).ok());
+      servers.push_back(std::move(*opened));
+    }
+    bus = std::make_unique<MessageBus>(&transport, n, bopt);
+    HERMES_CHECK(bus->Start().ok());
+  }
+  ~FanOutRig() {
+    bus->Shutdown();
+    transport.Shutdown();
+  }
+
+  InProcTransport transport;
+  std::vector<std::unique_ptr<PartitionServer>> servers;
+  std::unique_ptr<MessageBus> bus;
+};
+
+// A fan-out that loses one reply: CallMany resends that request under its
+// own token while the others complete, and the server answers the resend
+// from its dedup cache, so every mutation applies exactly once. Call() is
+// a one-request CallMany(), so the single-call retry tests above drive
+// the same retry loop.
+TEST(NetTransportRetryTest, CallManyFanOutHealsLostReplyExactlyOnce) {
+  constexpr EndpointId kServers = 3;
+  InProcTransport::Options topt;
+  topt.drop_every_n = kServers;  // the last of the three replies to
+  topt.drop_dst = kServers;      // reach the bus endpoint is lost
+  MessageBus::Options bopt;
+  bopt.call_timeout_us = 50'000;
+  bopt.retry_backoff_us = 500;
+  const std::uint64_t dropped_before = CounterValue("msg.dropped");
+  const std::uint64_t retries_before = CounterValue("msg.retries");
+  const std::uint64_t dedup_before = CounterValue("msg.dedup_hits");
+  FanOutRig rig(kServers, topt, bopt);
+
+  std::vector<MessageBus::Outgoing> requests(kServers);
+  for (EndpointId e = 0; e < kServers; ++e) {
+    requests[e].dst = e;
+    requests[e].request.payload = MakeBump(e, 0.5 + e);
+  }
+  std::vector<Result<Envelope>> replies = rig.bus->CallMany(std::move(requests));
+  ASSERT_EQ(replies.size(), kServers);
+  for (EndpointId e = 0; e < kServers; ++e) {
+    ASSERT_OK(replies[e]) << "request " << e;
+    EXPECT_EQ(replies[e]->src, e) << "reply " << e << " answers request " << e;
+    ASSERT_OK(std::get<MutateReply>(replies[e]->payload).status);
+  }
+  EXPECT_EQ(CounterValue("msg.dropped"), dropped_before + 1);
+  EXPECT_EQ(CounterValue("msg.retries"), retries_before + 1);
+  EXPECT_EQ(CounterValue("msg.dedup_hits"), dedup_before + 1);
+  for (EndpointId e = 0; e < kServers; ++e) {
+    auto weight = rig.servers[e]->store_for_test()->NodeWeight(e);
+    ASSERT_OK(weight);
+    EXPECT_DOUBLE_EQ(*weight, 1.5 + e) << "server " << e;
+  }
+}
+
 // Regression for the eviction bug (fails pre-fix): the old fixed 4096
 // FIFO forgot a token after 4096 later mutations, so a straggling resend
 // re-applied it. Options::dedup_window now sizes the window; with one

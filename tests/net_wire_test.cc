@@ -72,6 +72,7 @@ MessagePayload RandomPayload(MsgType type, Rng* rng) {
       for (auto& v : m.vertices) v = rng->Next();
       m.has_type = rng->Uniform(2) == 1;
       m.type = static_cast<std::uint32_t>(rng->Next());
+      m.count_reads = rng->Uniform(2) == 1;
       return m;
     }
     case MsgType::kNeighborsReply: {
@@ -163,19 +164,16 @@ MessagePayload RandomPayload(MsgType type, Rng* rng) {
       }
       return m;
     }
-    case MsgType::kAuxExchangeRequest: {
-      AuxExchangeRequest m;
-      m.entries.resize(rng->Uniform(6));
-      for (auto& e : m.entries) {
-        e.vertex = rng->Next();
-        e.delta = RandomF64(rng);
-      }
-      return m;
-    }
+    case MsgType::kAuxExchangeRequest:
+      return AuxExchangeRequest{};
     case MsgType::kAuxExchangeReply: {
       AuxExchangeReply m;
       m.status = RandomStatus(rng);
-      m.applied = rng->Next();
+      m.folded.resize(rng->Uniform(6));
+      for (auto& e : m.folded) {
+        e.vertex = rng->Next();
+        e.reads = rng->Next();
+      }
       return m;
     }
     case MsgType::kHealthRequest:

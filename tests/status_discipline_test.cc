@@ -5,7 +5,9 @@
 //  1. ExecuteRead discarded the DoAddNodeWeight status, so a WAL append
 //     failure left the in-memory popularity weight bumped while the
 //     durable store missed it — recovery would rebuild a lower weight
-//     and every repartition decision would run on phantom load.
+//     and every repartition decision would run on phantom load. Reads
+//     are now counted on the servers and reach the WAL only through a
+//     fold, so the same failure is pinned at the fold.
 //
 //  2. A WAL append failure in the middle of a migration chunk's copy
 //     step returned early with the vertex replicated on the target
@@ -25,6 +27,7 @@
 #include "cluster/hermes_cluster.h"
 #include "common/failpoint.h"
 #include "gen/social_graph.h"
+#include "graphdb/graph_store.h"
 #include "partition/hash_partitioner.h"
 
 namespace hermes {
@@ -63,25 +66,28 @@ TEST_F(StatusDisciplineTest, ReadWeightBumpWalFailureSurfacesAndRollsBack) {
   opt.durability_dir = FreshDir("status_discipline_read_bump");
   HermesCluster cluster(std::move(g), asg, opt);
   const double before = cluster.graph().VertexWeight(0);
+  const PartitionId p = cluster.assignment().PartitionOf(0);
 
-  // Every WAL append fails; the only append a read issues is the
-  // popularity-weight bump.
+  // Every WAL append fails. A read appends nothing, so it succeeds; the
+  // fold's weight update is the append that fails.
   FailpointConfig cfg;
   cfg.policy = FailpointConfig::Policy::kEveryK;
   cfg.n = 1;
   FailpointRegistry::Global().Arm("wal.append.io_error", cfg);
-  auto run = cluster.ExecuteRead(0, 1);
+  ASSERT_OK(cluster.ExecuteRead(0, 1));
+  const Status folded = cluster.FoldReadCounts();
   FailpointRegistry::Global().Reset();
 
-  // Pre-fix: the bump status was (void)-discarded, the read returned OK,
-  // and the in-memory weight diverged from the durable store.
-  ASSERT_FALSE(run.ok());
-  EXPECT_TRUE(run.status().IsIOError()) << run.status().ToString();
+  // Pre-fix: the status was (void)-discarded and the in-memory weight
+  // diverged from the durable store.
+  EXPECT_TRUE(folded.IsIOError()) << folded.ToString();
   EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(0), before);
+  EXPECT_DOUBLE_EQ(*cluster.store(p)->NodeWeight(0), before);
 
-  // With the fault cleared the read is retryable and the bump lands once.
-  ASSERT_OK(cluster.ExecuteRead(0, 1));
+  // With the fault cleared the count, still pending, lands exactly once.
+  ASSERT_OK(cluster.FoldReadCounts());
   EXPECT_DOUBLE_EQ(cluster.graph().VertexWeight(0), before + 1.0);
+  EXPECT_DOUBLE_EQ(*cluster.store(p)->NodeWeight(0), before + 1.0);
   EXPECT_TRUE(cluster.Validate());
 }
 
