@@ -1,6 +1,8 @@
 // Message-path round-trip microbench (DESIGN.md §12): the cost of one
-// typed call through encode → transport inbox → dispatch thread →
-// server apply → reply frame → bus wakeup, measured three ways:
+// typed call through encode → the server's inbox → its dispatch thread
+// → server apply → reply frame, which the bus's inline endpoint hands
+// to the waiting caller on that same thread (two thread handoffs),
+// measured four ways:
 //
 //   1. ping:       single-threaded HealthRequest RTT against one server
 //                  (p50/p99 from the bus's msg.rtt_us histogram);

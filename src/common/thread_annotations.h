@@ -96,8 +96,8 @@
 namespace hermes {
 
 /// Annotated std::mutex. Lock()/Unlock()/TryLock() carry the acquire /
-/// release attributes; the lowercase BasicLockable aliases let CondVar
-/// (condition_variable_any) release and reacquire it during waits.
+/// release attributes. CondVar waits on the underlying std::mutex
+/// directly and runs the same validator/profiler hooks around the wait.
 ///
 /// Shared-state mutexes are constructed with a name and a rank from the
 /// lock_order table (common/lock_order.h) mirroring DESIGN.md §6's
@@ -155,12 +155,27 @@ class CAPABILITY("mutex") Mutex {
   const char* name() const { return name_; }
   int rank() const { return rank_; }
 
-  // BasicLockable interface (std::condition_variable_any, std::scoped_lock).
-  void lock() ACQUIRE() { Lock(); }
-  void unlock() RELEASE() { Unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return TryLock(); }
-
  private:
+  friend class CondVar;
+
+  // A CondVar wait releases and reacquires mu_ inside
+  // std::condition_variable. These run the hooks Unlock() and Lock()
+  // would run, so the validator's held stack and the profiler's
+  // acquisition count and hold times read as if the wait had unlocked
+  // and relocked through them. The reacquire is not timed as contention.
+  void ReleasedForWait() {
+    lock_order::OnRelease(this);
+#ifdef HERMES_LOCK_PROFILING
+    lock_order::ProfileReleased(this);
+#endif
+  }
+  void ReacquiredAfterWait() {
+    lock_order::OnAcquire(this, name_, rank_);
+#ifdef HERMES_LOCK_PROFILING
+    lock_order::ProfileAcquired(ProfileRow(), this);
+#endif
+  }
+
 #ifdef HERMES_LOCK_PROFILING
   lock_order::LockStats* ProfileRow() {
     return lock_order::ProfileStats(&pstats_, name_, rank_);
@@ -329,26 +344,45 @@ class SCOPED_CAPABILITY WriterMutexLock {
 /// deliberately not offered: guarded-state predicates belong in an
 /// explicit `while` loop inside the annotated caller, where the analysis
 /// can check them.
+///
+/// A plain std::condition_variable waits on the Mutex's own std::mutex,
+/// adopted for the duration of the wait; condition_variable_any would add
+/// an internal mutex that every wake hands off through a second time.
+/// Notify after releasing the mutex (the CondVar must outlive the
+/// notify): a waiter woken under the lock blocks again at once on the
+/// mutex its waker still holds. tools/critical_section_audit.py flags a
+/// notify inside a lock scope.
 class CondVar {
  public:
   CondVar() = default;
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void Wait(Mutex* mu) REQUIRES(mu) { cv_.wait(*mu); }
+  void Wait(Mutex* mu) REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
+    mu->ReleasedForWait();
+    cv_.wait(lock);
+    mu->ReacquiredAfterWait();
+    lock.release();  // the caller still holds the mutex
+  }
 
   template <typename Clock, typename Duration>
   std::cv_status WaitUntil(
       Mutex* mu, const std::chrono::time_point<Clock, Duration>& deadline)
       REQUIRES(mu) {
-    return cv_.wait_until(*mu, deadline);
+    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
+    mu->ReleasedForWait();
+    const std::cv_status status = cv_.wait_until(lock, deadline);
+    mu->ReacquiredAfterWait();
+    lock.release();  // the caller still holds the mutex
+    return status;
   }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:
-  std::condition_variable_any cv_;
+  std::condition_variable cv_;
 };
 
 }  // namespace hermes

@@ -46,10 +46,13 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop_front();
     }
     task();
+    bool all_done = false;
     {
       MutexLock lock(&mu_);
-      if (--in_flight_ == 0) all_done_.NotifyAll();
+      all_done = --in_flight_ == 0;
     }
+    // The destructor joins this thread, so all_done_ outlives the notify.
+    if (all_done) all_done_.NotifyAll();
   }
 }
 

@@ -25,7 +25,10 @@ MessageBus::MessageBus(Transport* transport, EndpointId self, Options options)
 }
 
 Status MessageBus::Start() {
-  return transport_->OpenEndpoint(
+  // Inline: a reply is decoded and handed to its waiter on the thread
+  // that sent it (a server's dispatch thread, which replies holding no
+  // lock), not on a dispatch thread of the bus's own.
+  return transport_->OpenInlineEndpoint(
       self_, [this](std::string frame) { OnFrame(std::move(frame)); });
 }
 
@@ -195,8 +198,10 @@ std::uint64_t MessageBus::BackoffUs(std::uint32_t attempt,
 }
 
 void MessageBus::Shutdown() {
-  MutexLock lock(&mu_);
-  shutdown_ = true;
+  {
+    MutexLock lock(&mu_);
+    shutdown_ = true;
+  }
   reply_cv_.NotifyAll();
 }
 
@@ -206,14 +211,20 @@ void MessageBus::OnFrame(std::string frame) {
     m_decode_errors_->Increment();
     return;
   }
-  MutexLock lock(&mu_);
-  if (waiting_.find(env->request_id) == waiting_.end()) {
-    // Duplicate of an already-claimed reply, or a reply that raced its
-    // own timeout. Either way the caller is gone.
-    m_stale_replies_->Increment();
-    return;
+  {
+    MutexLock lock(&mu_);
+    const std::uint64_t id = env->request_id;
+    if (waiting_.find(id) == waiting_.end() ||
+        !done_.try_emplace(id, std::move(*env)).second) {
+      // A duplicate of a reply already delivered (claimed or not), or a
+      // reply whose caller has given up. The first delivery stands.
+      m_stale_replies_->Increment();
+      return;
+    }
   }
-  done_[env->request_id] = std::move(*env);
+  // The waiter reacquires mu_ as soon as it wakes, so wake it only once
+  // mu_ is free. The bus outlives this call: the transport is shut down,
+  // joining every thread that delivers here, before the bus is destroyed.
   reply_cv_.NotifyAll();
 }
 

@@ -8,6 +8,11 @@
 /// transport layer cannot mispair a call: stale and duplicate replies
 /// are counted and dropped.
 ///
+/// The bus endpoint is inline (Transport::OpenInlineEndpoint): a reply
+/// runs OnFrame on the thread that sent it, possibly on several server
+/// threads at once. The transport must be shut down, joining those
+/// threads, before the bus is destroyed.
+///
 /// Retries are idempotent by construction: a request that times out or
 /// hits a retryable send error is resent with the SAME request id (never
 /// a fresh one), with bounded attempts and exponential, deterministically
@@ -62,7 +67,8 @@ class MessageBus {
   /// The bus does not own `transport`; it must outlive the bus.
   MessageBus(Transport* transport, EndpointId self, Options options);
 
-  /// Opens this bus's reply endpoint on the transport.
+  /// Opens this bus's reply endpoint on the transport, inline: replies
+  /// are handled on the sender's thread.
   [[nodiscard]] Status Start() EXCLUDES(mu_);
 
   /// One request of a CallMany() fan-out.

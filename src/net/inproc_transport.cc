@@ -26,6 +26,16 @@ InProcTransport::InProcTransport(Options options)
 
 InProcTransport::~InProcTransport() { Shutdown(); }
 
+Status InProcTransport::CheckOpenableLocked(EndpointId id) const {
+  if (shutdown_) {
+    return Status::Unavailable("inproc transport: shut down");
+  }
+  if (inboxes_.count(id) != 0 || inline_endpoints_.count(id) != 0) {
+    return Status::AlreadyExists("inproc transport: endpoint already open");
+  }
+  return Status::OK();
+}
+
 Status InProcTransport::OpenEndpoint(EndpointId id, FrameHandler handler) {
   // Inbox ranks live between the transport registry and the partition
   // servers; an id that reached kRankPartitionBase would alias a server
@@ -38,31 +48,39 @@ Status InProcTransport::OpenEndpoint(EndpointId id, FrameHandler handler) {
   Inbox* raw = inbox.get();
   {
     MutexLock lock(&mu_);
-    if (shutdown_) {
-      return Status::Unavailable("inproc transport: shut down");
-    }
-    if (!inboxes_.emplace(id, std::move(inbox)).second) {
-      return Status::AlreadyExists("inproc transport: endpoint already open");
-    }
+    HERMES_RETURN_NOT_OK(CheckOpenableLocked(id));
+    inboxes_.emplace(id, std::move(inbox));
   }
   raw->dispatcher = std::thread(&InProcTransport::DispatchLoop, this, raw);
+  return Status::OK();
+}
+
+Status InProcTransport::OpenInlineEndpoint(EndpointId id,
+                                           FrameHandler handler) {
+  MutexLock lock(&mu_);
+  HERMES_RETURN_NOT_OK(CheckOpenableLocked(id));
+  inline_endpoints_.try_emplace(id, std::move(handler));
   return Status::OK();
 }
 
 Status InProcTransport::Send(EndpointId dst, std::string frame) {
   HERMES_FAILPOINT_IOERROR("msg.send.io_error");
   Inbox* inbox = nullptr;
+  InlineEndpoint* direct = nullptr;
   bool drop = false;
   {
     MutexLock lock(&mu_);
     if (shutdown_) {
       return Status::Unavailable("inproc transport: shut down");
     }
-    auto it = inboxes_.find(dst);
-    if (it == inboxes_.end()) {
+    if (auto it = inboxes_.find(dst); it != inboxes_.end()) {
+      inbox = it->second.get();
+    } else if (auto in = inline_endpoints_.find(dst);
+               in != inline_endpoints_.end()) {
+      direct = &in->second;
+    } else {
       return Status::NotFound("inproc transport: no such endpoint");
     }
-    inbox = it->second.get();
     if (options_.drop_every_n != 0 && dst == options_.drop_dst) {
       // Count the arrival whether or not it survives: a cadence over
       // delivered frames only would re-fire on every frame after the
@@ -86,40 +104,71 @@ Status InProcTransport::Send(EndpointId dst, std::string frame) {
   }
   m_sent_->Increment();
   m_bytes_->Increment(frame.size());
+  if (direct != nullptr) {
+    DeliverInline(direct, std::move(frame));
+    return Status::OK();
+  }
+  return Enqueue(inbox, std::move(frame));
+}
+
+void InProcTransport::DeliverInline(InlineEndpoint* endpoint,
+                                    std::string frame) {
+  bool duplicate = false;
+  if (options_.duplicate_every_n != 0) {
+    MutexLock lock(&mu_);
+    ++endpoint->pushes;
+    duplicate = (endpoint->pushes + options_.fault_seed) %
+                    options_.duplicate_every_n ==
+                0;
+  }
+  if (duplicate) {
+    m_duplicated_->Increment();
+    endpoint->handler(frame);  // the copy; the frame itself follows
+  }
+  endpoint->handler(std::move(frame));
+}
+
+Status InProcTransport::Enqueue(Inbox* inbox, std::string frame) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(options_.send_timeout_us);
-  MutexLock lock(&inbox->mu);
-  while (inbox->frames.size() >= options_.inbox_capacity &&
-         !inbox->stopping) {
-    if (inbox->not_full.WaitUntil(&inbox->mu, deadline) ==
-            std::cv_status::timeout &&
-        inbox->frames.size() >= options_.inbox_capacity &&
-        !inbox->stopping) {
-      return Status::TimedOut("inproc transport: inbox full");
+  {
+    MutexLock lock(&inbox->mu);
+    while (inbox->frames.size() >= options_.inbox_capacity &&
+           !inbox->stopping) {
+      if (inbox->not_full.WaitUntil(&inbox->mu, deadline) ==
+              std::cv_status::timeout &&
+          inbox->frames.size() >= options_.inbox_capacity &&
+          !inbox->stopping) {
+        return Status::TimedOut("inproc transport: inbox full");
+      }
     }
+    if (inbox->stopping) {
+      return Status::Unavailable("inproc transport: endpoint stopping");
+    }
+    ++inbox->pushes;
+    const std::uint64_t phase = inbox->pushes + options_.fault_seed;
+    const bool duplicate = options_.duplicate_every_n != 0 &&
+                           phase % options_.duplicate_every_n == 0;
+    const bool reorder = options_.reorder_every_n != 0 &&
+                         phase % options_.reorder_every_n == 0;
+    // The frame is moved into the queue; only a duplicate costs a copy.
+    std::string copy = duplicate ? frame : std::string();
+    if (reorder && !inbox->frames.empty()) {
+      // Deliver this frame ahead of the one queued before it.
+      inbox->frames.insert(inbox->frames.end() - 1, std::move(frame));
+      m_reordered_->Increment();
+    } else {
+      inbox->frames.push_back(std::move(frame));
+    }
+    if (duplicate) {
+      inbox->frames.push_back(std::move(copy));
+      m_duplicated_->Increment();
+    }
+    inbox->depth_gauge->Set(static_cast<double>(inbox->frames.size()));
   }
-  if (inbox->stopping) {
-    return Status::Unavailable("inproc transport: endpoint stopping");
-  }
-  ++inbox->pushes;
-  const std::uint64_t phase = inbox->pushes + options_.fault_seed;
-  const bool duplicate = options_.duplicate_every_n != 0 &&
-                         phase % options_.duplicate_every_n == 0;
-  const bool reorder = options_.reorder_every_n != 0 &&
-                       phase % options_.reorder_every_n == 0;
-  if (reorder && !inbox->frames.empty()) {
-    // Deliver this frame ahead of the one queued before it.
-    inbox->frames.insert(inbox->frames.end() - 1, frame);
-    m_reordered_->Increment();
-  } else {
-    inbox->frames.push_back(frame);
-  }
-  if (duplicate) {
-    inbox->frames.push_back(std::move(frame));
-    m_duplicated_->Increment();
-  }
-  inbox->depth_gauge->Set(static_cast<double>(inbox->frames.size()));
+  // Woken after the unlock, the dispatcher takes inbox->mu at once
+  // instead of blocking on it behind this sender.
   inbox->not_empty.NotifyOne();
   return Status::OK();
 }
@@ -138,8 +187,8 @@ void InProcTransport::DispatchLoop(Inbox* inbox) {
       frame = std::move(inbox->frames.front());
       inbox->frames.pop_front();
       inbox->depth_gauge->Set(static_cast<double>(inbox->frames.size()));
-      inbox->not_full.NotifyAll();
     }
+    inbox->not_full.NotifyAll();
     inbox->handler(std::move(frame));
   }
 }
@@ -158,8 +207,10 @@ void InProcTransport::Shutdown() {
     }
   }
   for (Inbox* inbox : all) {
-    MutexLock lock(&inbox->mu);
-    inbox->stopping = true;
+    {
+      MutexLock lock(&inbox->mu);
+      inbox->stopping = true;
+    }
     inbox->not_empty.NotifyAll();
     inbox->not_full.NotifyAll();
   }

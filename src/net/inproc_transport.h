@@ -1,15 +1,18 @@
-/// In-process Transport: one bounded frame queue ("inbox") per endpoint,
-/// drained by a dedicated dispatch thread. This is the first transport
-/// behind the bus seam — it exercises the full encode/queue/dispatch
-/// path and all of its failure modes (full inboxes, injected send
-/// errors, dropped/duplicated/reordered frames) without sockets, so the
-/// cluster logic is already written against real message semantics when
-/// a socket `hermesd` transport arrives.
+/// In-process Transport: a queued endpoint gets one bounded frame queue
+/// ("inbox") drained by a dedicated dispatch thread; an inline endpoint
+/// has neither and runs its handler inside Send. This is the first
+/// transport behind the bus seam — it exercises the full encode/queue/
+/// dispatch path and all of its failure modes (full inboxes, injected
+/// send errors, dropped/duplicated/reordered frames) without sockets, so
+/// the cluster logic is already written against real message semantics
+/// when a socket `hermesd` transport arrives.
 ///
 /// Fault injection: `msg.send.io_error` and `msg.recv.drop` failpoints
 /// fire at the send boundary; seeded duplicate/reorder cadences are
 /// plain Options so every build preset can exercise them
-/// deterministically.
+/// deterministically. All of them apply to inline endpoints too, except
+/// reordering: an inline frame is delivered before Send returns, so
+/// there is no queued predecessor to overtake.
 #ifndef HERMES_NET_INPROC_TRANSPORT_H_
 #define HERMES_NET_INPROC_TRANSPORT_H_
 
@@ -19,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/lock_order.h"
 #include "common/metrics.h"
@@ -59,6 +63,9 @@ class InProcTransport final : public Transport {
   [[nodiscard]] Status OpenEndpoint(EndpointId id,
                                     FrameHandler handler) override
       EXCLUDES(mu_);
+  [[nodiscard]] Status OpenInlineEndpoint(EndpointId id,
+                                          FrameHandler handler) override
+      EXCLUDES(mu_);
   [[nodiscard]] Status Send(EndpointId dst, std::string frame) override
       EXCLUDES(mu_);
   void Shutdown() override EXCLUDES(mu_);
@@ -86,11 +93,29 @@ class InProcTransport final : public Transport {
     std::thread dispatcher;
   };
 
+  /// An endpoint whose handler runs on the sender's thread.
+  struct InlineEndpoint {
+    explicit InlineEndpoint(FrameHandler h) : handler(std::move(h)) {}
+
+    const FrameHandler handler;
+    /// Accepted-frame counter driving the duplicate cadence. Guarded by
+    /// the transport's mu_, like the map that owns this entry.
+    std::uint64_t pushes = 0;
+  };
+
+  /// AlreadyExists if `id` is open (either kind), Unavailable after
+  /// Shutdown.
+  [[nodiscard]] Status CheckOpenableLocked(EndpointId id) const
+      REQUIRES(mu_);
+  [[nodiscard]] Status Enqueue(Inbox* inbox, std::string frame);
+  void DeliverInline(InlineEndpoint* endpoint, std::string frame)
+      EXCLUDES(mu_);
   void DispatchLoop(Inbox* inbox);
 
   const Options options_;
   mutable Mutex mu_{"msg.transport", lock_order::kRankMsgTransport};
   std::map<EndpointId, std::unique_ptr<Inbox>> inboxes_ GUARDED_BY(mu_);
+  std::map<EndpointId, InlineEndpoint> inline_endpoints_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
   /// Arrivals at `drop_dst`, dropped frames included, driving the
   /// Options::drop_every_n cadence.

@@ -4,7 +4,14 @@
 /// shared memory, no ordering across endpoints, no delivery guarantee
 /// stronger than "Send returning OK means the frame was accepted for
 /// delivery" — so a socket-backed `hermesd` transport can slot in behind
-/// the same seam as the in-process queue implementation.
+/// the same seam as the in-process implementation.
+///
+/// An endpoint is either queued (OpenEndpoint: its own dispatch thread
+/// runs the handler, so a sender never runs another endpoint's code) or
+/// inline (OpenInlineEndpoint: the handler runs on the sending thread,
+/// inside Send). A bus call is two thread handoffs: the request queues
+/// to the server's dispatch thread, and the reply is delivered on that
+/// thread straight into the waiting caller.
 #ifndef HERMES_NET_TRANSPORT_H_
 #define HERMES_NET_TRANSPORT_H_
 
@@ -16,9 +23,10 @@
 
 namespace hermes {
 
-/// Invoked on the receiving endpoint's dispatch thread with the raw
-/// frame bytes. The handler owns the buffer and must not block on a
-/// reply from its own endpoint.
+/// Invoked with the raw frame bytes: on the receiving endpoint's
+/// dispatch thread, or on the sender's thread for an inline endpoint.
+/// The handler owns the buffer and must not block on a reply from its
+/// own endpoint.
 using FrameHandler = std::function<void(std::string)>;
 
 class Transport {
@@ -31,8 +39,18 @@ class Transport {
   [[nodiscard]] virtual Status OpenEndpoint(EndpointId id,
                                             FrameHandler handler) = 0;
 
-  /// Queues a frame for asynchronous delivery to `dst`. May block while
-  /// the destination inbox is at capacity (bounded queues are the
+  /// Registers `handler` for frames addressed to `id`, run on the
+  /// sending thread inside Send: no queue and no dispatch thread. Every
+  /// sender must hold no lock the handler takes. Shutdown stops new
+  /// deliveries but does not wait for a handler already running, so the
+  /// handler's owner must outlive every sender (the dispatch threads
+  /// Shutdown joins). Same failure modes as OpenEndpoint.
+  [[nodiscard]] virtual Status OpenInlineEndpoint(EndpointId id,
+                                                  FrameHandler handler) = 0;
+
+  /// Queues a frame for asynchronous delivery to `dst`, or runs an
+  /// inline endpoint's handler before returning. May block while the
+  /// destination inbox is at capacity (bounded queues are the
   /// backpressure mechanism). OK means accepted, not yet delivered.
   [[nodiscard]] virtual Status Send(EndpointId dst, std::string frame) = 0;
 

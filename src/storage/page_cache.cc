@@ -128,40 +128,42 @@ Result<Page*> PageCache::Pin(std::uint64_t page_no) {
       // Dirty write-back with the shard lock released: busy + pins == 0
       // guarantee no other thread reads or writes the victim's bytes.
       const Status st = file_->WritePage(victim_no, victim_frame->page);
-      MutexLock lock(&shard.mu);
-      victim_frame->busy = false;
-      --shard.busy_frames;
-      if (!st.ok()) {
-        // The victim stays resident (still in frames, still dirty), so it
-        // must be a valid LRU member again — re-queued at the cold end so
-        // a retried eviction picks the same victim first.
-        shard.lru.push_back(victim_no);
-        victim_frame->lru_pos = std::prev(shard.lru.end());
-        victim_frame->in_lru = true;
-        shard.cv.NotifyAll();
-        return st;
+      {
+        MutexLock lock(&shard.mu);
+        victim_frame->busy = false;
+        --shard.busy_frames;
+        if (st.ok()) {
+          ++shard.stats.writebacks;
+          m_writebacks_->Increment();
+          shard.frames.erase(victim_no);
+          ++shard.stats.evictions;
+          m_evictions_->Increment();
+        } else {
+          // The victim stays resident (still in frames, still dirty), so
+          // it must be a valid LRU member again — re-queued at the cold
+          // end so a retried eviction picks the same victim first.
+          shard.lru.push_back(victim_no);
+          victim_frame->lru_pos = std::prev(shard.lru.end());
+          victim_frame->in_lru = true;
+        }
       }
-      ++shard.stats.writebacks;
-      m_writebacks_->Increment();
-      shard.frames.erase(victim_no);
-      ++shard.stats.evictions;
-      m_evictions_->Increment();
       shard.cv.NotifyAll();
+      if (!st.ok()) return st;
       continue;  // retry the pin with a slot free
     }
 
     // Miss load with the shard lock released; the placeholder's busy flag
     // keeps concurrent pinners out of the half-filled page.
     const Status st = file_->ReadPage(page_no, &load_frame->page);
-    MutexLock lock(&shard.mu);
-    load_frame->busy = false;
-    --shard.busy_frames;
-    shard.cv.NotifyAll();
-    if (!st.ok()) {
-      shard.frames.erase(page_no);
-      return st;
+    {
+      MutexLock lock(&shard.mu);
+      load_frame->busy = false;
+      --shard.busy_frames;
+      if (!st.ok()) shard.frames.erase(page_no);
     }
-    return &load_frame->page;
+    shard.cv.NotifyAll();
+    if (!st.ok()) return st;
+    return &load_frame->page;  // pinned by us: the frame stays resident
   }
 }
 
@@ -219,19 +221,21 @@ Status PageCache::FlushAll() {
         }
       }
       const Status st = file_->WritePage(page_no, frame->page);
-      MutexLock lock(&shard.mu);
-      frame->busy = false;
-      --shard.busy_frames;
-      if (!st.ok()) {
-        frame->dirty = true;
-      } else {
-        ++shard.stats.writebacks;
-        m_writebacks_->Increment();
-      }
-      if (frame->pins == 0 && !frame->in_lru) {
-        shard.lru.push_front(page_no);
-        frame->lru_pos = shard.lru.begin();
-        frame->in_lru = true;
+      {
+        MutexLock lock(&shard.mu);
+        frame->busy = false;
+        --shard.busy_frames;
+        if (!st.ok()) {
+          frame->dirty = true;
+        } else {
+          ++shard.stats.writebacks;
+          m_writebacks_->Increment();
+        }
+        if (frame->pins == 0 && !frame->in_lru) {
+          shard.lru.push_front(page_no);
+          frame->lru_pos = shard.lru.begin();
+          frame->in_lru = true;
+        }
       }
       shard.cv.NotifyAll();
       if (!st.ok()) return st;

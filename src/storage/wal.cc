@@ -245,6 +245,7 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path,
 Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
   std::uint64_t lsn = 0;
   bool group_commit = true;
+  bool wake_leader = false;
   {
     MutexLock lock(&mu_);
     if (!poison_.ok()) return poison_;
@@ -304,12 +305,11 @@ Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
       HERMES_RETURN_NOT_OK(CommitPendingLocked());
       return lsn;
     }
-    if (leader_waiting_ &&
-        (pending_.size() >= options_.max_window_bytes ||
-         pending_entries_ >= options_.max_window_entries)) {
-      arrival_cv_.NotifyAll();
-    }
+    wake_leader = leader_waiting_ &&
+                  (pending_.size() >= options_.max_window_bytes ||
+                   pending_entries_ >= options_.max_window_entries);
   }
+  if (wake_leader) arrival_cv_.NotifyAll();
   if (durable) {
     HERMES_RETURN_NOT_OK(SyncUntil(lsn));
   }
@@ -412,30 +412,34 @@ Status WriteAheadLog::SyncUntil(std::uint64_t lsn) {
     if (commit_io_hook_for_test_) commit_io_hook_for_test_();
     const CommitResult commit = CommitBatchIo(*file, batch);
 
-    MutexLock lock(&mu_);
-    leader_active_ = false;
-    commit_cv_.NotifyAll();
-    switch (commit.outcome) {
-      case CommitOutcome::kOk:
-        durable_lsn_ = std::max(durable_lsn_, batch_end);
-        ++fsync_count_;
-        m_syncs_->Increment();
-        if (durable_lsn_ >= lsn) return Status::OK();
-        continue;
-      case CommitOutcome::kRestage:
-        batch += pending_;
-        pending_ = std::move(batch);
-        pending_entries_ += batch_entries;
-        return commit.status;
-      case CommitOutcome::kPoison:
-        poison_ = commit.status;
-        return commit.status;
-      case CommitOutcome::kTransient:
-        // The batch is in the file but not on disk; waiters re-loop and
-        // a later window's fsync can still make it durable.
-        return commit.status;
+    bool covered = false;
+    {
+      MutexLock lock(&mu_);
+      leader_active_ = false;
+      switch (commit.outcome) {
+        case CommitOutcome::kOk:
+          durable_lsn_ = std::max(durable_lsn_, batch_end);
+          ++fsync_count_;
+          m_syncs_->Increment();
+          covered = durable_lsn_ >= lsn;
+          break;
+        case CommitOutcome::kRestage:
+          batch += pending_;
+          pending_ = std::move(batch);
+          pending_entries_ += batch_entries;
+          break;
+        case CommitOutcome::kPoison:
+          poison_ = commit.status;
+          break;
+        case CommitOutcome::kTransient:
+          // The batch is in the file but not on disk; waiters re-loop and
+          // a later window's fsync can still make it durable.
+          break;
+      }
     }
-    return Status::Internal("unreachable commit outcome");
+    // Followers wake to a free mu_ and read the verdict published above.
+    commit_cv_.NotifyAll();
+    if (commit.outcome != CommitOutcome::kOk || covered) return commit.status;
   }
 }
 
@@ -496,17 +500,21 @@ Status WriteAheadLog::Reset() {
     truncated = file->Truncate();
   }
 
-  MutexLock lock(&mu_);
-  leader_active_ = false;
-  commit_cv_.NotifyAll();
-  if (!truncated.ok()) {
-    poison_ = Status::IOError("WAL poisoned by failed Reset (" +
-                              truncated.message() +
-                              "); reopen the log to recover");
-    return poison_;
+  Status result;
+  {
+    MutexLock lock(&mu_);
+    leader_active_ = false;
+    if (truncated.ok()) {
+      durable_lsn_ = std::max(durable_lsn_, covered);
+    } else {
+      poison_ = Status::IOError("WAL poisoned by failed Reset (" +
+                                truncated.message() +
+                                "); reopen the log to recover");
+      result = poison_;
+    }
   }
-  durable_lsn_ = std::max(durable_lsn_, covered);
-  return Status::OK();
+  commit_cv_.NotifyAll();
+  return result;
 }
 
 }  // namespace hermes

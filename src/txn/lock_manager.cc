@@ -45,17 +45,19 @@ Status LockManager::AcquireExclusive(TxnId txn, LockKey key) {
 }
 
 void LockManager::Release(TxnId txn, LockKey key) {
-  MutexLock lock(&mu_);
-  auto it = table_.find(key);
-  if (it == table_.end()) return;
-  LockState& state = it->second;
-  state.shared.erase(txn);
-  if (state.has_exclusive && state.exclusive == txn) {
-    state.has_exclusive = false;
-    state.exclusive = 0;
-  }
-  if (state.shared.empty() && !state.has_exclusive) {
-    table_.erase(it);
+  {
+    MutexLock lock(&mu_);
+    auto it = table_.find(key);
+    if (it == table_.end()) return;
+    LockState& state = it->second;
+    state.shared.erase(txn);
+    if (state.has_exclusive && state.exclusive == txn) {
+      state.has_exclusive = false;
+      state.exclusive = 0;
+    }
+    if (state.shared.empty() && !state.has_exclusive) {
+      table_.erase(it);
+    }
   }
   released_.NotifyAll();
 }

@@ -14,6 +14,10 @@ honor the audit:allow(blocking, ...) suppression contract:
     whole body a critical section.
   * A condvar wait is legal for the mutex it releases but a
     foreign-condvar finding for every other held lock.
+  * A condvar NotifyOne/NotifyAll inside any lock scope (RAII guard or
+    REQUIRES body) is a notify-under-lock finding; the same notify after
+    the guard's block closes or after an explicit Unlock() passes, and an
+    audit:allow(notify, ...) marker suppresses it.
   * A reasoned marker suppresses exactly its finding and is counted in
     the --json summary (including a reason wrapped across `//` lines
     above a wrapped statement); a reason-less marker is itself a finding.
@@ -216,6 +220,93 @@ Status Log::Flush() {
               "side_mu_" in out and out.count("[foreign-condvar]") == 1, out)
 
 
+def case_notify_under_lock_is_flagged():
+    print("case: notify inside a lock scope is flagged")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={"Log": ["Flush"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", """\
+Status Log::Stage(int x) {
+  MutexLock lock(&mu_);
+  staged_ += x;
+  cv_.NotifyOne();  // the woken waiter blocks on mu_ at once
+  return Status::OK();
+}
+Status Log::CommitLocked() {
+  staged_ = 0;
+  cv_.NotifyAll();  // REQUIRES(mu_): the whole body holds the lock
+  return Status::OK();
+}
+""")
+        code, out = run_audit(root)
+        check("notify under lock exits 1", code == 1, out)
+        check("both notifies flagged with the held lock",
+              out.count("[notify-under-lock]") == 2 and "NotifyOne" in out
+              and "NotifyAll" in out and "[REQUIRES]" in out, out)
+
+
+def case_notify_after_unlock_passes():
+    print("case: notify after the guard's block or an Unlock() passes")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={"Log": ["Flush"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", """\
+Status Log::Stage(int x) {
+  {
+    MutexLock lock(&mu_);
+    staged_ += x;
+  }
+  cv_.NotifyOne();
+  return Status::OK();
+}
+Status Log::Publish() {
+  mu_.Lock();
+  staged_ = 0;
+  mu_.Unlock();
+  cv_.NotifyAll();
+  return Status::OK();
+}
+""")
+        code, out = run_audit(root)
+        check("notify after unlock exits 0", code == 0, out)
+
+
+def case_notify_marker_suppresses():
+    print("case: a reasoned notify marker suppresses and is counted")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={"Log": ["Flush"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", """\
+Status Log::Stage(int x) {
+  MutexLock lock(&mu_);
+  staged_ += x;
+  // audit:allow(notify, the waiter may destroy this object once it sees
+  // the predicate, so the notify must precede the unlock)
+  cv_.NotifyAll();
+  return Status::OK();
+}
+Status Log::Publish() {
+  MutexLock lock(&mu_);
+  // audit:allow(notify)
+  cv_.NotifyAll();
+  return Status::OK();
+}
+""")
+        json_path = root / "audit.json"
+        code, out = run_audit(root, json_path)
+        summary = json.loads(json_path.read_text())
+        check("only the reason-less marker remains a finding",
+              code == 1 and summary["findings_by_kind"] == {"marker": 1},
+              summary)
+        check("both notify markers counted and applied",
+              summary["suppressions"]["notify"] == 2
+              and summary["suppressions"]["blocking"] == 0
+              and summary["suppressions"]["applied"] == 2, summary)
+
+
 def case_markers_suppress_and_are_counted():
     print("case: reasoned markers suppress and are counted in --json")
     with tempfile.TemporaryDirectory() as tmp:
@@ -309,9 +400,10 @@ def case_repo_itself_is_clean():
     summary = json.loads(json_path.read_text())
     check("repo has zero unsuppressed findings",
           summary["findings_total"] == 0, summary)
+    suppressions = summary["suppressions"]
     check("every repo suppression is reasoned and applied",
-          summary["suppressions"]["applied"]
-          == summary["suppressions"]["blocking"] > 0, summary)
+          suppressions["blocking"] > 0 and suppressions["applied"]
+          == suppressions["blocking"] + suppressions["notify"], summary)
 
 
 def main():
@@ -321,6 +413,9 @@ def main():
                  case_early_unlock_then_io_passes,
                  case_requires_body_is_a_lock_scope,
                  case_condvar_waits,
+                 case_notify_under_lock_is_flagged,
+                 case_notify_after_unlock_passes,
+                 case_notify_marker_suppresses,
                  case_markers_suppress_and_are_counted,
                  case_reasonless_marker_is_a_finding,
                  case_contract_drift_is_flagged,

@@ -7,6 +7,11 @@
 // criterion verbatim: the abort message names both lock stacks — the
 // acquiring thread's held stack and the stack recorded when the
 // opposite acquisition order was first observed.
+//
+// CondVar waits release and reacquire the mutex inside
+// std::condition_variable, outside Mutex::Lock/Unlock; the CondVar
+// tests pin that the validator's held stack and the lock profiler's
+// rows still see every wait as an unlock and a relock.
 
 #include "common/lock_order.h"
 
@@ -17,6 +22,7 @@
 
 #include "test_util.h"
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "txn/lock_manager.h"
@@ -83,6 +89,91 @@ TEST(LockOrderTest, TryLockTracksOnlySuccessfulAcquisitions) {
   EXPECT_EQ(lock_order::HeldCount(), 0u);
 }
 
+TEST(LockOrderTest, CondVarWaitsKeepTheHeldStackBalanced) {
+  lock_order::ResetGraphForTest();
+  Mutex outer("test.cv.outer", 18);
+  Mutex mu("test.cv.mu", 28);
+  CondVar cv;
+  bool ready = false;  // guarded by mu
+
+  outer.Lock();
+  mu.Lock();
+  const std::size_t held = lock_order::HeldCount();
+#ifdef HERMES_DEBUG_LOCK_ORDER
+  EXPECT_EQ(held, 2u);
+#endif
+  // WaitUntil, timeout path.
+  while (cv.WaitUntil(&mu, std::chrono::steady_clock::now() +
+                               milliseconds(2)) !=
+         std::cv_status::timeout) {
+  }
+  EXPECT_EQ(lock_order::HeldCount(), held);
+
+  // WaitUntil, notified path: the notifier can only publish once this
+  // thread has released mu inside the wait.
+  std::thread notifier([&] {
+    {
+      MutexLock lock(&mu);
+      ready = true;
+    }
+    cv.NotifyAll();
+  });
+  std::cv_status status = std::cv_status::timeout;
+  while (!ready) {
+    status = cv.WaitUntil(&mu, std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(30));
+  }
+  notifier.join();
+  EXPECT_EQ(status, std::cv_status::no_timeout);
+  EXPECT_EQ(lock_order::HeldCount(), held);
+
+  // Wait.
+  ready = false;
+  std::thread waker([&] {
+    {
+      MutexLock lock(&mu);
+      ready = true;
+    }
+    cv.NotifyOne();
+  });
+  while (!ready) cv.Wait(&mu);
+  waker.join();
+  EXPECT_EQ(lock_order::HeldCount(), held);
+
+  mu.Unlock();
+  outer.Unlock();
+  EXPECT_EQ(lock_order::HeldCount(), 0u);
+}
+
+#ifdef HERMES_LOCK_PROFILING
+// A thread parked in a wait does not hold the mutex: the ~20 ms it spends
+// parked must not show up as hold time, and every return from the wait
+// counts as one acquisition with its own hold.
+TEST(LockProfileTest, CondVarWaitIsNotHoldTime) {
+  Mutex mu("test.cv.profiled", 27);
+  CondVar cv;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    MutexLock lock(&mu);
+    const auto deadline = start + milliseconds(20);
+    while (cv.WaitUntil(&mu, deadline) != std::cv_status::timeout) {
+    }
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(20));
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  const auto hold = snap.histograms.find("lock.test.cv.profiled.hold_us");
+  ASSERT_NE(hold, snap.histograms.end());
+  // Far below the 20 ms parked; the slack absorbs a preemption while
+  // the mutex is really held.
+  EXPECT_LT(hold->second.sum, 10'000.0);
+  const auto acquisitions =
+      snap.counters.find("lock.test.cv.profiled.acquisitions");
+  ASSERT_NE(acquisitions, snap.counters.end());
+  EXPECT_GE(acquisitions->second, 2u);  // the Lock plus each wait's return
+  EXPECT_EQ(hold->second.count, acquisitions->second);
+}
+#endif  // HERMES_LOCK_PROFILING
+
 #ifdef HERMES_DEBUG_LOCK_ORDER
 
 using LockOrderDeathTest = ::testing::Test;
@@ -144,6 +235,25 @@ TEST(LockOrderDeathTest, EqualRankPairAborts) {
         b.Lock();
       },
       "rank-order violation acquiring test\\.equal\\.b");
+}
+
+TEST(LockOrderDeathTest, InversionRightAfterCondVarWaitAborts) {
+  lock_order::ResetGraphForTest();
+  Mutex low("test.cvdeath.low", 15);
+  Mutex high("test.cvdeath.high", 25);
+  CondVar cv;
+  // The wait's return puts `high` back on the held stack, so taking a
+  // lower rank right after it is still an inversion.
+  EXPECT_DEATH(
+      {
+        high.Lock();
+        while (cv.WaitUntil(&high, std::chrono::steady_clock::now() +
+                                       milliseconds(1)) !=
+               std::cv_status::timeout) {
+        }
+        low.Lock();
+      },
+      "rank-order violation acquiring test\\.cvdeath\\.low \\(rank 15\\)");
 }
 
 TEST(LockOrderDeathTest, SelfRelockAborts) {

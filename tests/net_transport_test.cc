@@ -2,7 +2,8 @@
 // partition-server stack (DESIGN.md §12): request/reply matching under
 // concurrency, bounded-inbox backpressure, duplicate suppression,
 // reorder tolerance, injected send/drop faults surfacing as retryable
-// Status (never a hang), and shutdown failing pending calls promptly.
+// Status (never a hang), shutdown failing pending calls promptly, and
+// the thread-switch cost of one call.
 //
 // Suite names carry "NetTransport" so the tsan CI job's -R regex picks
 // them up.
@@ -20,6 +21,9 @@
 #include <utility>
 #include <variant>
 #include <vector>
+
+#include <sched.h>
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -275,6 +279,63 @@ TEST(NetTransportTest, ShutdownFailsPendingCallsPromptly) {
   transport.Shutdown();
 }
 
+/// Pins the calling thread — and every thread it starts — to one CPU,
+/// restoring the original mask on destruction.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved_)) ++cpu;
+    if (cpu == CPU_SETSIZE) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+std::uint64_t ContextSwitches() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_nvcsw + usage.ru_nivcsw);
+}
+
+// A call is two thread handoffs: the request queues to the server's
+// dispatch thread, and that thread hands the reply straight to the
+// waiting caller. On one CPU that is two context switches per call. A
+// wake routed through a condvar's internal mutex, a notify sent while
+// the woken thread's mutex is still held, or a reply relayed by a
+// dispatch thread of the bus's own each add switches (about 12.6 per
+// call with all three).
+TEST(NetTransportTest, PinnedCallCostsAtMostThreeContextSwitches) {
+  PinToOneCpu pin;
+  if (!pin.pinned()) {
+    GTEST_SKIP() << "sched_setaffinity failed; cannot pin to one CPU";
+  }
+  constexpr int kWarmup = 200;
+  constexpr int kCalls = 2000;
+  Rig rig;  // its threads start after the pin and inherit it
+  for (int i = 0; i < kWarmup; ++i) ASSERT_OK(rig.Call(HealthRequest{}));
+  const std::uint64_t before = ContextSwitches();
+  for (int i = 0; i < kCalls; ++i) ASSERT_OK(rig.Call(HealthRequest{}));
+  const double per_call =
+      static_cast<double>(ContextSwitches() - before) / kCalls;
+  EXPECT_LE(per_call, 3.0);
+}
+
 TEST(NetTransportFaultTest, SendIoErrorSurfacesAsStatus) {
   if (!kFailpointsEnabled) {
     GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset); run the "
@@ -361,6 +422,40 @@ double ExtractWeight(Rig* rig, VertexId v) {
   const auto& rep = std::get<ExtractReply>(r->payload);
   EXPECT_OK(rep.status);
   return rep.weight;
+}
+
+// The bus endpoint is inline, so a duplicated reply runs the bus's
+// handler twice on the server's thread, usually before the caller has
+// claimed the first delivery. The second must be counted stale and
+// dropped, not overwrite the first. Every duplicate the transport makes
+// — a duplicated request the server answers twice, or a duplicated
+// reply — therefore reaches the bus as exactly one stale reply.
+TEST(NetTransportTest, EveryDuplicateReachesTheBusAsOneStaleReply) {
+  InProcTransport::Options topt;
+  topt.duplicate_every_n = 3;
+  topt.fault_seed = 1;
+  const std::uint64_t duplicated_before = CounterValue("msg.duplicated");
+  const std::uint64_t stale_before = CounterValue("msg.stale_replies");
+  {
+    Rig rig(topt);
+    for (VertexId v = 0; v < 20; ++v) {
+      auto created = rig.Call(MakeCreate(v, 1.0 + v));
+      ASSERT_OK(created);
+      ASSERT_OK(std::get<MutateReply>(created->payload).status);
+      ExtractRequest req;
+      req.vertex = v;
+      auto extracted = rig.Call(req);
+      ASSERT_OK(extracted);
+      const auto& rep = std::get<ExtractReply>(extracted->payload);
+      ASSERT_OK(rep.status);
+      EXPECT_EQ(rep.id, v);  // each call gets its own reply
+      EXPECT_DOUBLE_EQ(rep.weight, 1.0 + v);
+    }
+  }  // shutdown joins the server's thread: every duplicate was delivered
+  const std::uint64_t duplicated =
+      CounterValue("msg.duplicated") - duplicated_before;
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_EQ(CounterValue("msg.stale_replies") - stale_before, duplicated);
 }
 
 // The headline exactly-once regression (fails pre-fix): the server

@@ -36,6 +36,12 @@ Pass A — blocking calls under a lock (src/ only):
                            finding for every *other* held lock
                            (foreign-condvar: a wait parks the thread
                            while the foreign lock stays held).
+      - condvar notifies   X.NotifyOne() / X.NotifyAll() while any lock
+                           is held (notify-under-lock: the woken thread
+                           runs only to block on the mutex its waker
+                           still holds, a second thread switch per
+                           wake). Publish the predicate under the lock,
+                           notify after the guard's block closes.
 
 Pass B — contract drift (src/ only): every function whose body directly
 contains a blocking primitive, a condvar wait, or a call to a declared
@@ -48,11 +54,13 @@ Suppression is explicit and audited: a Pass A finding is allowed only by
 a marker on the offending line (or the line above)
 
     // audit:allow(blocking, <reason>)
+    // audit:allow(notify, <reason>)      for notify-under-lock only
 
 The reason is mandatory (an empty reason is itself a finding); marked
 lines also do not count as Pass B evidence (a reasoned suppression says
-the blocking is deliberate and contained). The tool counts markers in
-the --json summary so suppressions can be ratcheted down over time.
+the blocking is deliberate and contained). The tool counts markers per
+kind in the --json summary so suppressions can be ratcheted down over
+time.
 
 Usage: tools/critical_section_audit.py [repo_root] [--json PATH]
        (exit 0 = zero unsuppressed findings, 1 = findings, 2 = bad tree
@@ -102,6 +110,9 @@ CPP_KEYWORDS = frozenset(
     "defined".split())
 WAIT_METHODS = frozenset(
     ("Wait", "WaitUntil", "WaitFor", "wait", "wait_until", "wait_for"))
+NOTIFY_METHODS = frozenset(("NotifyOne", "NotifyAll"))
+# Marker kinds this audit owns; status/guard belong to status_audit.py.
+MARKER_KINDS = ("blocking", "notify")
 
 TYPE_OPEN_RE = re.compile(r"^(?:template\s*<[^{]*>\s*)?(class|struct|union|enum)\b")
 
@@ -118,7 +129,7 @@ def norm_lock_expr(expr):
 
 
 def marker_reason(raw_lines, start_ln):
-    """Extracts the reason of the audit:allow(blocking, ...) marker that
+    """Extracts the reason of the audit:allow(<kind>, ...) marker that
     *starts* on 1-based `start_ln`, joining adjacent `//` continuation
     lines until the closing paren. Returns None for an unterminated
     marker (treated the same as a missing reason)."""
@@ -140,14 +151,14 @@ def marker_reason(raw_lines, start_ln):
         rest = nxt[2:]
 
 
-def marker_on(raw_lines, line_no):
-    """Returns the reason string of an audit:allow(blocking, ...) marker
+def marker_on(raw_lines, line_no, kind="blocking"):
+    """Returns the reason string of an audit:allow(<kind>, ...) marker
     covering `line_no` — inline on the line itself, or in the comment
     block immediately above it (the reason may wrap across `//` lines) —
     else None."""
     if 1 <= line_no <= len(raw_lines):
         m = MARKER_START_RE.search(raw_lines[line_no - 1])
-        if m and m.group(1) == "blocking":
+        if m and m.group(1) == kind:
             return marker_reason(raw_lines, line_no) or ""
     ln = line_no - 1
     while ln >= 1:
@@ -155,27 +166,27 @@ def marker_on(raw_lines, line_no):
         if not stripped.startswith("//"):
             break
         m = MARKER_START_RE.search(stripped)
-        if m and m.group(1) == "blocking":
+        if m and m.group(1) == kind:
             return marker_reason(raw_lines, ln) or ""
         ln -= 1
     return None
 
 
-def collect_markers(raw_lines, findings, rel):
-    """Counts blocking markers and flags reason-less ones. Markers of
-    other kinds (status/guard) belong to status_audit.py and are ignored."""
-    count = 0
+def collect_markers(raw_lines, findings, rel, counts):
+    """Counts this audit's markers per kind into `counts` and flags
+    reason-less ones. Markers of other kinds (status/guard) belong to
+    status_audit.py and are ignored."""
     for i, ln in enumerate(raw_lines, 1):
         for m in MARKER_START_RE.finditer(ln):
-            if m.group(1) != "blocking":
+            kind = m.group(1)
+            if kind not in MARKER_KINDS:
                 continue
-            count += 1
+            counts[kind] += 1
             if not marker_reason(raw_lines, i):
                 findings.append(
                     (rel, i, "marker",
-                     "audit:allow(blocking) without a reason — say why "
+                     f"audit:allow({kind}) without a reason — say why "
                      "holding the lock across this call is sound"))
-    return count
 
 
 def load_contract(root, findings):
@@ -514,14 +525,15 @@ class Auditor:
             out.append("".join(cur))
         return out
 
-    def report(self, rel, raw_lines, line, kind, message, alt_line=None):
+    def report(self, rel, raw_lines, line, kind, message, alt_line=None,
+               marker="blocking"):
         # A marker covers the finding line itself or — for a call on a
         # continuation line of a wrapped statement — the statement's first
         # line (`alt_line`), so the comment block above the statement
         # suppresses everything the statement does.
-        reason = marker_on(raw_lines, line)
+        reason = marker_on(raw_lines, line, marker)
         if reason is None and alt_line is not None and alt_line != line:
-            reason = marker_on(raw_lines, alt_line)
+            reason = marker_on(raw_lines, alt_line, marker)
         if reason is not None:
             self.suppressed += 1
             return False
@@ -600,6 +612,18 @@ class Auditor:
                     continue
                 # Fall through: no-arg Wait() is a submit-and-wait style
                 # blocking method (ThreadPool::Wait), matched below.
+
+            if name in NOTIFY_METHODS and prefix.endswith((".", "->")):
+                if held:
+                    self.report(
+                        rel, raw_lines, line, "notify-under-lock",
+                        f"condvar {name} while holding "
+                        f"{held_display(held)} — the woken thread blocks "
+                        "on the lock its waker still holds; notify after "
+                        "the guard's block closes or mark "
+                        "// audit:allow(notify, <reason>)",
+                        alt_line=st.line, marker="notify")
+                continue
 
             if name == "Lock" or name == "Unlock" or name == "lock" \
                     or name == "unlock":
@@ -703,11 +727,11 @@ def main(argv):
         auditor.audit_file(path)
     auditor.check_drift()
 
-    marker_count = 0
+    marker_counts = {kind: 0 for kind in MARKER_KINDS}
     for path in auditor.src_files():
         rel = path.relative_to(root)
         raw_lines, _, _ = auditor.parsed(path)
-        marker_count += collect_markers(raw_lines, findings, rel)
+        collect_markers(raw_lines, findings, rel, marker_counts)
 
     by_kind = {}
     for _, _, kind, _ in findings:
@@ -726,8 +750,7 @@ def main(argv):
         },
         "findings_total": len(findings),
         "findings_by_kind": by_kind,
-        "suppressions": {"blocking": marker_count,
-                         "applied": auditor.suppressed},
+        "suppressions": {**marker_counts, "applied": auditor.suppressed},
         "findings": [
             {"file": str(rel), "line": line, "kind": kind, "message": msg}
             for rel, line, kind, msg in sorted(findings)
@@ -742,11 +765,12 @@ def main(argv):
         for rel, line, kind, msg in sorted(findings):
             print(f"  {rel}:{line}: [{kind}] {msg}")
         print(f"summary: {json.dumps(by_kind)} "
-              f"suppressions={marker_count}")
+              f"suppressions={json.dumps(marker_counts)}")
         return 1
     print(f"critical_section_audit.py: clean — {auditor.files_scanned} "
           f"files, {len(contract['classes'])} contract classes, "
-          f"suppressions: blocking={marker_count} "
+          f"suppressions: blocking={marker_counts['blocking']} "
+          f"notify={marker_counts['notify']} "
           f"(applied={auditor.suppressed})")
     return 0
 
