@@ -47,6 +47,7 @@ void FailpointRegistry::Reset() {
     site.evals = 0;
   }
   crashed_ = false;
+  unsynced_.clear();
 }
 
 FailpointHit FailpointRegistry::Evaluate(const char* name) {
@@ -104,6 +105,29 @@ std::uint64_t FailpointRegistry::FiredCount(const std::string& name) const {
   MutexLock lock(&mu_);
   auto it = sites_.find(name);
   return it == sites_.end() ? 0 : it->second.fired;
+}
+
+void FailpointRegistry::RecordUnsyncedEntry(const std::string& dir,
+                                            std::function<void()> undo) {
+  MutexLock lock(&mu_);
+  unsynced_.emplace_back(dir, std::move(undo));
+}
+
+void FailpointRegistry::ForgetUnsyncedEntries(const std::string& dir) {
+  MutexLock lock(&mu_);
+  std::erase_if(unsynced_, [&dir](const auto& entry) {
+    return entry.first == dir;
+  });
+}
+
+void FailpointRegistry::RevertUnsyncedEntries() {
+  std::vector<std::pair<std::string, std::function<void()>>> pending;
+  {
+    MutexLock lock(&mu_);
+    pending.swap(unsynced_);
+  }
+  // The undos touch the file system, so they run outside mu_.
+  for (auto it = pending.rbegin(); it != pending.rend(); ++it) it->second();
 }
 
 }  // namespace hermes

@@ -2,8 +2,11 @@
 #define HERMES_COMMON_FAILPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/lock_order.h"
 #include "common/metrics.h"
@@ -13,7 +16,7 @@
 
 /// Deterministic fault injection for the storage stack (DESIGN.md §9).
 ///
-/// A failpoint is a named site at an I/O boundary (WAL append, paged-file
+/// A failpoint is a named site at an I/O boundary (WAL append, snapshot
 /// write, checkpoint window) that tests can arm with a deterministic
 /// activation policy. When a site fires, the caller turns that into the
 /// failure mode appropriate for the site: a clean Status::IOError, a torn
@@ -74,8 +77,8 @@ struct FailpointHit {
 /// evaluation — legal because mu_ holds the lower rank kRankFailpoint.
 ///
 /// Thread-safe. mu_ may be acquired while holding any storage-stack
-/// mutex (DurableStore, WAL, PageCache — all ranked below kRankFailpoint
-/// in common/lock_order.h).
+/// mutex (DurableStore, WAL — both ranked below kRankFailpoint in
+/// common/lock_order.h).
 class FailpointRegistry {
  public:
   /// The process-wide registry every HERMES_FAILPOINT_* macro consults.
@@ -106,6 +109,17 @@ class FailpointRegistry {
   std::uint64_t Evaluations(const std::string& name) const EXCLUDES(mu_);
   std::uint64_t FiredCount(const std::string& name) const EXCLUDES(mu_);
 
+  /// Power-loss model for directory entries (DESIGN.md §9). The storage
+  /// layer records how to undo each file it creates and each rename
+  /// target it replaces in `dir`, until an fsync of `dir` forgets them.
+  /// The `wal.os_buffer.drop` power loss reverts every pending entry,
+  /// newest first. A plain crash reverts nothing, and Reset() forgets
+  /// them: the restart it models is the process's, not the machine's.
+  void RecordUnsyncedEntry(const std::string& dir, std::function<void()> undo)
+      EXCLUDES(mu_);
+  void ForgetUnsyncedEntries(const std::string& dir) EXCLUDES(mu_);
+  void RevertUnsyncedEntries() EXCLUDES(mu_);
+
  private:
   struct Site {
     FailpointConfig config;
@@ -123,6 +137,9 @@ class FailpointRegistry {
   mutable Mutex mu_{"failpoint_registry.mu", lock_order::kRankFailpoint};
   std::map<std::string, Site> sites_ GUARDED_BY(mu_);
   bool crashed_ GUARDED_BY(mu_) = false;
+  /// (directory, undo) in the order the entries were made.
+  std::vector<std::pair<std::string, std::function<void()>>> unsynced_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace hermes

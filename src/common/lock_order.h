@@ -64,12 +64,6 @@ inline constexpr int kRankDurableStore = 10000;  // DurableGraphStore::mu_
 inline constexpr int kRankWal = 10010;           // WriteAheadLog::mu_
 inline constexpr int kRankThreadPool = 10020;    // ThreadPool::mu_
 inline constexpr int kRankLockManager = 10030;   // LockManager::mu_ (leaf)
-/// PageCache shard mutexes take kRankPageCacheShardBase + shard index
-/// ("page_cache.s<i>") — distinct ranks, so the validator rejects any
-/// path that ever holds two shards at once (the cache never nests them;
-/// page I/O happens outside the shard locks entirely).
-inline constexpr int kRankPageCacheShardBase = 10040;  // page_cache.s<i>
-inline constexpr int kRankPagedFile = 10060;     // PagedFile::meta_mu_
 inline constexpr int kRankFailpoint = 10200;     // FailpointRegistry::mu_
 inline constexpr int kRankMetrics = 10210;       // MetricsRegistry::mu_ (leaf)
 inline constexpr int kRankTraceLog = 10220;      // TraceLog::mu_ (leaf)

@@ -77,7 +77,7 @@ struct MetricsSnapshot {
 ///
 /// Metric naming scheme (DESIGN.md §7): `<subsystem>.<event>`, with unit
 /// suffixes `_bytes` / `_us` where the unit is not a plain count, e.g.
-/// `page_cache.hits`, `wal.append_bytes`, `cluster.migration.copy_us`.
+/// `wal.syncs`, `wal.append_bytes`, `cluster.migration.copy_us`.
 ///
 /// Thread-safe; `mu_` is a leaf in the repo lock order (no other mutex is
 /// acquired while it is held), so metrics may be touched from any context,

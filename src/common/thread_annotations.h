@@ -14,7 +14,7 @@
 
 /// Clang thread-safety-analysis annotations plus an annotated Mutex /
 /// MutexLock / CondVar wrapper used by every shared-state class in the
-/// repo (ThreadPool, PageCache, LockManager, WriteAheadLog, ...).
+/// repo (ThreadPool, LockManager, WriteAheadLog, MessageBus, ...).
 ///
 /// Under clang the macros expand to the analysis attributes and the build
 /// adds -Wthread-safety -Werror=thread-safety (see the top-level

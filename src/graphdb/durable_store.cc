@@ -1,81 +1,124 @@
 #include "graphdb/durable_store.h"
 
 #include <algorithm>
-#include <cstring>
-
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "net/wire.h"
+#include "storage/fd_appender.h"
 
 namespace hermes {
 
 namespace {
 
-constexpr std::uint64_t kSnapshotMagic = 0x4845524d45533033ULL;  // "HERMES03"
+constexpr std::uint64_t kSnapshotMagic = 0x4845524d45533034ULL;  // "HERMES04"
 
-// Snapshot I/O goes through the page cache (storage/page_cache.h) so bulk
-// store reads/writes exercise the buffer-management layer like any other
-// store file. Header layout on page 0: [magic u64][partition u32]
-// [pad u32][content_length u64][covered_lsn u64], content follows at
-// byte 32. The covered LSN makes recovery safe when a crash lands between
-// the snapshot rename and the WAL truncation: entries at or below it are
-// already reflected in the snapshot and must not be replayed.
-constexpr std::uint64_t kSnapshotHeaderBytes = 32;
-constexpr std::size_t kSnapshotCachePages = 64;
+// A snapshot file is one buffer, written once and read once. The 32-byte
+// header is [magic u64][partition u32][body crc u32][content_length u64]
+// [covered_lsn u64]; the body follows. Every field is little-endian
+// (net/wire.h), and the CRC-32 covers the body. The covered LSN makes
+// recovery safe when a crash lands between the snapshot rename and the
+// WAL truncation: entries at or below it are already reflected in the
+// snapshot and must not be replayed.
+constexpr std::size_t kSnapshotHeaderBytes = 32;
 
-void WriteU64(PagedWriter& out, std::uint64_t v) {
-  out.Append(&v, sizeof(v));
-}
-void WriteU32(PagedWriter& out, std::uint32_t v) {
-  out.Append(&v, sizeof(v));
-}
-void WriteF64(PagedWriter& out, double v) { out.Append(&v, sizeof(v)); }
-void WriteString(PagedWriter& out, const std::string& s) {
-  WriteU32(out, static_cast<std::uint32_t>(s.size()));
-  out.Append(s.data(), s.size());
-}
-
-bool ReadU64(PagedReader& in, std::uint64_t* v) {
-  return in.Read(v, sizeof(*v));
-}
-bool ReadU32(PagedReader& in, std::uint32_t* v) {
-  return in.Read(v, sizeof(*v));
-}
-bool ReadF64(PagedReader& in, double* v) { return in.Read(v, sizeof(*v)); }
-bool ReadString(PagedReader& in, std::string* s) {
-  std::uint32_t size = 0;
-  if (!ReadU32(in, &size) || size > (1u << 28)) return false;
-  s->resize(size);
-  return size == 0 || in.Read(s->data(), size);
-}
+// Fixed-width bytes of a property (key, value length), a node (id,
+// weight, state, property count) and a relationship (src, dst, type,
+// flags, property count). The reader bounds every count by these.
+constexpr std::size_t kPropertyBytes = 4 + 4;
+constexpr std::size_t kNodeBytes = 8 + 8 + 4 + 4;
+constexpr std::size_t kRelBytes = 8 + 8 + 4 + 4 + 4;
 
 using Properties = std::vector<std::pair<std::uint32_t, std::string>>;
 
-void WriteProperties(PagedWriter& out, const Properties& props) {
-  WriteU32(out, static_cast<std::uint32_t>(props.size()));
+std::size_t PropertiesBytes(const Properties& props) {
+  std::size_t bytes = 0;
+  for (const auto& [key, value] : props) bytes += kPropertyBytes + value.size();
+  return bytes;
+}
+
+void PutProperties(const Properties& props, WireWriter* w) {
+  w->PutU32(static_cast<std::uint32_t>(props.size()));
   for (const auto& [key, value] : props) {
-    WriteU32(out, key);
-    WriteString(out, value);
+    w->PutU32(key);
+    w->PutString(value);
   }
 }
 
-bool ReadProperties(PagedReader& in, Properties* props) {
+[[nodiscard]] Status ReadProperties(WireReader* r, Properties* props) {
   std::uint32_t count = 0;
-  if (!ReadU32(in, &count) || count > (1u << 24)) return false;
+  HERMES_RETURN_NOT_OK(r->ReadCount(kPropertyBytes, &count));
   props->clear();
   props->reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t key = 0;
     std::string value;
-    if (!ReadU32(in, &key) || !ReadString(in, &value)) return false;
+    HERMES_RETURN_NOT_OK(r->ReadU32(&key));
+    HERMES_RETURN_NOT_OK(r->ReadString(&value));
     props->emplace_back(key, std::move(value));
   }
-  return true;
+  return Status::OK();
+}
+
+/// Reads a u64 record count, bounded by the bytes remaining.
+[[nodiscard]] Status ReadRecordCount(WireReader* r, std::size_t record_bytes,
+                                     std::uint64_t* count) {
+  if (!r->ReadU64(count).ok() || *count > r->remaining() / record_bytes) {
+    return Status::IOError("truncated snapshot");
+  }
+  return Status::OK();
+}
+
+/// Encodes `store` into one buffer of exactly the snapshot's size.
+std::string EncodeSnapshot(const GraphStore& store,
+                           std::uint64_t covered_lsn) {
+  const auto nodes = store.DumpNodes();
+  const auto rels = store.DumpRelationships();
+  std::size_t size = kSnapshotHeaderBytes + 8 + 8;  // header, two counts
+  for (const auto& n : nodes) size += kNodeBytes + PropertiesBytes(n.properties);
+  for (const auto& r : rels) size += kRelBytes + PropertiesBytes(r.properties);
+
+  WireWriter w;
+  w.Reserve(size);
+  w.PutRaw(std::string(kSnapshotHeaderBytes, '\0'));  // filled in below
+  w.PutU64(nodes.size());
+  for (const auto& n : nodes) {
+    w.PutU64(n.id);
+    w.PutF64(n.weight);
+    w.PutU32(static_cast<std::uint32_t>(n.state));
+    PutProperties(n.properties, &w);
+  }
+  w.PutU64(rels.size());
+  for (const auto& r : rels) {
+    w.PutU64(r.src);
+    w.PutU64(r.dst);
+    w.PutU32(r.type);
+    // Chain linkage must be persisted, not inferred: after a node is
+    // removed and its id re-created, both endpoints of a leftover half
+    // record exist again, and endpoint existence would wrongly
+    // reconstruct it as a full edge.
+    const std::uint32_t flags = (r.ghost ? 1u : 0u) |
+                                (r.src_linked ? 2u : 0u) |
+                                (r.dst_linked ? 4u : 0u);
+    w.PutU32(flags);
+    PutProperties(r.properties, &w);
+  }
+
+  std::string bytes = w.TakeBytes();
+  const std::string_view body =
+      std::string_view(bytes).substr(kSnapshotHeaderBytes);
+  WireWriter header;
+  header.PutU64(kSnapshotMagic);
+  header.PutU32(store.partition_id());
+  header.PutU32(Crc32(body.data(), body.size()));
+  header.PutU64(body.size());
+  header.PutU64(covered_lsn);
+  bytes.replace(0, kSnapshotHeaderBytes, header.bytes());
+  return bytes;
 }
 
 }  // namespace
@@ -83,93 +126,69 @@ bool ReadProperties(PagedReader& in, Properties* props) {
 Status DurableGraphStore::WriteSnapshot(const GraphStore& store,
                                         const std::string& path,
                                         std::uint64_t covered_lsn) {
-  // Write to a temp file then rename for atomicity.
+  const std::string bytes = EncodeSnapshot(store, covered_lsn);
+  // Write and sync a temp file, then rename it over `path` and sync the
+  // directory: a crash leaves the old snapshot or the new one, never a
+  // mix, and a power loss cannot undo the rename once this returns.
   const std::string tmp = path + ".tmp";
   std::remove(tmp.c_str());
   {
-    HERMES_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Open(tmp));
-    PageCache cache(&file, kSnapshotCachePages);
-    PagedWriter out(&cache);
-
-    // Header placeholder; patched once the content length is known.
-    const std::uint64_t zero64 = 0;
-    WriteU64(out, zero64);  // magic
-    WriteU32(out, 0);       // partition
-    WriteU32(out, 0);       // pad
-    WriteU64(out, zero64);  // content length
-    WriteU64(out, zero64);  // covered LSN
-
-    const auto nodes = store.DumpNodes();
-    WriteU64(out, nodes.size());
-    for (const auto& n : nodes) {
-      WriteU64(out, n.id);
-      WriteF64(out, n.weight);
-      WriteU32(out, static_cast<std::uint32_t>(n.state));
-      WriteProperties(out, n.properties);
+    HERMES_ASSIGN_OR_RETURN(FdAppender file, FdAppender::Open(tmp));
+    HERMES_FAILPOINT_IOERROR("snapshot.write.io_error");
+    const FailpointHit torn = HERMES_FAILPOINT_HIT("snapshot.write.short_write");
+    if (torn.fired) {
+      // Torn write: only a prefix of the snapshot reaches the temp file
+      // before the simulated power loss, and the rename never happens.
+      const std::uint64_t want = torn.arg != 0 ? torn.arg : bytes.size() / 2;
+      const auto cut = static_cast<std::size_t>(
+          std::min<std::uint64_t>(want, bytes.size() - 1));
+      if (Status st = file.Append(bytes.data(), cut); !st.ok()) {
+        // The tear is the injected failure; a second error writing the
+        // prefix leaves an even shorter tear, which recovery never reads.
+      }
+      HERMES_FAILPOINT_LATCH_CRASH("snapshot.write.short_write");
+      return Status::IOError("failpoint: snapshot.write.short_write");
     }
-    const auto rels = store.DumpRelationships();
-    WriteU64(out, rels.size());
-    for (const auto& r : rels) {
-      WriteU64(out, r.src);
-      WriteU64(out, r.dst);
-      WriteU32(out, r.type);
-      // Chain linkage must be persisted, not inferred: after a node is
-      // removed and its id re-created, both endpoints of a leftover half
-      // record exist again, and endpoint existence would wrongly
-      // reconstruct it as a full edge.
-      const std::uint32_t flags = (r.ghost ? 1u : 0u) |
-                                  (r.src_linked ? 2u : 0u) |
-                                  (r.dst_linked ? 4u : 0u);
-      WriteU32(out, flags);
-      WriteProperties(out, r.properties);
-    }
-    const std::uint64_t total = out.position();
-    HERMES_RETURN_NOT_OK(out.Finish());
-
-    // Patch the header in place (page 0 round-trips the cache again).
-    HERMES_ASSIGN_OR_RETURN(Page * header, cache.Pin(0));
-    const std::uint32_t partition = store.partition_id();
-    const std::uint64_t content = total - kSnapshotHeaderBytes;
-    std::memcpy(header->bytes.data(), &kSnapshotMagic, sizeof(std::uint64_t));
-    std::memcpy(header->bytes.data() + 8, &partition, sizeof(partition));
-    std::memcpy(header->bytes.data() + 16, &content, sizeof(content));
-    std::memcpy(header->bytes.data() + 24, &covered_lsn, sizeof(covered_lsn));
-    cache.Unpin(0, /*dirty=*/true);
-    HERMES_RETURN_NOT_OK(cache.FlushAll());
+    HERMES_RETURN_NOT_OK(file.Append(bytes.data(), bytes.size()));
+    HERMES_FAILPOINT_IOERROR("snapshot.sync.io_error");
+    HERMES_RETURN_NOT_OK(file.Sync());
   }
   // Crash with the complete snapshot in the temp file but not yet
   // renamed: recovery must fall back to the previous snapshot + log.
   HERMES_FAILPOINT_CRASH("durable_store.snapshot.rename.crash");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("snapshot rename failed");
-  }
-  return Status::OK();
+  HERMES_RETURN_NOT_OK(ReplaceFile(tmp, path));
+  return SyncParentDirectory(path);
 }
 
 Status DurableGraphStore::LoadSnapshot(const std::string& path,
                                        GraphStore* store,
                                        std::uint64_t* covered_lsn) {
-  if (!std::filesystem::exists(path)) {
-    return Status::NotFound("no snapshot at " + path);
-  }
-  HERMES_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Open(path));
-  PageCache cache(&file, kSnapshotCachePages);
-  PagedReader in(&cache, file.NumPages() * kPageSize);
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();  // NotFound: no snapshot yet
+  HERMES_FAILPOINT_IOERROR("snapshot.read.io_error");
+  WireReader in(*bytes);
 
   std::uint64_t magic = 0;
   std::uint32_t partition = 0;
-  std::uint32_t pad = 0;
+  std::uint32_t body_crc = 0;
   std::uint64_t content_length = 0;
   std::uint64_t covered = 0;
-  if (!ReadU64(in, &magic) || magic != kSnapshotMagic ||
-      !ReadU32(in, &partition) || !ReadU32(in, &pad) ||
-      !ReadU64(in, &content_length) || !ReadU64(in, &covered)) {
-    return Status::IOError("bad snapshot header");
+  if (!in.ReadU64(&magic).ok() || magic != kSnapshotMagic ||
+      !in.ReadU32(&partition).ok() || !in.ReadU32(&body_crc).ok() ||
+      !in.ReadU64(&content_length).ok() || !in.ReadU64(&covered).ok()) {
+    return Status::IOError("bad snapshot header in " + path);
+  }
+  if (in.remaining() != content_length) {
+    return Status::IOError("snapshot length mismatch in " + path);
+  }
+  if (Crc32(bytes->data() + kSnapshotHeaderBytes, content_length) !=
+      body_crc) {
+    return Status::IOError("snapshot checksum mismatch in " + path);
   }
   if (covered_lsn != nullptr) *covered_lsn = covered;
 
   std::uint64_t node_count = 0;
-  if (!ReadU64(in, &node_count)) return Status::IOError("truncated snapshot");
+  HERMES_RETURN_NOT_OK(ReadRecordCount(&in, kNodeBytes, &node_count));
   // Non-available states are applied only after the relationship section:
   // AddEdge rejects unavailable endpoints (mid-migration write guard), so
   // restoring a node's kUnavailable state first would make its own edges
@@ -180,8 +199,8 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
     double weight = 0.0;
     std::uint32_t state = 0;
     Properties props;
-    if (!ReadU64(in, &id) || !ReadF64(in, &weight) || !ReadU32(in, &state) ||
-        !ReadProperties(in, &props)) {
+    if (!in.ReadU64(&id).ok() || !in.ReadF64(&weight).ok() ||
+        !in.ReadU32(&state).ok() || !ReadProperties(&in, &props).ok()) {
       return Status::IOError("truncated snapshot (nodes)");
     }
     HERMES_RETURN_NOT_OK(store->CreateNode(id, weight));
@@ -194,15 +213,16 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
   }
 
   std::uint64_t rel_count = 0;
-  if (!ReadU64(in, &rel_count)) return Status::IOError("truncated snapshot");
+  HERMES_RETURN_NOT_OK(ReadRecordCount(&in, kRelBytes, &rel_count));
   for (std::uint64_t i = 0; i < rel_count; ++i) {
     std::uint64_t src = 0;
     std::uint64_t dst = 0;
     std::uint32_t type = 0;
     std::uint32_t flags = 0;
     Properties props;
-    if (!ReadU64(in, &src) || !ReadU64(in, &dst) || !ReadU32(in, &type) ||
-        !ReadU32(in, &flags) || !ReadProperties(in, &props)) {
+    if (!in.ReadU64(&src).ok() || !in.ReadU64(&dst).ok() ||
+        !in.ReadU32(&type).ok() || !in.ReadU32(&flags).ok() ||
+        !ReadProperties(&in, &props).ok()) {
       return Status::IOError("truncated snapshot (relationships)");
     }
     // flags: bit0 ghost, bit1 linked into src's chain, bit2 into dst's.
@@ -233,9 +253,7 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
   for (const auto& [id, state] : deferred_states) {
     HERMES_RETURN_NOT_OK(store->SetNodeState(id, state));
   }
-  if (in.position() != kSnapshotHeaderBytes + content_length) {
-    return Status::IOError("snapshot length mismatch");
-  }
+  if (!in.AtEnd()) return Status::IOError("snapshot length mismatch");
   return Status::OK();
 }
 

@@ -10,7 +10,6 @@
 #include "common/thread_annotations.h"
 #include "graphdb/graph_store.h"
 #include "storage/wal.h"
-#include "storage/page_cache.h"
 
 namespace hermes {
 

@@ -61,6 +61,8 @@ class WireWriter {
     out_.append(s.data(), s.size());
   }
   void PutRaw(std::string_view s) { out_.append(s.data(), s.size()); }
+  /// Sizes the buffer once when the caller knows the encoded length.
+  void Reserve(std::size_t bytes) { out_.reserve(bytes); }
 
   const std::string& bytes() const { return out_; }
   std::string&& TakeBytes() { return std::move(out_); }

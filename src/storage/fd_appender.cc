@@ -5,8 +5,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <utility>
+
+#include "common/failpoint.h"
 
 namespace hermes {
 
@@ -16,15 +20,39 @@ std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
 
+std::string ParentDirectory(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+/// Puts a replaced file back as a disk that lost the rename still holds
+/// it. Power-loss model only: the simulated process is already dead, so
+/// a failure here has no one to report to.
+void RestoreFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return;
+  if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+    // A short restore is a shorter old file, which recovery rejects.
+  }
+  std::fclose(f);
+}
+
 }  // namespace
 
 Result<FdAppender> FdAppender::Open(const std::string& path) {
+  // The power-loss model must know whether this open adds the entry.
+  const bool creates = kFailpointsEnabled && ::access(path.c_str(), F_OK) != 0;
   int fd = -1;
   do {
     fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) {
     return Status::IOError(ErrnoMessage("open failed for", path));
+  }
+  if (creates) {
+    FailpointRegistry::Global().RecordUnsyncedEntry(
+        ParentDirectory(path), [path] { ::unlink(path.c_str()); });
   }
   struct stat st;
   if (::fstat(fd, &st) != 0) {
@@ -115,6 +143,85 @@ Status FdAppender::DropUnsynced() {
   }
   size_ = synced_size_;
   return Status::OK();
+}
+
+[[nodiscard]] Result<std::string> ReadFileBytes(const std::string& path) {
+  int fd = -1;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::NotFound("no file at " + path);
+    return Status::IOError(ErrnoMessage("open failed for", path));
+  }
+  Status status;
+  std::string bytes;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    status = Status::IOError(ErrnoMessage("fstat failed for", path));
+  } else {
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+  }
+  std::size_t done = 0;
+  while (status.ok() && done < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + done, bytes.size() - done,
+                              static_cast<off_t>(done));
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      bytes.resize(done);  // the file shrank after fstat
+    } else if (errno != EINTR) {
+      status = Status::IOError(ErrnoMessage("pread failed for", path));
+    }
+  }
+  ::close(fd);
+  if (!status.ok()) return status;
+  return bytes;
+}
+
+[[nodiscard]] Status ReplaceFile(const std::string& from,
+                                 const std::string& to) {
+  // Power-loss model: until the directory is synced, a disk still holds
+  // the replaced target, or no entry at all if there was none.
+  std::function<void()> undo;
+  if (kFailpointsEnabled) {
+    Result<std::string> replaced = ReadFileBytes(to);
+    if (replaced.ok()) {
+      undo = [to, bytes = std::move(*replaced)] { RestoreFile(to, bytes); };
+    } else if (replaced.status().IsNotFound()) {
+      undo = [to] { ::unlink(to.c_str()); };
+    } else {
+      return replaced.status();
+    }
+  }
+  if (std::rename(from.c_str(), to.c_str()) != 0) {
+    return Status::IOError(ErrnoMessage("rename failed for", from));
+  }
+  if (undo) {
+    FailpointRegistry::Global().RecordUnsyncedEntry(ParentDirectory(to),
+                                                    std::move(undo));
+  }
+  return Status::OK();
+}
+
+[[nodiscard]] Status SyncParentDirectory(const std::string& path) {
+  const std::string dir = ParentDirectory(path);
+  int fd = -1;
+  do {
+    fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) {
+    return Status::IOError(ErrnoMessage("open failed for directory", dir));
+  }
+  const Status status =
+      ::fsync(fd) == 0
+          ? Status::OK()
+          : Status::IOError(ErrnoMessage("fsync failed for directory", dir));
+  ::close(fd);
+  if (status.ok() && kFailpointsEnabled) {
+    FailpointRegistry::Global().ForgetUnsyncedEntries(dir);
+  }
+  return status;
 }
 
 }  // namespace hermes

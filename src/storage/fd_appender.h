@@ -12,10 +12,10 @@ namespace hermes {
 
 /// Append-only file handle backed by a raw POSIX fd.
 ///
-/// This is the durability primitive under the WAL: unlike the
-/// std::ofstream it replaced, Sync() issues a real ::fdatasync/::fsync,
-/// so bytes acknowledged as synced survive power loss, not just process
-/// death. The appender tracks two watermarks:
+/// This is the durability primitive under the WAL and the snapshot
+/// writer: unlike the std::ofstream it replaced, Sync() issues a real
+/// ::fdatasync/::fsync, so bytes acknowledged as synced survive power
+/// loss, not just process death. The appender tracks two watermarks:
 ///
 ///   size()        bytes handed to the OS (write(2) returned),
 ///   synced_size() bytes known forced to stable storage.
@@ -25,7 +25,8 @@ namespace hermes {
 /// (written-but-unsynced) suffix at power-off.
 ///
 /// Not internally synchronized: callers serialize access (the WAL holds
-/// its mutex or the group-commit leader token across every call).
+/// its mutex or the group-commit leader token across every call; a
+/// snapshot's appender is local to one WriteSnapshot call).
 class FdAppender {
  public:
   /// Opens (creating if absent) `path` for appending. The initial
@@ -71,6 +72,24 @@ class FdAppender {
   std::uint64_t size_ = 0;
   std::uint64_t synced_size_ = 0;
 };
+
+/// Reads the whole file at `path` into one buffer, sized once from fstat
+/// and filled by one pread loop. NotFound when the file does not exist.
+[[nodiscard]] Result<std::string> ReadFileBytes(const std::string& path);
+
+/// Renames `from` over `to`, replacing it atomically. The new directory
+/// entry survives power loss only once SyncParentDirectory(to) returns.
+[[nodiscard]] Status ReplaceFile(const std::string& from,
+                                 const std::string& to);
+
+/// Fsyncs the directory that holds `path`, making every create and
+/// rename in it durable. Syncing a file's bytes does not sync its name.
+///
+/// Power-loss model (HERMES_FAILPOINTS only): FdAppender::Open and
+/// ReplaceFile record how to undo each create and replace until this
+/// call syncs its directory, and the `wal.os_buffer.drop` power loss
+/// runs the pending undos (FailpointRegistry::RevertUnsyncedEntries).
+[[nodiscard]] Status SyncParentDirectory(const std::string& path);
 
 }  // namespace hermes
 

@@ -148,8 +148,10 @@ CommitResult CommitBatchIo(FdAppender& file, const std::string& batch) {
       // in the OS buffer cache — fsync never returned, so nothing past
       // the previous synced watermark survives. The crash latch kills the
       // "process"; DropUnsynced truncates the file to what a real disk
-      // would have kept.
+      // would have kept, and every create or rename whose directory was
+      // never fsynced is undone.
       HERMES_FAILPOINT_LATCH_CRASH("wal.os_buffer.drop");
+      FailpointRegistry::Global().RevertUnsyncedEntries();
       if (Status st = file.DropUnsynced(); !st.ok()) {
         return {CommitOutcome::kPoison, st};
       }
@@ -239,6 +241,8 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path,
     }
   }
   HERMES_ASSIGN_OR_RETURN(FdAppender file, FdAppender::Open(path));
+  // A synced append is durable only if the log's own name is too.
+  HERMES_RETURN_NOT_OK(SyncParentDirectory(path));
   return WriteAheadLog(path, std::move(file), next_lsn, options);
 }
 

@@ -28,8 +28,6 @@
 #include "graph/graph.h"
 #include "partition/assignment.h"
 #include "storage/id_generator.h"
-#include "storage/page_cache.h"
-#include "storage/paged_file.h"
 #include "storage/wal.h"
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
@@ -103,92 +101,6 @@ TEST(ConcurrencyStressTest, ThreadPoolConcurrentSubmittersAndWaiters) {
   for (auto& t : submitters) t.join();
   pool.Wait();
   EXPECT_EQ(done.load(), 400);
-}
-
-// --- PageCache -------------------------------------------------------------
-
-// Concurrent readers/writers over a cache smaller than the working set:
-// every miss forces an eviction while other threads hold pins. Each thread
-// owns one byte offset per page, so page content is a per-thread op
-// counter and write-back must never lose an update.
-TEST(ConcurrencyStressTest, PageCacheConcurrentReadersWritersWithEviction) {
-  auto file = PagedFile::Open(TempFile("cc_cache.pg"));
-  ASSERT_OK(file);
-  constexpr int kThreads = 4;
-  constexpr int kPages = 12;
-  constexpr int kOpsPerThread = 300;
-  PageCache cache(&*file, /*capacity_pages=*/5);
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::uint64_t page_no =
-            static_cast<std::uint64_t>((i * 7 + t * 3) % kPages);
-        auto page = cache.Pin(page_no);
-        ASSERT_OK(page);
-        ++(*page)->bytes[static_cast<std::size_t>(t)];
-        cache.Unpin(page_no, /*dirty=*/true);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_OK(cache.FlushAll());
-  EXPECT_GE(cache.stats().evictions, 1u);  // the working set overflowed
-
-  // Per-page expected counts: thread t touched page p once per i with
-  // (i*7 + t*3) % kPages == p.
-  for (int p = 0; p < kPages; ++p) {
-    Page on_disk;
-    ASSERT_OK(file->ReadPage(static_cast<std::uint64_t>(p), &on_disk));
-    for (int t = 0; t < kThreads; ++t) {
-      int expected = 0;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        if ((i * 7 + t * 3) % kPages == p) ++expected;
-      }
-      EXPECT_EQ(static_cast<int>(on_disk.bytes[static_cast<std::size_t>(t)]),
-                expected % 256)
-          << "page " << p << " thread " << t;
-    }
-  }
-}
-
-// Pinned pages survive eviction pressure: a long-held pin must keep its
-// frame address stable while other threads churn the rest of the cache.
-TEST(ConcurrencyStressTest, PageCachePinnedPageNeverEvicted) {
-  auto file = PagedFile::Open(TempFile("cc_pin.pg"));
-  ASSERT_OK(file);
-  // Capacity leaves room for the long-held pin plus one transient pin per
-  // churner thread (a Pin can only fail when every frame is pinned).
-  PageCache cache(&*file, /*capacity_pages=*/5);
-
-  auto held = cache.Pin(0);
-  ASSERT_OK(held);
-  Page* held_ptr = *held;
-  held_ptr->bytes[0] = 42;
-
-  std::vector<std::thread> churners;
-  for (int t = 0; t < 3; ++t) {
-    churners.emplace_back([&cache, t] {
-      for (int i = 0; i < 200; ++i) {
-        const auto page_no = static_cast<std::uint64_t>(1 + (i + t) % 8);
-        auto page = cache.Pin(page_no);
-        ASSERT_OK(page);
-        cache.Unpin(page_no, /*dirty=*/false);
-      }
-    });
-  }
-  for (auto& t : churners) t.join();
-
-  // The pinned frame was untouched by eviction; re-pinning yields the same
-  // frame with our write still in memory.
-  auto again = cache.Pin(0);
-  ASSERT_OK(again);
-  EXPECT_EQ(*again, held_ptr);
-  EXPECT_EQ((*again)->bytes[0], 42);
-  cache.Unpin(0, /*dirty=*/true);
-  cache.Unpin(0, /*dirty=*/false);
-  ASSERT_OK(cache.FlushAll());
 }
 
 // --- LockManager -----------------------------------------------------------
@@ -683,60 +595,6 @@ TEST(ConcurrencyStressTest, DurableStoreDurableMutationsSurviveReopen) {
   EXPECT_EQ((*recovered)->store().NumNodes(),
             static_cast<std::size_t>(kThreads * kNodesPerThread));
   std::filesystem::remove_all(dir);
-}
-
-// --- PageCache (sharded) ---------------------------------------------------
-
-// A capacity of 64 auto-selects 8 shards; hammer all of them with misses,
-// hits, evictions, and a thundering herd on single cold pages so the
-// busy-frame placeholder protocol (one load per page, everyone else
-// waits) is exercised under TSan.
-TEST(ConcurrencyStressTest, ShardedPageCacheKeepsPagesConsistent) {
-  auto file = PagedFile::Open(TempFile("cc_sharded.pg"));
-  ASSERT_OK(file);
-  PageCache cache(&*file, /*capacity_pages=*/64);
-  EXPECT_EQ(cache.num_shards(), 8u);
-  constexpr int kThreads = 4;
-  constexpr int kPages = 96;  // > capacity: constant eviction traffic
-  constexpr int kOpsPerThread = 400;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        // Every 7th op all threads converge on the same page so several
-        // pinners race one miss load.
-        const std::uint64_t page_no =
-            (i % 7 == 0) ? static_cast<std::uint64_t>(i % kPages)
-                         : static_cast<std::uint64_t>((i * 11 + t * 5) %
-                                                      kPages);
-        auto page = cache.Pin(page_no);
-        ASSERT_OK(page);
-        ++(*page)->bytes[static_cast<std::size_t>(t)];
-        cache.Unpin(page_no, /*dirty=*/true);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  ASSERT_OK(cache.FlushAll());
-  EXPECT_GE(cache.stats().evictions, 1u);
-
-  // Per-thread byte lanes: no increment may be lost to a racy load or
-  // write-back.
-  for (int p = 0; p < kPages; ++p) {
-    Page on_disk;
-    ASSERT_OK(file->ReadPage(static_cast<std::uint64_t>(p), &on_disk));
-    for (int t = 0; t < kThreads; ++t) {
-      int expected = 0;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const int page_no = (i % 7 == 0) ? i % kPages : (i * 11 + t * 5) % kPages;
-        if (page_no == p) ++expected;
-      }
-      EXPECT_EQ(static_cast<int>(on_disk.bytes[static_cast<std::size_t>(t)]),
-                expected % 256)
-          << "page " << p << " thread " << t;
-    }
-  }
 }
 
 // --- IdGenerator -----------------------------------------------------------

@@ -34,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include "canonical_state.h"
 #include "test_util.h"
 
 #include "cluster/hermes_cluster.h"
@@ -48,6 +49,10 @@
 
 namespace hermes {
 namespace {
+
+using test::CanonicalState;
+using test::Canonicalize;
+using test::DiffStates;
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -171,91 +176,6 @@ Op GenerateOp(Rng* rng, int step) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical state: record-id- and chain-order-insensitive image of a
-// GraphStore (property chains prepend, so dump order is not stable
-// across a snapshot round-trip).
-
-using Props = std::vector<std::pair<std::uint32_t, std::string>>;
-using CanonicalNodes =
-    std::map<VertexId, std::tuple<double, int, Props>>;
-// The chain-linkage bits matter: a half record left by RemoveNode and a
-// full edge look identical by endpoints alone but answer Neighbors()
-// differently on the unlinked side.
-using CanonicalRels =
-    std::map<std::pair<VertexId, VertexId>,
-             std::tuple<std::uint32_t, bool, bool, bool, Props>>;
-using CanonicalState = std::pair<CanonicalNodes, CanonicalRels>;
-
-CanonicalState Canonicalize(const GraphStore& store) {
-  CanonicalState out;
-  for (const auto& n : store.DumpNodes()) {
-    Props props = n.properties;
-    std::sort(props.begin(), props.end());
-    out.first[n.id] = {n.weight, static_cast<int>(n.state),
-                       std::move(props)};
-  }
-  for (const auto& r : store.DumpRelationships()) {
-    Props props = r.properties;
-    std::sort(props.begin(), props.end());
-    out.second[{r.src, r.dst}] = {r.type, r.ghost, r.src_linked,
-                                  r.dst_linked, std::move(props)};
-  }
-  return out;
-}
-
-// Human-readable difference between two canonical states, for failure
-// messages (empty when equal).
-std::string DiffStates(const CanonicalState& got, const CanonicalState& want) {
-  std::ostringstream out;
-  auto props_str = [](const Props& props) {
-    std::string s = "{";
-    for (const auto& [k, v] : props) {
-      s += std::to_string(k) + ":" + v + ",";
-    }
-    return s + "}";
-  };
-  for (const auto& [id, node] : want.first) {
-    if (!got.first.count(id)) {
-      out << "missing node " << id << "\n";
-    } else if (got.first.at(id) != node) {
-      const auto& g = got.first.at(id);
-      out << "node " << id << ": got (w=" << std::get<0>(g)
-          << ",s=" << std::get<1>(g) << ",p=" << props_str(std::get<2>(g))
-          << ") want (w=" << std::get<0>(node) << ",s=" << std::get<1>(node)
-          << ",p=" << props_str(std::get<2>(node)) << ")\n";
-    }
-  }
-  for (const auto& [id, node] : got.first) {
-    (void)node;
-    if (!want.first.count(id)) out << "extra node " << id << "\n";
-  }
-  auto rel_str = [&](const std::tuple<std::uint32_t, bool, bool, bool,
-                                      Props>& r) {
-    std::ostringstream s;
-    s << "(t=" << std::get<0>(r) << ",ghost=" << std::get<1>(r)
-      << ",src_linked=" << std::get<2>(r) << ",dst_linked=" << std::get<3>(r)
-      << ",p=" << props_str(std::get<4>(r)) << ")";
-    return s.str();
-  };
-  for (const auto& [key, rel] : want.second) {
-    if (!got.second.count(key)) {
-      out << "missing rel {" << key.first << "," << key.second << "} "
-          << rel_str(rel) << "\n";
-    } else if (got.second.at(key) != rel) {
-      out << "rel {" << key.first << "," << key.second << "}: got "
-          << rel_str(got.second.at(key)) << " want " << rel_str(rel) << "\n";
-    }
-  }
-  for (const auto& [key, rel] : got.second) {
-    if (!want.second.count(key)) {
-      out << "extra rel {" << key.first << "," << key.second << "} "
-          << rel_str(rel) << "\n";
-    }
-  }
-  return out.str();
-}
-
-// ---------------------------------------------------------------------------
 // Failpoint schedules.
 
 struct ArmedPoint {
@@ -290,8 +210,8 @@ std::string DescribeSchedule(const std::vector<ArmedPoint>& schedule) {
 constexpr const char* kCrashSites[] = {
     "wal.append.crash",
     "wal.append.short_write",
-    "wal.os_buffer.drop",  // power loss drops un-fsynced OS buffers
-    "paged_file.write.short_write",
+    "wal.os_buffer.drop",  // power loss: un-fsynced bytes and entries
+    "snapshot.write.short_write",
     "durable_store.checkpoint.crash",
     "durable_store.checkpoint.after_snapshot.crash",
     "durable_store.checkpoint.before_reset.crash",
@@ -300,8 +220,8 @@ constexpr const char* kCrashSites[] = {
 constexpr const char* kTransientSites[] = {
     "wal.append.io_error",   "wal.sync.io_error",
     "wal.flush.io_error",
-    "paged_file.read.io_error", "paged_file.write.io_error",
-    "paged_file.sync.io_error",
+    "snapshot.read.io_error", "snapshot.write.io_error",
+    "snapshot.sync.io_error",
 };
 
 std::vector<ArmedPoint> ArmRandomSchedule(Rng* rng) {
@@ -310,10 +230,11 @@ std::vector<ArmedPoint> ArmRandomSchedule(Rng* rng) {
   ArmedPoint crash;
   crash.name = kCrashSites[rng->Uniform(std::size(kCrashSites))];
   crash.config.policy = FailpointConfig::Policy::kNthHit;
-  // Checkpoint-path sites are evaluated a handful of times per round;
-  // WAL/paged-file sites on nearly every op.
-  const bool checkpoint_site =
-      crash.name.rfind("durable_store.", 0) == 0;
+  // Checkpoint-path sites (the snapshot's included) are evaluated once
+  // per checkpoint, a handful of times per round; WAL sites on nearly
+  // every op.
+  const bool checkpoint_site = crash.name.rfind("durable_store.", 0) == 0 ||
+                               crash.name.rfind("snapshot.", 0) == 0;
   crash.config.n = 1 + rng->Uniform(checkpoint_site ? 3 : 80);
   if (crash.name.find("short_write") != std::string::npos) {
     crash.config.arg = 1 + rng->Uniform(40);  // torn-frame prefix bytes
@@ -712,7 +633,7 @@ TEST_F(FailpointTest, RecoveryReadErrorFailsCleanly) {
   FailpointConfig cfg;
   cfg.policy = FailpointConfig::Policy::kNthHit;
   cfg.n = 1;
-  FailpointRegistry::Global().Arm("paged_file.read.io_error", cfg);
+  FailpointRegistry::Global().Arm("snapshot.read.io_error", cfg);
   auto failed = DurableGraphStore::Open(0, dir);
   EXPECT_FALSE(failed.ok());  // surfaced, not swallowed or crashed
 
@@ -720,6 +641,142 @@ TEST_F(FailpointTest, RecoveryReadErrorFailsCleanly) {
   auto recovered = DurableGraphStore::Open(0, dir);
   ASSERT_OK(recovered);
   EXPECT_TRUE(recovered->get()->store().NodeExists(1));
+}
+
+// Directory-entry durability: a create or rename is on disk only once its
+// directory is fsynced, and the `wal.os_buffer.drop` power loss undoes
+// every entry that was not.
+
+void ArmPowerLossOnNextCommit() {
+  FailpointConfig cfg;
+  cfg.policy = FailpointConfig::Policy::kNthHit;
+  cfg.n = 1;
+  FailpointRegistry::Global().Arm("wal.os_buffer.drop", cfg);
+}
+
+TEST_F(FailpointTest, CheckpointRenameSurvivesPowerLoss) {
+  const std::string dir = FreshDir("torture_rename_power_loss");
+  {
+    auto db = DurableGraphStore::Open(0, dir);
+    ASSERT_OK(db);
+    ASSERT_OK(db->get()->CreateNode(1, 1.0));
+    ASSERT_OK(db->get()->Checkpoint());
+  }
+  // A clean restart: whatever the first process left is on disk.
+  FailpointRegistry::Global().Reset();
+  {
+    DurableGraphStore::Options options;
+    options.durable_mutations = true;
+    auto db = DurableGraphStore::Open(0, dir, options);
+    ASSERT_OK(db);
+    ASSERT_OK(db->get()->CreateNode(2, 1.0));
+    ASSERT_OK(db->get()->AddEdge(1, 2, 0, true));
+    // Renames the new snapshot over the old one, then truncates the log.
+    ASSERT_OK(db->get()->Checkpoint());
+    ArmPowerLossOnNextCommit();
+    EXPECT_TRUE(db->get()->CreateNode(3, 1.0).IsIOError());
+    EXPECT_TRUE(FailpointRegistry::Global().crashed());
+  }
+  FailpointRegistry::Global().Reset();
+  auto reopened = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(reopened);
+  // Without the directory fsync the old snapshot comes back next to the
+  // truncated log, and node 2 and the edge are gone.
+  const GraphStore& store = reopened->get()->store();
+  EXPECT_TRUE(store.NodeExists(1));
+  EXPECT_TRUE(store.NodeExists(2));
+  EXPECT_OK(store.FindEdge(1, 2));
+  EXPECT_FALSE(store.NodeExists(3));
+}
+
+TEST_F(FailpointTest, FreshLogSurvivesPowerLoss) {
+  const std::string dir = FreshDir("torture_fresh_log_power_loss");
+  {
+    DurableGraphStore::Options options;
+    options.durable_mutations = true;
+    auto db = DurableGraphStore::Open(0, dir, options);
+    ASSERT_OK(db);
+    ASSERT_OK(db->get()->CreateNode(1, 1.0));  // returns => fsynced
+    ArmPowerLossOnNextCommit();
+    EXPECT_TRUE(db->get()->CreateNode(2, 1.0).IsIOError());
+  }
+  FailpointRegistry::Global().Reset();
+  auto reopened = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(reopened);
+  // Without the directory fsync the log's own name is lost with node 1.
+  EXPECT_TRUE(reopened->get()->store().NodeExists(1));
+  EXPECT_FALSE(reopened->get()->store().NodeExists(2));
+}
+
+// One deterministic case per snapshot failpoint; the sweep reaches them
+// only by chance.
+
+TEST_F(FailpointTest, TornSnapshotWriteKeepsPreviousSnapshot) {
+  const std::string dir = FreshDir("torture_torn_snapshot");
+  {
+    auto db = DurableGraphStore::Open(0, dir);
+    ASSERT_OK(db);
+    ASSERT_OK(db->get()->CreateNode(1, 1.0));
+    ASSERT_OK(db->get()->Checkpoint());
+    ASSERT_OK(db->get()->CreateNode(2, 2.0));
+    ASSERT_OK(db->get()->AddNodeWeight(1, 0.5));
+    ASSERT_OK(db->get()->Sync());
+
+    FailpointConfig cfg;
+    cfg.policy = FailpointConfig::Policy::kNthHit;
+    cfg.n = 1;
+    cfg.arg = 20;  // the tear ends inside the header
+    FailpointRegistry::Global().Arm("snapshot.write.short_write", cfg);
+    EXPECT_TRUE(db->get()->Checkpoint().IsIOError());
+    EXPECT_TRUE(FailpointRegistry::Global().crashed());
+  }
+  EXPECT_EQ(std::filesystem::file_size(dir + "/snapshot.bin.tmp"), 20u);
+  FailpointRegistry::Global().Reset();
+  auto reopened = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(reopened);
+  const GraphStore& store = reopened->get()->store();
+  EXPECT_DOUBLE_EQ(*store.NodeWeight(1), 1.5);
+  EXPECT_DOUBLE_EQ(*store.NodeWeight(2), 2.0);
+}
+
+// A transient snapshot failure fails the checkpoint before the log is
+// touched; the store keeps taking writes and the next checkpoint works.
+void ExpectSnapshotErrorLeavesLogIntact(const char* site) {
+  SCOPED_TRACE(site);
+  const std::string dir = FreshDir(std::string("torture_") + site);
+  {
+    auto db = DurableGraphStore::Open(0, dir);
+    ASSERT_OK(db);
+    ASSERT_OK(db->get()->CreateNode(1, 1.0));
+    ASSERT_OK(db->get()->CreateNode(2, 1.0));
+    ASSERT_OK(db->get()->Sync());
+
+    FailpointConfig cfg;
+    cfg.policy = FailpointConfig::Policy::kNthHit;
+    cfg.n = 1;
+    FailpointRegistry::Global().Arm(site, cfg);
+    EXPECT_TRUE(db->get()->Checkpoint().IsIOError());
+    EXPECT_FALSE(FailpointRegistry::Global().crashed());
+    EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot.bin"));
+    auto log = WriteAheadLog::ReadAll(dir + "/wal.log", false);
+    ASSERT_OK(log);
+    EXPECT_EQ(log->size(), 2u);  // no checkpoint marker, no truncation
+
+    ASSERT_OK(db->get()->CreateNode(3, 1.0));
+    ASSERT_OK(db->get()->Checkpoint());
+  }
+  FailpointRegistry::Global().Reset();
+  auto reopened = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(reopened);
+  EXPECT_EQ(reopened->get()->store().NumNodes(), 3u);
+}
+
+TEST_F(FailpointTest, SnapshotWriteErrorLeavesLogIntact) {
+  ExpectSnapshotErrorLeavesLogIntact("snapshot.write.io_error");
+}
+
+TEST_F(FailpointTest, SnapshotSyncErrorLeavesLogIntact) {
+  ExpectSnapshotErrorLeavesLogIntact("snapshot.sync.io_error");
 }
 
 // ---------------------------------------------------------------------------

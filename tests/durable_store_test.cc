@@ -1,15 +1,21 @@
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "canonical_state.h"
 #include "test_util.h"
 
 #include "graphdb/durable_store.h"
 
 namespace hermes {
 namespace {
+
+using test::Canonicalize;
+using test::DiffStates;
 
 std::string FreshDir(const char* name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -309,6 +315,113 @@ TEST(DurableStoreTest, RepeatedCheckpointsStayConsistent) {
   EXPECT_EQ((*reopened)->store().NumNodes(), 50u);
   EXPECT_EQ((*reopened)->store().NumRelationships(), 49u);
   EXPECT_TRUE((*reopened)->store().CheckChains());
+}
+
+// --- Snapshot integrity --------------------------------------------------
+//
+// Layout (durable_store.cc): a 32-byte header, then the node count (u64)
+// and the first node's id (u64) and weight (f64) at bytes 48..55.
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Writes a one-node snapshot as `dir`/snapshot.bin and returns its bytes.
+std::string WriteOneNodeSnapshot(const std::string& dir) {
+  GraphStore store(0);
+  EXPECT_OK(store.CreateNode(7, 2.0));
+  EXPECT_OK(DurableGraphStore::WriteSnapshot(store, dir + "/snapshot.bin"));
+  return ReadBytes(dir + "/snapshot.bin");
+}
+
+void ExpectSnapshotRejected(const std::string& dir) {
+  GraphStore restored(0);
+  const Status load =
+      DurableGraphStore::LoadSnapshot(dir + "/snapshot.bin", &restored);
+  EXPECT_TRUE(load.IsIOError()) << load.ToString();
+  auto db = DurableGraphStore::Open(0, dir);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsIOError()) << db.status().ToString();
+}
+
+TEST(DurableStoreTest, SnapshotChecksumCatchesFlippedWeightByte) {
+  const std::string dir = FreshDir("hermes_snapshot_flip");
+  std::string bytes = WriteOneNodeSnapshot(dir);
+  ASSERT_GT(bytes.size(), 56u);
+  bytes[54] ^= 0x01;  // without the CRC, 2.0 loads as 2.125
+  WriteBytes(dir + "/snapshot.bin", bytes);
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, SnapshotCutShortIsRejected) {
+  const std::string dir = FreshDir("hermes_snapshot_short");
+  const std::string bytes = WriteOneNodeSnapshot(dir);
+  WriteBytes(dir + "/snapshot.bin", bytes.substr(0, bytes.size() - 3));
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, SnapshotBodyLongerThanHeaderIsRejected) {
+  const std::string dir = FreshDir("hermes_snapshot_long");
+  const std::string bytes = WriteOneNodeSnapshot(dir);
+  WriteBytes(dir + "/snapshot.bin", bytes + std::string(8, '\0'));
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, PreviousSnapshotVersionIsRejected) {
+  const std::string dir = FreshDir("hermes_snapshot_v3");
+  std::string bytes = WriteOneNodeSnapshot(dir);
+  bytes[0] = '3';  // the magic's low byte is the '4' of "HERMES04"
+  WriteBytes(dir + "/snapshot.bin", bytes);
+  ExpectSnapshotRejected(dir);
+}
+
+// Larger than the 64-page (512 KiB) cache the snapshot used to go
+// through, with every record shape the format distinguishes.
+TEST(DurableStoreTest, LargeSnapshotRoundTripsExactly) {
+  const std::string dir = FreshDir("hermes_snapshot_large");
+  constexpr VertexId kBase = 1000;  // remote ids below ghost, above real
+  constexpr VertexId kNodes = 2000;
+  auto db = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(db);
+  for (VertexId v = kBase; v < kBase + kNodes; ++v) {
+    ASSERT_OK((*db)->CreateNode(v, 1.0 + static_cast<double>(v % 7) / 4));
+    ASSERT_OK((*db)->SetNodeProperty(v, 0, std::string(200, 'a' + v % 26)));
+  }
+  for (VertexId v = kBase; v < kBase + kNodes; ++v) {
+    const VertexId next = kBase + (v - kBase + 1) % kNodes;
+    ASSERT_OK((*db)->AddEdge(v, next, 1, /*other_is_local=*/true));
+    ASSERT_OK((*db)->SetEdgeProperty(v, next, 2, "since-" + std::to_string(v)));
+    ASSERT_OK((*db)->AddEdge(v, 100000 + v, 3, /*other_is_local=*/false));
+    ASSERT_OK((*db)->AddEdge(v, v % kBase, 4, /*other_is_local=*/false));
+  }
+  // Removing a node leaves half records in its neighbours' chains.
+  ASSERT_OK((*db)->RemoveNode(kBase + 10));
+  ASSERT_OK((*db)->SetNodeState(kBase + 20, NodeState::kUnavailable));
+  const GraphStore& before = (*db)->store();
+  EXPECT_FALSE(*before.EdgeIsGhost(kBase + 5, 100000 + kBase + 5));
+  EXPECT_TRUE(*before.EdgeIsGhost(kBase + 5, 5));
+  const auto want = Canonicalize(before);
+  ASSERT_OK((*db)->Checkpoint());
+  db->reset();
+
+  EXPECT_GT(std::filesystem::file_size(dir + "/snapshot.bin"), 512u << 10);
+  auto log = WriteAheadLog::ReadAll(dir + "/wal.log", false);
+  ASSERT_OK(log);
+  EXPECT_TRUE(log->empty());  // the state below comes from the snapshot
+  auto reopened = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(reopened);
+  const GraphStore& after = (*reopened)->store();
+  EXPECT_TRUE(after.CheckChains());
+  EXPECT_FALSE(after.HasNode(kBase + 20));
+  EXPECT_TRUE(after.NodeExists(kBase + 20));
+  const auto got = Canonicalize(after);
+  EXPECT_TRUE(got == want) << DiffStates(got, want);
 }
 
 }  // namespace

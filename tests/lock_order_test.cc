@@ -33,9 +33,9 @@ namespace {
 using std::chrono::milliseconds;
 
 TEST(LockOrderTest, MutexCarriesNameAndRank) {
-  Mutex mu("test.named.mu", lock_order::kRankPagedFile);
+  Mutex mu("test.named.mu", lock_order::kRankWal);
   EXPECT_STREQ(mu.name(), "test.named.mu");
-  EXPECT_EQ(mu.rank(), lock_order::kRankPagedFile);
+  EXPECT_EQ(mu.rank(), lock_order::kRankWal);
 
   Mutex plain;
   EXPECT_STREQ(plain.name(), "<unranked>");

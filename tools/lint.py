@@ -46,8 +46,8 @@ Checks (all over `src/`, the shipped library code):
      ``std::ofstream`` / ``std::fstream`` are banned there because
      ostream flushes reach the OS page cache, not the disk — a
      "durable" path built on them silently cannot fsync. Writes go
-     through storage/fd_appender.h (or raw pwrite as in PagedFile);
-     read-only ``std::ifstream`` (e.g. the WAL scanner) stays allowed.
+     through storage/fd_appender.h; read-only ``std::ifstream`` (e.g.
+     the WAL scanner) stays allowed.
   10. idempotency-token discipline: outside src/net/, no code may mint
      or increment a ``request_id`` — the id is the mutation's
      idempotency token and a caller-side retry loop with fresh ids
