@@ -95,12 +95,18 @@ void BM_AuxDataEdgeUpdate(benchmark::State& state) {
 BENCHMARK(BM_AuxDataEdgeUpdate);
 
 void BM_BPTreeInsertSequential(benchmark::State& state) {
+  constexpr std::uint64_t kEntries = 10000;
   for (auto _ : state) {
     BPlusTree<std::uint64_t, std::uint64_t> tree;
-    for (std::uint64_t i = 0; i < 10000; ++i) tree.Insert(i, i);
+    for (std::uint64_t i = 0; i < kEntries; ++i) tree.Insert(i, i);
     benchmark::DoNotOptimize(tree.size());
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  state.SetItemsProcessed(state.iterations() * kEntries);
+  // Heap per 16-byte entry: sequential appends should fill their leaves.
+  BPlusTree<std::uint64_t, std::uint64_t> tree;
+  for (std::uint64_t i = 0; i < kEntries; ++i) tree.Insert(i, i);
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(tree.AllocatedBytes()) / kEntries;
 }
 BENCHMARK(BM_BPTreeInsertSequential);
 
@@ -133,6 +139,26 @@ void BM_GraphStoreNeighbors(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphStoreNeighbors);
+
+// One hub gaining N local edges. Every AddEdge first looks the pair up in
+// the hub's chain, so items/s stays flat in N only when that lookup does
+// not walk the chain.
+void BM_GraphStoreAddEdgeHub(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    GraphStore store(0);
+    for (VertexId v = 0; v <= n; ++v) HERMES_CHECK_OK(store.CreateNode(v));
+    state.ResumeTiming();
+    for (VertexId v = 1; v <= n; ++v) {
+      HERMES_CHECK_OK(store.AddEdge(0, v, 0, /*other_is_local=*/true).status());
+    }
+    benchmark::DoNotOptimize(store.NumRelationships());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GraphStoreAddEdgeHub)->Arg(1000)->Arg(10000);
 
 void BM_WalAppend(benchmark::State& state) {
   const std::string path = "/tmp/hermes_bench_wal.log";

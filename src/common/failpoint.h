@@ -110,8 +110,9 @@ class FailpointRegistry {
   std::uint64_t FiredCount(const std::string& name) const EXCLUDES(mu_);
 
   /// Power-loss model for directory entries (DESIGN.md §9). The storage
-  /// layer records how to undo each file it creates and each rename
-  /// target it replaces in `dir`, until an fsync of `dir` forgets them.
+  /// layer records how to undo each file or directory it creates and
+  /// each rename target it replaces in `dir`, until an fsync of `dir`
+  /// forgets them.
   /// The `wal.os_buffer.drop` power loss reverts every pending entry,
   /// newest first. A plain crash reverts nothing, and Reset() forgets
   /// them: the restart it models is the process's, not the machine's.

@@ -1,7 +1,6 @@
 #include "graphdb/graph_store.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.h"
 
@@ -64,6 +63,7 @@ void GraphStore::LinkIntoChain(VertexId node, RecordId rel_id,
                                RelationshipRecord* rec) {
   NodeRecord* n = nodes_.GetMutable(node);
   HERMES_CHECK(n != nullptr && n->in_use);
+  HERMES_CHECK(links_.Insert({node, rec->OtherEnd(node)}, rel_id));
   const RecordId old_head = n->first_rel;
   NextLink(rec, node) = old_head;
   PrevLink(rec, node) = kInvalidRecord;
@@ -77,6 +77,7 @@ void GraphStore::LinkIntoChain(VertexId node, RecordId rel_id,
 
 void GraphStore::UnlinkFromChain(VertexId node, RecordId rel_id,
                                  RelationshipRecord* rec) {
+  HERMES_CHECK(links_.Erase({node, rec->OtherEnd(node)}));
   const RecordId prev = PrevLink(rec, node);
   const RecordId next = NextLink(rec, node);
   if (prev != kInvalidRecord) {
@@ -209,16 +210,10 @@ Result<std::size_t> GraphStore::DegreeOf(VertexId v) const {
 }
 
 Result<RecordId> GraphStore::FindEdge(VertexId v, VertexId other) const {
-  const NodeRecord* n = nodes_.GetPtr(v);
-  if (n == nullptr || !n->in_use) return Status::NotFound("no such node");
-  RecordId id = n->first_rel;
-  while (id != kInvalidRecord) {
-    const RelationshipRecord* rec = rels_.GetPtr(id);
-    HERMES_CHECK(rec != nullptr);
-    if (rec->OtherEnd(v) == other) return id;
-    id = GetNext(*rec, v);
-  }
-  return Status::NotFound("edge not in chain");
+  if (!NodeExists(v)) return Status::NotFound("no such node");
+  const RecordId* id = links_.Find({v, other});
+  if (id == nullptr) return Status::NotFound("edge not in chain");
+  return *id;
 }
 
 Result<bool> GraphStore::EdgeIsGhost(VertexId v, VertexId other) const {
@@ -420,11 +415,12 @@ std::size_t GraphStore::NumGhostRelationships() const {
 
 std::size_t GraphStore::MemoryBytes() const {
   return nodes_.MemoryBytes() + rels_.MemoryBytes() + props_.MemoryBytes() +
-         dynamic_.MemoryBytes();
+         dynamic_.MemoryBytes() + links_.AllocatedBytes();
 }
 
 bool GraphStore::CheckChains() const {
   bool ok = true;
+  std::size_t links = 0;
   nodes_.ForEach([&](RecordId node_id, const NodeRecord& n) {
     if (!n.in_use) return true;
     const auto v = static_cast<VertexId>(node_id);
@@ -438,10 +434,12 @@ bool GraphStore::CheckChains() const {
         return false;
       }
       const RecordId prev = rec->src == v ? rec->src_prev : rec->dst_prev;
-      if (prev != expected_prev) {
+      const RecordId* indexed = links_.Find({v, rec->OtherEnd(v)});
+      if (prev != expected_prev || indexed == nullptr || *indexed != id) {
         ok = false;
         return false;
       }
+      ++links;
       expected_prev = id;
       id = GetNext(*rec, v);
       if (++steps > rels_.size() + 1) {  // cycle guard
@@ -451,7 +449,7 @@ bool GraphStore::CheckChains() const {
     }
     return true;
   });
-  return ok;
+  return ok && links == links_.size();
 }
 
 std::vector<GraphStore::NodeDump> GraphStore::DumpNodes() const {
@@ -472,26 +470,17 @@ std::vector<GraphStore::RelationshipDump> GraphStore::DumpRelationships()
   // Chain membership per endpoint: a record can sit in one chain (half
   // record) or both (full record), and src/dst ids alone cannot tell —
   // a removed-then-recreated node leaves its old half records behind.
-  std::set<std::pair<VertexId, RecordId>> linked;
-  nodes_.ForEach([&](RecordId node_id, const NodeRecord& n) {
-    if (!n.in_use) return true;
-    const auto v = static_cast<VertexId>(node_id);
-    for (RecordId id = n.first_rel; id != kInvalidRecord;) {
-      const RelationshipRecord* rec = rels_.GetPtr(id);
-      HERMES_CHECK(rec != nullptr);
-      linked.emplace(v, id);
-      id = GetNext(*rec, v);
-    }
-    return true;
-  });
-
+  auto linked = [this](VertexId owner, VertexId other, RecordId id) {
+    const RecordId* indexed = links_.Find({owner, other});
+    return indexed != nullptr && *indexed == id;
+  };
   std::vector<RelationshipDump> out;
   out.reserve(rels_.size());
   rels_.ForEach([&](RecordId id, const RelationshipRecord& r) {
     if (r.in_use) {
       out.push_back(RelationshipDump{r.src, r.dst, r.type, r.ghost,
-                                     linked.count({r.src, id}) != 0,
-                                     linked.count({r.dst, id}) != 0,
+                                     linked(r.src, r.dst, id),
+                                     linked(r.dst, r.src, id),
                                      DumpPropertyChain(r.first_prop)});
     }
     return true;

@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "graphdb/node_snapshot.h"
+#include "storage/bptree.h"
 #include "storage/dynamic_store.h"
 #include "storage/id_generator.h"
 #include "storage/record_store.h"
@@ -80,7 +82,8 @@ class GraphStore {
 
   [[nodiscard]] Result<std::size_t> DegreeOf(VertexId v) const;
 
-  /// Record id of the edge {v, other} seen from v's chain.
+  /// Record id of the edge {v, other} linked into v's chain: one lookup
+  /// in the link index.
   [[nodiscard]] Result<RecordId> FindEdge(VertexId v, VertexId other) const;
 
   /// Whether the local copy of edge {v, other} is a ghost (no properties).
@@ -121,8 +124,8 @@ class GraphStore {
   std::size_t NumGhostRelationships() const;
   std::size_t MemoryBytes() const;
 
-  /// Validates chain integrity (prev/next symmetry, chain membership);
-  /// used by tests.
+  /// Validates chain integrity (prev/next symmetry, chain membership) and
+  /// that the link index holds exactly the chains' links; used by tests.
   bool CheckChains() const;
 
   /// All local node ids (in id order).
@@ -194,6 +197,12 @@ class GraphStore {
   RecordStore<RelationshipRecord> rels_;
   RecordStore<PropertyRecord> props_;
   DynamicStore dynamic_;
+  /// (chain owner, other end) -> the record linked into the owner's chain,
+  /// one entry per chain link. Only LinkIntoChain and UnlinkFromChain
+  /// change it. AddEdge's duplicate check keeps a chain to one record per
+  /// other end, so the key is unique even when a removed and re-created
+  /// node leaves two records for one endpoint pair, each in one chain.
+  BPlusTree<std::pair<VertexId, VertexId>, RecordId> links_;
   IdGenerator rel_ids_;
   IdGenerator prop_ids_;
 };

@@ -1,13 +1,13 @@
 #include "server/partition_server.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <vector>
 
 #include "common/logging.h"
 #include "graphdb/durable_store.h"
 #include "graphdb/graph_store.h"
 #include "graphdb/node_snapshot.h"
+#include "storage/fd_appender.h"
 #include "storage/records.h"
 
 namespace hermes {
@@ -59,7 +59,7 @@ Result<std::unique_ptr<PartitionServer>> PartitionServer::Open(
     mem_store = std::make_unique<GraphStore>(partition);
     store = mem_store.get();
   } else {
-    std::filesystem::create_directories(options.durability_dir);
+    HERMES_RETURN_NOT_OK(CreateDirectories(options.durability_dir));
     HERMES_ASSIGN_OR_RETURN(
         durable, DurableGraphStore::Open(partition, options.durability_dir));
     store = durable->mutable_store();

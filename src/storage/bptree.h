@@ -14,7 +14,8 @@ namespace hermes {
 /// Hermes replaced Neo4j's offset-based record indexing with a tree-based
 /// (B+Tree) scheme because after sharding and migration record IDs are no
 /// longer densely allocated (Section 4). Every record store is keyed by
-/// this tree.
+/// this tree, and so is each GraphStore's index of relationships by
+/// endpoint pair.
 ///
 /// `Order` is the maximum number of keys per node; nodes split above it and
 /// borrow/merge below Order/2. Leaves form a doubly-linked list for range
@@ -137,6 +138,10 @@ class BPlusTree {
     return h;
   }
 
+  /// Heap bytes the tree holds: every node plus the capacity, not just the
+  /// size, of its key, value and child vectors.
+  std::size_t AllocatedBytes() const { return SubtreeBytes(root_.get()); }
+
   /// Validates all structural invariants; used by the test suite.
   bool CheckInvariants() const {
     std::size_t leaf_depth = 0;
@@ -237,6 +242,10 @@ class BPlusTree {
                          std::make_move_iterator(node->values.end()));
     node->keys.resize(mid);
     node->values.resize(mid);
+    // The left half keeps its node: give back the capacity the right half
+    // took, or an append-only tree leaves every leaf half empty.
+    node->keys.shrink_to_fit();
+    node->values.shrink_to_fit();
     right->next = node->next;
     right->prev = node;
     if (right->next != nullptr) right->next->prev = right.get();
@@ -254,6 +263,8 @@ class BPlusTree {
         std::make_move_iterator(node->children.end()));
     node->keys.resize(mid);
     node->children.resize(mid + 1);
+    node->keys.shrink_to_fit();
+    node->children.shrink_to_fit();
     return {std::move(right), separator};
   }
 
@@ -352,6 +363,15 @@ class BPlusTree {
     }
     parent->keys.erase(parent->keys.begin() + i);
     parent->children.erase(parent->children.begin() + i + 1);
+  }
+
+  static std::size_t SubtreeBytes(const Node* node) {
+    std::size_t bytes =
+        sizeof(Node) + node->keys.capacity() * sizeof(Key) +
+        node->values.capacity() * sizeof(Value) +
+        node->children.capacity() * sizeof(std::unique_ptr<Node>);
+    for (const auto& child : node->children) bytes += SubtreeBytes(child.get());
+    return bytes;
   }
 
   bool CheckNode(const Node* node, std::size_t depth,

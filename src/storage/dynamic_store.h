@@ -31,9 +31,7 @@ class DynamicStore {
   [[nodiscard]] Status Free(RecordId head);
 
   std::size_t num_blocks() const { return blocks_.size(); }
-  std::size_t MemoryBytes() const {
-    return blocks_.size() * (sizeof(Block) + sizeof(RecordId));
-  }
+  std::size_t MemoryBytes() const { return blocks_.AllocatedBytes(); }
 
  private:
   struct Block {

@@ -7,8 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -222,6 +224,33 @@ Status FdAppender::DropUnsynced() {
     FailpointRegistry::Global().ForgetUnsyncedEntries(dir);
   }
   return status;
+}
+
+[[nodiscard]] Status CreateDirectories(const std::string& path) {
+  std::string dir = path;
+  std::vector<std::string> missing;  // innermost first
+  while (::access(dir.c_str(), F_OK) != 0 && errno == ENOENT) {
+    missing.push_back(dir);
+    const std::string parent = ParentDirectory(dir);
+    if (parent == dir) break;
+    dir = parent;
+  }
+  for (auto it = missing.rbegin(); it != missing.rend(); ++it) {
+    const std::string& created = *it;
+    if (::mkdir(created.c_str(), 0755) != 0) {
+      if (errno == EEXIST) continue;  // created meanwhile, not by us
+      return Status::IOError(ErrnoMessage("mkdir failed for", created));
+    }
+    if (kFailpointsEnabled) {
+      FailpointRegistry::Global().RecordUnsyncedEntry(
+          ParentDirectory(created), [created] {
+            std::error_code ignored;
+            std::filesystem::remove_all(created, ignored);
+          });
+    }
+    HERMES_RETURN_NOT_OK(SyncParentDirectory(created));
+  }
+  return Status::OK();
 }
 
 }  // namespace hermes

@@ -85,11 +85,19 @@ class FdAppender {
 /// Fsyncs the directory that holds `path`, making every create and
 /// rename in it durable. Syncing a file's bytes does not sync its name.
 ///
-/// Power-loss model (HERMES_FAILPOINTS only): FdAppender::Open and
-/// ReplaceFile record how to undo each create and replace until this
-/// call syncs its directory, and the `wal.os_buffer.drop` power loss
-/// runs the pending undos (FailpointRegistry::RevertUnsyncedEntries).
+/// Power-loss model (HERMES_FAILPOINTS only): FdAppender::Open,
+/// ReplaceFile and CreateDirectories record how to undo each create and
+/// replace until this call syncs its directory, and the
+/// `wal.os_buffer.drop` power loss runs the pending undos
+/// (FailpointRegistry::RevertUnsyncedEntries).
 [[nodiscard]] Status SyncParentDirectory(const std::string& path);
+
+/// Creates the directory `path` and any missing parents, fsyncing the
+/// parent of each directory it creates, so a fresh directory does not
+/// vanish with its contents after a power loss. Directories that already
+/// exist cost no fsync. In the power-loss model each created directory is
+/// an entry of its parent, and its undo removes the directory's tree.
+[[nodiscard]] Status CreateDirectories(const std::string& path);
 
 }  // namespace hermes
 

@@ -12,9 +12,13 @@ namespace hermes {
 ///
 /// Neo4j relies on contiguous, monotonically increasing IDs so inserts
 /// always append (Section 5.3.3: "insertions in the B+Tree always happen
-/// in the last page"). In a sharded deployment each server must mint
-/// globally unique IDs without coordination, so the top 16 bits carry the
-/// origin partition and the low 48 bits a local monotonic counter.
+/// in the last page"). Appends leave a record store's leaves exactly
+/// sized, because a split's left half gives back its spare capacity. The
+/// GraphStore's index of relationships by endpoint pair does not append:
+/// its keys arrive in any order. In a sharded deployment each server must
+/// mint globally unique IDs without coordination, so the top 16 bits
+/// carry the origin partition and the low 48 bits a local monotonic
+/// counter.
 ///
 /// Thread-safe and lock-free: the local counter is a std::atomic, so
 /// concurrent Next() calls on one generator never mint duplicate ids.

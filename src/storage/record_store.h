@@ -44,10 +44,8 @@ class RecordStore {
 
   std::size_t size() const { return tree_.size(); }
 
-  /// Approximate resident bytes (records + index keys).
-  std::size_t MemoryBytes() const {
-    return tree_.size() * (sizeof(Record) + sizeof(RecordId));
-  }
+  /// Heap bytes of the records and their index.
+  std::size_t MemoryBytes() const { return tree_.AllocatedBytes(); }
 
   /// Iterates records in id order; `fn(id, record)` returning false stops.
   template <typename Fn>

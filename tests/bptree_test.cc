@@ -1,3 +1,4 @@
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -206,6 +207,26 @@ TEST(BPlusTreeTest, MonotonicAppendKeepsRightmostPath) {
   BPlusTree<std::uint64_t, int, 16> tree;
   for (std::uint64_t i = 0; i < 10000; ++i) tree.Insert(i, 0);
   EXPECT_LE(tree.Height(), 6u);
+  EXPECT_TRUE(tree.CheckInvariants());
+}
+
+TEST(BPlusTreeTest, SequentialAppendsFillTheirLeaves) {
+  // Ids arrive in increasing order (Section 5.3.3), so the left half of
+  // every split never grows again. It must give back the capacity its
+  // right half took, or each full leaf holds 32 entries in room for 66.
+  struct Payload {
+    std::array<char, 64> bytes{};
+  };
+  constexpr std::uint64_t kEntries = 10000;
+  BPlusTree<std::uint64_t, Payload, 64> tree;
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(tree.Insert(i, Payload{}));
+  }
+  const double payload =
+      static_cast<double>(kEntries * (sizeof(std::uint64_t) + sizeof(Payload)));
+  const auto allocated = static_cast<double>(tree.AllocatedBytes());
+  EXPECT_GE(allocated, payload);
+  EXPECT_LE(allocated, 1.15 * payload);
   EXPECT_TRUE(tree.CheckInvariants());
 }
 

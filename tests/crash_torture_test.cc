@@ -708,6 +708,34 @@ TEST_F(FailpointTest, FreshLogSurvivesPowerLoss) {
   EXPECT_FALSE(reopened->get()->store().NodeExists(2));
 }
 
+TEST_F(FailpointTest, FreshPartitionDirectorySurvivesPowerLoss) {
+  const std::string dir = FreshDir("torture_partition_dir_power_loss");
+  HermesCluster::Options options;
+  options.durability_dir = dir;
+  VertexId inserted = 0;
+  {
+    HermesCluster::Options dying = options;
+    dying.bus.call_timeout_us = 200'000;  // the crashed server never replies
+    dying.bus.max_attempts = 1;
+    const Graph g(4);
+    HermesCluster cluster(g, HashPartitioner(1).Partition(g, 2), dying);
+    auto vertex = cluster.InsertVertex(1.0);
+    ASSERT_OK(vertex);
+    inserted = *vertex;
+    ASSERT_OK(cluster.Checkpoint());  // every p<i>/ file is synced now
+    ArmPowerLossOnNextCommit();
+    EXPECT_FALSE(cluster.Checkpoint().ok());
+    EXPECT_TRUE(FailpointRegistry::Global().crashed());
+  }
+  FailpointRegistry::Global().Reset();
+  auto recovered = HermesCluster::Recover(2, options);
+  ASSERT_OK(recovered);
+  // Without the fsync of the cluster directory, the power loss takes the
+  // fresh p<i>/ entries with it, synced snapshots and logs included.
+  EXPECT_EQ((*recovered)->graph().NumVertices(), inserted + 1);
+  EXPECT_TRUE((*recovered)->Validate());
+}
+
 // One deterministic case per snapshot failpoint; the sweep reaches them
 // only by chance.
 

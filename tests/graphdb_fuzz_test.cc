@@ -1,22 +1,30 @@
 // Property-based stress test for the GraphStore: a long random sequence
 // of node/edge/property operations (including ghost halves and full
 // records) is mirrored into a trivially correct reference model; store
-// contents and chain invariants must match throughout.
+// contents, edge lookups and chain invariants must match throughout, and
+// a snapshot round trip must reproduce the final state.
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "canonical_state.h"
 #include "test_util.h"
 
 #include "common/rng.h"
+#include "graphdb/durable_store.h"
 #include "graphdb/graph_store.h"
 
 namespace hermes {
 namespace {
+
+constexpr VertexId kLocalSpace = 60;    // ids 0..59 may be local nodes
+constexpr VertexId kRemoteBase = 1000;  // ids >= 1000 are "remote"
+constexpr VertexId kRemoteSpace = 20;
 
 struct Reference {
   // node id -> weight; adjacency as sorted sets.
@@ -29,14 +37,37 @@ struct Reference {
   }
 };
 
+// FindEdge(v, w) and EdgeIsGhost(v, w) for every pair the ops can touch.
+// An edge is in v's chain exactly when the model's adjacency says so. It
+// is full when w is a local node that lists v too; a half record is the
+// ghost when its local end is the higher id.
+void ExpectLookupsMatch(const GraphStore& store, const Reference& ref) {
+  std::vector<VertexId> others;
+  for (VertexId w = 0; w < kLocalSpace; ++w) others.push_back(w);
+  for (VertexId w = 0; w < kRemoteSpace; ++w) others.push_back(kRemoteBase + w);
+  for (VertexId v = 0; v < kLocalSpace; ++v) {
+    const auto adj = ref.adjacency.find(v);
+    for (VertexId w : others) {
+      const bool linked = ref.nodes.count(v) != 0 &&
+                          adj != ref.adjacency.end() && adj->second.count(w);
+      const Result<bool> ghost = store.EdgeIsGhost(v, w);
+      ASSERT_EQ(store.FindEdge(v, w).ok(), linked) << v << "->" << w;
+      ASSERT_EQ(ghost.ok(), linked) << v << "->" << w;
+      if (!linked) continue;
+      const auto back = ref.adjacency.find(w);
+      const bool full = ref.nodes.count(w) != 0 &&
+                        back != ref.adjacency.end() && back->second.count(v);
+      EXPECT_EQ(*ghost, !full && v > w) << v << "->" << w;
+    }
+  }
+}
+
 class GraphStoreFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
   GraphStore store(0);
   Reference ref;
   Rng rng(GetParam());
-  constexpr VertexId kLocalSpace = 60;    // ids 0..59 may be local nodes
-  constexpr VertexId kRemoteBase = 1000;  // ids >= 1000 are "remote"
 
   for (int step = 0; step < 3000; ++step) {
     switch (rng.Uniform(7)) {
@@ -69,7 +100,7 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
       }
       case 2: {  // add half edge to a remote id
         const VertexId a = rng.Uniform(kLocalSpace);
-        const VertexId b = kRemoteBase + rng.Uniform(20);
+        const VertexId b = kRemoteBase + rng.Uniform(kRemoteSpace);
         auto st = store.AddEdge(a, b, 0, /*other_is_local=*/false);
         const bool can = ref.nodes.count(a) && !ref.adjacency[a].count(b);
         if (can) {
@@ -146,11 +177,14 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
 
     if (step % 250 == 0) {
       ASSERT_TRUE(store.CheckChains()) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(store, ref))
+          << "step " << step;
     }
   }
 
   // Final full cross-check.
   ASSERT_TRUE(store.CheckChains());
+  ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(store, ref));
   ASSERT_EQ(store.NumNodes(), ref.nodes.size());
   for (const auto& [v, weight] : ref.nodes) {
     ASSERT_TRUE(store.NodeExists(v));
@@ -173,6 +207,19 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
     auto got = store.GetEdgeProperty(reader, other, 1);
     if (got.ok()) EXPECT_EQ(*got, value);
   }
+
+  // The snapshot rebuilds the chains, and with them the link index.
+  const std::string path = ::testing::TempDir() + "/hermes_fuzz_" +
+                           std::to_string(GetParam()) + ".snap";
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path));
+  GraphStore restored(0);
+  ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored));
+  std::remove(path.c_str());
+  ASSERT_TRUE(restored.CheckChains());
+  EXPECT_EQ(test::DiffStates(test::Canonicalize(restored),
+                             test::Canonicalize(store)),
+            "");
+  ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(restored, ref));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphStoreFuzzTest,

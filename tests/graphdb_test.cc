@@ -1,10 +1,14 @@
 #include <algorithm>
+#include <cstdio>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 
+#include "graphdb/durable_store.h"
 #include "graphdb/graph_store.h"
 
 namespace hermes {
@@ -271,6 +275,53 @@ TEST(GraphStoreTest, RemoveNodeDegradesSharedRecordsToGhostRule) {
   ASSERT_OK(store2.RemoveNode(1));
   EXPECT_TRUE(*store2.EdgeIsGhost(2, 1));
   EXPECT_TRUE(store2.GetEdgeProperty(2, 1, 0).status().IsUnavailable());
+}
+
+// (src, dst, ghost, src_linked, dst_linked) per record, sorted.
+std::vector<std::tuple<VertexId, VertexId, bool, bool, bool>> Linkage(
+    const GraphStore& store) {
+  std::vector<std::tuple<VertexId, VertexId, bool, bool, bool>> out;
+  for (const auto& r : store.DumpRelationships()) {
+    out.emplace_back(r.src, r.dst, r.ghost, r.src_linked, r.dst_linked);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(GraphStoreTest, RecreatedNodeKeepsTwoRecordsForOnePair) {
+  // x is removed while its full record with y degrades to y's half. The
+  // re-created x adds the edge with y as remote, so the pair {x, y} has
+  // two records, each linked into exactly one chain.
+  constexpr VertexId x = 1;
+  constexpr VertexId y = 2;
+  GraphStore store(0);
+  ASSERT_OK(store.CreateNode(x));
+  ASSERT_OK(store.CreateNode(y));
+  ASSERT_OK(store.AddEdge(x, y, 0, /*other_is_local=*/true));
+  ASSERT_OK(store.RemoveNode(x));
+  ASSERT_OK(store.CreateNode(x));
+  ASSERT_OK(store.AddEdge(x, y, 0, /*other_is_local=*/false));
+
+  EXPECT_TRUE(store.CheckChains());
+  ASSERT_OK(store.FindEdge(x, y));
+  ASSERT_OK(store.FindEdge(y, x));
+  EXPECT_NE(*store.FindEdge(x, y), *store.FindEdge(y, x));
+  EXPECT_EQ(SortedNeighbors(store, x), std::vector<VertexId>{y});
+  EXPECT_EQ(SortedNeighbors(store, y), std::vector<VertexId>{x});
+  // y's half is the ghost (y > x); x's new half holds the properties.
+  const std::vector<std::tuple<VertexId, VertexId, bool, bool, bool>> want = {
+      {x, y, false, true, false}, {x, y, true, false, true}};
+  EXPECT_EQ(Linkage(store), want);
+
+  const std::string path = ::testing::TempDir() + "/hermes_recreated.snap";
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path));
+  GraphStore restored(0);
+  ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored));
+  EXPECT_TRUE(restored.CheckChains());
+  EXPECT_EQ(Linkage(restored), want);
+  EXPECT_EQ(SortedNeighbors(restored, x), std::vector<VertexId>{y});
+  EXPECT_EQ(SortedNeighbors(restored, y), std::vector<VertexId>{x});
+  std::remove(path.c_str());
 }
 
 TEST(GraphStoreTest, NodeIdsListsLiveNodes) {
