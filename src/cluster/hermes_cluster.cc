@@ -710,7 +710,7 @@ Status HermesCluster::InsertEdge(VertexId u, VertexId v, std::uint32_t type) {
 }
 
 Result<MigrationStats> HermesCluster::RunLightweightRepartition() {
-  TraceSpan span("cluster.repartition");
+  ScopedTimer timer(m_repartition_us_);
   MutexLock migration(&migration_mu_);
   // audit:allow(blocking, only migration_mu_ — the repartition
   // serialization token, which guards no reader or writer path — is held)
@@ -833,7 +833,7 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
     // the source, whose record answers Unavailable).
     {
       WriterMutexLock dir(&dir_mu_);
-      TraceSpan copy_span("cluster.migration.copy");
+      ScopedTimer copy_timer(m_migration_copy_us_);
       for (VertexId v : chunk) {
         const PartitionId sp = assignment_.PartitionOf(v);
         // Extraction is read-only: a failure here aborts the chunk with
@@ -951,7 +951,7 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
     // and delete the originals.
     {
       WriterMutexLock dir(&dir_mu_);
-      TraceSpan remove_span("cluster.migration.remove");
+      ScopedTimer remove_timer(m_migration_remove_us_);
       for (std::size_t i = 0; i < extracts.size(); ++i) {
         const ExtractReply& snap = extracts[i];
         const PartitionId sp = sources[i];

@@ -371,8 +371,8 @@ class HermesCluster {
   std::unique_ptr<MessageBus> bus_;
   TransactionManager txns_;
 
-  // Observability (process-wide counters, DESIGN.md §7). Initialized here
-  // so every constructor path shares them.
+  // Observability (process-wide counters and histograms, DESIGN.md §7).
+  // Initialized here so every constructor path shares them.
   Counter* const m_reads_ =
       MetricsRegistry::Global().GetCounter("cluster.reads");
   Counter* const m_read_remote_hops_ =
@@ -385,6 +385,12 @@ class HermesCluster {
       MetricsRegistry::Global().GetCounter("cluster.vertices_migrated");
   Counter* const m_migration_bytes_ =
       MetricsRegistry::Global().GetCounter("cluster.migration_bytes_copied");
+  Histogram* const m_repartition_us_ =
+      MetricsRegistry::Global().GetHistogram("cluster.repartition");
+  Histogram* const m_migration_copy_us_ =
+      MetricsRegistry::Global().GetHistogram("cluster.migration.copy");
+  Histogram* const m_migration_remove_us_ =
+      MetricsRegistry::Global().GetHistogram("cluster.migration.remove");
 };
 
 }  // namespace hermes

@@ -15,8 +15,8 @@ FailpointRegistry::Site* FailpointRegistry::GetSite(const std::string& name) {
   if (it == sites_.end()) {
     it = sites_.emplace(name, Site{}).first;
     // First evaluation/arm of this site: register its metrics counters.
-    // GetCounter takes the metrics mutex (rank 70) under mu_ (rank 65),
-    // which the lock-order validator permits.
+    // GetCounter takes the metrics mutex (rank 10210) under mu_ (rank
+    // 10200), which the lock-order validator permits.
     it->second.hits_counter =
         MetricsRegistry::Global().GetCounter("failpoint." + name + ".hits");
     it->second.fired_counter =

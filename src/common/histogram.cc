@@ -1,74 +1,57 @@
 #include "common/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace hermes {
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
-
-std::size_t Histogram::BucketFor(double value) {
-  if (value <= 0.0) return 0;
-  // Quarter-decade log buckets spanning ~1e-8 .. ~1e24.
-  const double idx = (std::log10(value) + 8.0) * 4.0;
-  if (idx < 0.0) return 0;
-  const auto b = static_cast<std::size_t>(idx);
-  return std::min(b, kNumBuckets - 1);
+std::uint64_t Histogram::BucketUpperBound(std::size_t b) {
+  if (b < kSubBuckets) return b;
+  const std::size_t exp = b / kSubBuckets + 1;
+  const std::uint64_t width = std::uint64_t{1} << (exp - 2);
+  const std::uint64_t lower = (kSubBuckets + b % kSubBuckets) * width;
+  return lower + (width - 1);  // the last bucket ends at 2^64 - 1
 }
 
-double Histogram::BucketUpper(std::size_t bucket) {
-  return std::pow(10.0, (static_cast<double>(bucket + 1) / 4.0) - 8.0);
-}
-
-void Histogram::Add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+Histogram::Summary Histogram::Summarize() const {
+  std::uint64_t counts[kNumBuckets];
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < kNumBuckets; ++b) {
+    counts[b] = buckets_[b].load(std::memory_order_relaxed);
+    total += counts[b];
   }
-  ++count_;
-  sum_ += value;
-  ++buckets_[BucketFor(value)];
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
+  Summary out;
+  if (total == 0) return out;
+  const std::uint64_t sum = sum_.load(std::memory_order_relaxed);
+  const std::uint64_t min = min_.load(std::memory_order_relaxed);
+  const std::uint64_t max = max_.load(std::memory_order_relaxed);
+  // The upper bound of the first bucket with at least q * total samples
+  // at or below it, kept inside [min, max].
+  auto quantile = [&](double q) {
+    const double target = std::max(1.0, q * static_cast<double>(total));
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kNumBuckets; ++b) {
+      seen += counts[b];
+      if (static_cast<double>(seen) >= target) {
+        return std::min(std::max(BucketUpperBound(b), min), max);
+      }
+    }
+    return max;
+  };
+  out.count = total;
+  out.sum = static_cast<double>(sum);
+  out.mean = out.sum / static_cast<double>(total);
+  out.min = static_cast<double>(min);
+  out.max = static_cast<double>(max);
+  out.p50 = static_cast<double>(quantile(0.50));
+  out.p99 = static_cast<double>(quantile(0.99));
+  return out;
 }
 
 void Histogram::Reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = max_ = 0.0;
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-}
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  if (q <= 0.0) return min_;
-  if (q >= 1.0) return max_;
-  const double target = q * static_cast<double>(count_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    cumulative += static_cast<double>(buckets_[i]);
-    if (cumulative >= target) {
-      return std::min(max_, std::max(min_, BucketUpper(i)));
-    }
-  }
-  return max_;
+  sum_.store(0, std::memory_order_relaxed);
+  min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
+  max_.store(0, std::memory_order_relaxed);
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hermes

@@ -1,45 +1,107 @@
 #ifndef HERMES_COMMON_HISTOGRAM_H_
 #define HERMES_COMMON_HISTOGRAM_H_
 
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+/// The repository's one histogram and its one clock. A leaf header: the
+/// lock profiler (common/lock_order.h, common/thread_annotations.h)
+/// records into the same type the metrics registry hands out, so it may
+/// include nothing that includes them.
 namespace hermes {
 
-/// Streaming summary of a numeric sample: count, mean, min/max, and
-/// approximate quantiles via a fixed exponential bucketing (HdrHistogram
-/// style but simpler). Used for latency and queue-length reporting.
+/// Steady-clock microseconds: every duration in the repository is a
+/// difference of two of these. Monotonic; the origin is meaningless.
+inline std::uint64_t SteadyNowMicros() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// Lock-free distribution of u64 samples (microseconds, sizes, counts).
+/// Record() is a handful of relaxed atomic operations, so dispatch and
+/// client threads record concurrently without a lock. Count, sum, min and
+/// max are exact; p50/p99 fall on the upper bound of their bucket. Each
+/// power of two is split into four linear sub-buckets (values below 4
+/// get a bucket each), so a bucket's upper bound is under 1.25x its lower
+/// bound and a quantile is at most one sub-bucket above the exact value.
+/// A summary taken while other threads record may be slightly torn; one
+/// taken after they stop is exact.
 class Histogram {
  public:
-  Histogram();
+  /// A snapshot of the distribution; all zero when empty.
+  struct Summary {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double mean = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p99 = 0.0;
+  };
 
-  void Add(double value);
-  void Merge(const Histogram& other);
+  Histogram() = default;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+
+  void Record(std::uint64_t value) {
+    buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    std::uint64_t cur = min_.load(std::memory_order_relaxed);
+    while (value < cur &&
+           !min_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+    }
+    cur = max_.load(std::memory_order_relaxed);
+    while (value > cur &&
+           !max_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+    }
+  }
+
+  Summary Summarize() const;
+
+  /// Empties the histogram. Callers keep their pointers.
   void Reset();
 
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double Mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  /// Bucket `value` falls in, and the largest value bucket `b` holds
+  /// (exposed for tests).
+  static std::size_t BucketOf(std::uint64_t value) {
+    if (value < kSubBuckets) return static_cast<std::size_t>(value);
+    const int exp = std::bit_width(value) - 1;  // >= 2
+    const std::uint64_t sub = (value >> (exp - 2)) & (kSubBuckets - 1);
+    return static_cast<std::size_t>(exp - 1) * kSubBuckets +
+           static_cast<std::size_t>(sub);
+  }
+  static std::uint64_t BucketUpperBound(std::size_t b);
 
-  /// Approximate quantile (q in [0,1]); exact for min/max, bucketed
-  /// otherwise. Returns 0 for an empty histogram.
-  double Quantile(double q) const;
+  static constexpr std::uint64_t kSubBuckets = 4;
+  static constexpr std::size_t kNumBuckets = 63 * kSubBuckets;
 
  private:
-  static constexpr std::size_t kNumBuckets = 128;
-  // Bucket i covers [2^(i/4 - 8), 2^((i+1)/4 - 8)) roughly; computed via
-  // BucketFor. Values <= 0 go to bucket 0.
-  static std::size_t BucketFor(double value);
-  static double BucketUpper(std::size_t bucket);
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
+  std::atomic<std::uint64_t> max_{0};
+  std::atomic<std::uint64_t> buckets_[kNumBuckets] = {};
+};
 
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::vector<std::uint64_t> buckets_;
+/// Records the microseconds from construction to scope exit into its
+/// histogram, on every exit path. Times coarse phases (a repartition, a
+/// migration step), never per-record work.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Histogram* hist)
+      : hist_(hist), start_us_(SteadyNowMicros()) {}
+  ~ScopedTimer() { hist_->Record(SteadyNowMicros() - start_us_); }
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Histogram* const hist_;
+  const std::uint64_t start_us_;
 };
 
 }  // namespace hermes

@@ -121,10 +121,7 @@ void ResetGraphForTest() {
 
 #ifdef HERMES_LOCK_PROFILING
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>  // raw std::mutex: the profiler cannot use the Mutex it instruments
@@ -134,93 +131,13 @@ void ResetGraphForTest() {
 namespace hermes {
 namespace lock_order {
 
-namespace {
-
-constexpr int kHistBuckets = 64;
-
-// Value v lands in bucket bit_width(v) (0 for v == 0); the bucket's
-// representative value is its upper bound 2^b - 1. All recording is
-// relaxed — the profiler tolerates slightly torn snapshots in exchange
-// for staying off the hot path's critical section entirely.
-int BucketIndex(std::uint64_t v) {
-  const int w = std::bit_width(v);
-  return w < kHistBuckets ? w : kHistBuckets - 1;
-}
-
-std::uint64_t BucketUpperBound(int b) {
-  if (b <= 0) return 0;
-  if (b >= 63) return ~std::uint64_t{0};
-  return (std::uint64_t{1} << b) - 1;
-}
-
-struct AtomicHist {
-  std::atomic<std::uint64_t> sum{0};
-  std::atomic<std::uint64_t> min{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> max{0};
-  std::atomic<std::uint64_t> buckets[kHistBuckets] = {};
-
-  void Record(std::uint64_t v) {
-    buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t cur = min.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !min.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-    cur = max.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !max.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  HistSummary Summarize() const {
-    std::uint64_t counts[kHistBuckets];
-    std::uint64_t total = 0;
-    for (int b = 0; b < kHistBuckets; ++b) {
-      counts[b] = buckets[b].load(std::memory_order_relaxed);
-      total += counts[b];
-    }
-    HistSummary out;
-    if (total == 0) return out;
-    out.count = total;
-    out.sum = sum.load(std::memory_order_relaxed);
-    out.min = min.load(std::memory_order_relaxed);
-    out.max = max.load(std::memory_order_relaxed);
-    auto quantile = [&](double q) {
-      const std::uint64_t target =
-          static_cast<std::uint64_t>(q * static_cast<double>(total) + 0.5);
-      std::uint64_t cum = 0;
-      for (int b = 0; b < kHistBuckets; ++b) {
-        cum += counts[b];
-        if (cum >= target && cum > 0) {
-          return std::min(BucketUpperBound(b), out.max);
-        }
-      }
-      return out.max;
-    };
-    out.p50 = std::max(quantile(0.50), out.min);
-    out.p99 = std::max(quantile(0.99), out.min);
-    return out;
-  }
-
-  void Reset() {
-    sum.store(0, std::memory_order_relaxed);
-    min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    max.store(0, std::memory_order_relaxed);
-    for (int b = 0; b < kHistBuckets; ++b) {
-      buckets[b].store(0, std::memory_order_relaxed);
-    }
-  }
-};
-
-}  // namespace
-
 struct LockStats {
   std::string name;
   std::atomic<std::uint64_t> acquisitions{0};
   std::atomic<std::uint64_t> contention{0};
   std::atomic<std::uint64_t> try_lock_misses{0};
-  AtomicHist hold;
-  AtomicHist wait;
+  Histogram hold;
+  Histogram wait;
 };
 
 namespace {
@@ -261,14 +178,6 @@ LockStats* ProfileStats(std::atomic<LockStats*>* slot, const char* name,
   return row;
 }
 
-std::uint64_t ProfileNowMicros() {
-  static const auto origin = std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - origin)
-          .count());
-}
-
 void ProfileContention(LockStats* s, std::uint64_t wait_us) {
   if (s == nullptr) return;
   s->contention.fetch_add(1, std::memory_order_relaxed);
@@ -283,13 +192,13 @@ void ProfileTryLockMiss(LockStats* s) {
 void ProfileAcquired(LockStats* s, const void* mu) {
   if (s == nullptr) return;
   s->acquisitions.fetch_add(1, std::memory_order_relaxed);
-  tl_hold_stamps.push_back(HoldStamp{mu, s, ProfileNowMicros()});
+  tl_hold_stamps.push_back(HoldStamp{mu, s, SteadyNowMicros()});
 }
 
 void ProfileReleased(const void* mu) {
   for (auto it = tl_hold_stamps.rbegin(); it != tl_hold_stamps.rend(); ++it) {
     if (it->mu == mu) {
-      it->stats->hold.Record(ProfileNowMicros() - it->t0_us);
+      it->stats->hold.Record(SteadyNowMicros() - it->t0_us);
       tl_hold_stamps.erase(std::next(it).base());
       return;
     }

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/histogram.h"
 #endif
 
 /// Runtime lock-order validator (DESIGN.md §6 / §8).
@@ -66,7 +68,6 @@ inline constexpr int kRankThreadPool = 10020;    // ThreadPool::mu_
 inline constexpr int kRankLockManager = 10030;   // LockManager::mu_ (leaf)
 inline constexpr int kRankFailpoint = 10200;     // FailpointRegistry::mu_
 inline constexpr int kRankMetrics = 10210;       // MetricsRegistry::mu_ (leaf)
-inline constexpr int kRankTraceLog = 10220;      // TraceLog::mu_ (leaf)
 inline constexpr int kRankLogging = 10230;       // g_log_mutex (ultimate leaf)
 
 #ifdef HERMES_DEBUG_LOCK_ORDER
@@ -110,9 +111,12 @@ inline void ResetGraphForTest() {}
 /// lock.<name>.acquisitions / lock.<name>.contention counters and
 /// lock.<name>.hold_us / lock.<name>.wait_us histograms, which is how
 /// they reach HermesCluster::MetricsSnapshot() and the BENCH_*.json
-/// reports. All recording is lock-free (relaxed atomics into power-of-two
-/// buckets); the one raw std::mutex guards only first-use registration
-/// and snapshotting. Compiled out entirely unless HERMES_LOCK_PROFILING.
+/// reports. All recording is lock-free (the histograms are the registry's
+/// own Histogram type, common/histogram.h); the one raw std::mutex guards
+/// only first-use registration and snapshotting. The rows keep their own
+/// name table rather than registering through MetricsRegistry, whose
+/// mutex is itself profiled. Compiled out entirely unless
+/// HERMES_LOCK_PROFILING.
 
 /// Opaque per-lock-name accumulator; obtained once per Mutex via
 /// ProfileStats and cached in the Mutex's atomic slot.
@@ -124,10 +128,6 @@ struct LockStats;
 /// validator's kRankUnranked behavior.
 LockStats* ProfileStats(std::atomic<LockStats*>* slot, const char* name,
                         int rank);
-
-/// Steady-clock microseconds. Defined here (not via metrics.h) because
-/// thread_annotations.h cannot include metrics.h without a cycle.
-std::uint64_t ProfileNowMicros();
 
 /// Records one contended acquisition that waited `wait_us`.
 void ProfileContention(LockStats* s, std::uint64_t wait_us);
@@ -144,24 +144,13 @@ void ProfileAcquired(LockStats* s, const void* mu);
 /// (e.g. a lock handed between threads) is silently dropped.
 void ProfileReleased(const void* mu);
 
-/// One histogram, summarized. Quantiles are approximate: each falls on
-/// the upper bound of its power-of-two bucket.
-struct HistSummary {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p99 = 0;
-};
-
 struct LockProfileRow {
   std::string name;
   std::uint64_t acquisitions = 0;
   std::uint64_t contention = 0;
   std::uint64_t try_lock_misses = 0;
-  HistSummary hold;
-  HistSummary wait;
+  Histogram::Summary hold;
+  Histogram::Summary wait;
 };
 
 /// All registered locks, sorted by name. Rows with zero acquisitions and

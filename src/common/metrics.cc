@@ -1,7 +1,5 @@
 #include "common/metrics.h"
 
-#include <chrono>
-
 namespace hermes {
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -23,9 +21,11 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   return slot.get();
 }
 
-void MetricsRegistry::Observe(const std::string& name, double value) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   MutexLock lock(&mu_);
-  histograms_[name].Add(value);
+  auto& slot = histograms_[name];
+  if (!slot) slot = std::make_unique<Histogram>();
+  return slot.get();
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -38,15 +38,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.gauges[name] = gauge->Value();
   }
   for (const auto& [name, hist] : histograms_) {
-    MetricsSnapshot::HistogramSummary s;
-    s.count = hist.count();
-    s.sum = hist.sum();
-    s.mean = hist.Mean();
-    s.min = hist.min();
-    s.max = hist.max();
-    s.p50 = hist.Quantile(0.5);
-    s.p99 = hist.Quantile(0.99);
-    snap.histograms[name] = s;
+    const Histogram::Summary summary = hist->Summarize();
+    if (summary.count > 0) snap.histograms[name] = summary;
   }
 #ifdef HERMES_LOCK_PROFILING
   // Merge the lock profiler's rows (common/lock_order.h) so hold/wait
@@ -59,23 +52,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     const std::string prefix = "lock." + row.name;
     snap.counters[prefix + ".acquisitions"] = row.acquisitions;
     snap.counters[prefix + ".contention"] = row.contention;
-    auto hist = [](const lock_order::HistSummary& h) {
-      MetricsSnapshot::HistogramSummary s;
-      s.count = h.count;
-      s.sum = static_cast<double>(h.sum);
-      s.mean = h.count == 0 ? 0.0
-                            : static_cast<double>(h.sum) /
-                                  static_cast<double>(h.count);
-      s.min = static_cast<double>(h.min);
-      s.max = static_cast<double>(h.max);
-      s.p50 = static_cast<double>(h.p50);
-      s.p99 = static_cast<double>(h.p99);
-      return s;
-    };
-    snap.histograms[prefix + ".hold_us"] = hist(row.hold);
-    if (row.wait.count > 0) {
-      snap.histograms[prefix + ".wait_us"] = hist(row.wait);
-    }
+    snap.histograms[prefix + ".hold_us"] = row.hold;
+    if (row.wait.count > 0) snap.histograms[prefix + ".wait_us"] = row.wait;
   }
 #endif
   return snap;
@@ -85,63 +63,10 @@ void MetricsRegistry::ResetAll() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist.Reset();
+  for (auto& [name, hist] : histograms_) hist->Reset();
 #ifdef HERMES_LOCK_PROFILING
   lock_order::ProfileReset();
 #endif
-}
-
-TraceLog& TraceLog::Global() {
-  static TraceLog* log = new TraceLog();
-  return *log;
-}
-
-void TraceLog::Record(const char* name, std::uint64_t start_us,
-                      std::uint64_t duration_us) {
-  MutexLock lock(&mu_);
-  if (ring_.size() < kCapacity) {
-    ring_.push_back(TraceEvent{name, start_us, duration_us});
-  } else {
-    ring_[next_] = TraceEvent{name, start_us, duration_us};
-    next_ = (next_ + 1) % kCapacity;
-  }
-  ++recorded_;
-}
-
-std::vector<TraceEvent> TraceLog::Events() const {
-  MutexLock lock(&mu_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  // `next_` is the oldest slot once the ring has wrapped.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t TraceLog::total_recorded() const {
-  MutexLock lock(&mu_);
-  return recorded_;
-}
-
-std::uint64_t TraceLog::dropped() const {
-  MutexLock lock(&mu_);
-  return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
-}
-
-void TraceLog::Clear() {
-  MutexLock lock(&mu_);
-  ring_.clear();
-  next_ = 0;
-  recorded_ = 0;
-}
-
-std::uint64_t SteadyNowMicros() {
-  static const auto origin = std::chrono::steady_clock::now();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - origin)
-          .count());
 }
 
 }  // namespace hermes

@@ -8,6 +8,8 @@
 #ifdef HERMES_LOCK_PROFILING
 #include <atomic>
 #include <cstdint>
+
+#include "common/histogram.h"
 #endif
 
 #include "common/lock_order.h"
@@ -120,10 +122,9 @@ class CAPABILITY("mutex") Mutex {
       // try_lock-first: an uncontended acquire pays one CAS and no clock
       // reads beyond the hold stamp; only a miss times the blocking wait.
       if (!mu_.try_lock()) {
-        const std::uint64_t t0 = lock_order::ProfileNowMicros();
+        const std::uint64_t t0 = SteadyNowMicros();
         mu_.lock();
-        lock_order::ProfileContention(s,
-                                      lock_order::ProfileNowMicros() - t0);
+        lock_order::ProfileContention(s, SteadyNowMicros() - t0);
       }
       lock_order::ProfileAcquired(s, this);
       return;
@@ -227,15 +228,14 @@ class CAPABILITY("shared_mutex") SharedMutex {
     // Contended iff the acquire predicate is false right now (checked
     // under the internal mutex, so the read is exact, not a race).
     const bool contended = writer_active_ || active_readers_ > 0;
-    const std::uint64_t t0 =
-        contended ? lock_order::ProfileNowMicros() : 0;
+    const std::uint64_t t0 = contended ? SteadyNowMicros() : 0;
 #endif
     cv_writer_.wait(l, [&] { return !writer_active_ && active_readers_ == 0; });
     --waiting_writers_;
     writer_active_ = true;
 #ifdef HERMES_LOCK_PROFILING
     if (s != nullptr && contended) {
-      lock_order::ProfileContention(s, lock_order::ProfileNowMicros() - t0);
+      lock_order::ProfileContention(s, SteadyNowMicros() - t0);
     }
     lock_order::ProfileAcquired(s, this);
 #endif
@@ -260,14 +260,13 @@ class CAPABILITY("shared_mutex") SharedMutex {
     std::unique_lock<std::mutex> l(mu_);
 #ifdef HERMES_LOCK_PROFILING
     const bool contended = writer_active_ || waiting_writers_ > 0;
-    const std::uint64_t t0 =
-        contended ? lock_order::ProfileNowMicros() : 0;
+    const std::uint64_t t0 = contended ? SteadyNowMicros() : 0;
 #endif
     cv_reader_.wait(l, [&] { return !writer_active_ && waiting_writers_ == 0; });
     ++active_readers_;
 #ifdef HERMES_LOCK_PROFILING
     if (s != nullptr && contended) {
-      lock_order::ProfileContention(s, lock_order::ProfileNowMicros() - t0);
+      lock_order::ProfileContention(s, SteadyNowMicros() - t0);
     }
     lock_order::ProfileAcquired(s, this);
 #endif

@@ -435,7 +435,6 @@ Status DurableGraphStore::Checkpoint() {
 Status DurableGraphStore::CreateNode(VertexId id, double weight,
                                      WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -446,14 +445,12 @@ Status DurableGraphStore::CreateNode(VertexId id, double weight,
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->CreateNode(id, weight));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 Status DurableGraphStore::RemoveNode(VertexId v, WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -463,15 +460,13 @@ Status DurableGraphStore::RemoveNode(VertexId v, WalToken token) {
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->RemoveNode(v));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 Status DurableGraphStore::SetNodeState(VertexId id, NodeState state,
                                        WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -482,15 +477,13 @@ Status DurableGraphStore::SetNodeState(VertexId id, NodeState state,
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->SetNodeState(id, state));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 Status DurableGraphStore::AddNodeWeight(VertexId id, double delta,
                                         WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -501,9 +494,8 @@ Status DurableGraphStore::AddNodeWeight(VertexId id, double delta,
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->AddNodeWeight(id, delta));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 Result<RecordId> DurableGraphStore::AddEdge(VertexId v, VertexId other,
@@ -511,7 +503,6 @@ Result<RecordId> DurableGraphStore::AddEdge(VertexId v, VertexId other,
                                             bool other_is_local,
                                             WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   RecordId rid = 0;
   {
     MutexLock lock(&mu_);
@@ -526,16 +517,14 @@ Result<RecordId> DurableGraphStore::AddEdge(VertexId v, VertexId other,
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_ASSIGN_OR_RETURN(rid,
                             store_->AddEdge(v, other, type, other_is_local));
-    durable = durable_mutations_;
   }
-  if (durable) HERMES_RETURN_NOT_OK(wal_->SyncUntil(lsn));
+  if (durable_mutations_) HERMES_RETURN_NOT_OK(wal_->SyncUntil(lsn));
   return rid;
 }
 
 Status DurableGraphStore::RemoveEdge(VertexId v, VertexId other,
                                      WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -546,16 +535,14 @@ Status DurableGraphStore::RemoveEdge(VertexId v, VertexId other,
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->RemoveEdge(v, other));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 Status DurableGraphStore::SetNodeProperty(VertexId id, std::uint32_t key,
                                           const std::string& value,
                                           WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -567,9 +554,8 @@ Status DurableGraphStore::SetNodeProperty(VertexId id, std::uint32_t key,
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->SetNodeProperty(id, key, value));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 Status DurableGraphStore::SetEdgeProperty(VertexId v, VertexId other,
@@ -577,7 +563,6 @@ Status DurableGraphStore::SetEdgeProperty(VertexId v, VertexId other,
                                           const std::string& value,
                                           WalToken token) {
   std::uint64_t lsn = 0;
-  bool durable = false;
   {
     MutexLock lock(&mu_);
     WalEntry e;
@@ -590,9 +575,8 @@ Status DurableGraphStore::SetEdgeProperty(VertexId v, VertexId other,
     HERMES_RETURN_NOT_OK(Precheck(e, *store_));
     HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
     HERMES_RETURN_NOT_OK(store_->SetEdgeProperty(v, other, key, value));
-    durable = durable_mutations_;
   }
-  return durable ? wal_->SyncUntil(lsn) : Status::OK();
+  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 }  // namespace hermes

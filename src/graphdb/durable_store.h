@@ -39,7 +39,7 @@ namespace hermes {
 class DurableGraphStore {
  public:
   struct Options {
-    /// Group-commit window tuning, forwarded to WriteAheadLog::Open.
+    /// Group-commit switch, forwarded to WriteAheadLog::Open.
     WalGroupCommitOptions group_commit;
     /// When true, every mutation blocks until its WAL entry is fsynced
     /// (joining the current group-commit window). When false (default,
@@ -105,12 +105,6 @@ class DurableGraphStore {
   /// overlap with concurrent mutations and batch into shared windows.
   [[nodiscard]] Status Sync() EXCLUDES(mu_) { return wal_->Sync(); }
 
-  /// Toggles per-mutation durability at runtime (see Options).
-  void set_durable_mutations(bool on) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    durable_mutations_ = on;
-  }
-
   /// Idempotency tokens of every mutation found in the WAL during Open(),
   /// in log order — including entries the snapshot already covered (a
   /// crash can land between the snapshot rename and the log truncation,
@@ -174,7 +168,7 @@ class DurableGraphStore {
   // so the pointer itself is const and calls need no store lock — that is
   // what allows Sync()/SyncUntil() to run outside mu_.
   const std::unique_ptr<WriteAheadLog> wal_;
-  bool durable_mutations_ GUARDED_BY(mu_) = false;
+  const bool durable_mutations_;
   /// Written once inside Open() before the store is shared; read-only after.
   // audit:allow(guard, written once inside Open() before the store is shared)
   std::vector<WalToken> recovered_tokens_;

@@ -18,7 +18,10 @@ MessageBus::MessageBus(Transport* transport, EndpointId self, Options options)
           MetricsRegistry::Global().GetCounter("msg.decode_errors")),
       m_stale_replies_(
           MetricsRegistry::Global().GetCounter("msg.stale_replies")),
-      m_retries_(MetricsRegistry::Global().GetCounter("msg.retries")) {
+      m_retries_(MetricsRegistry::Global().GetCounter("msg.retries")),
+      m_rtt_us_(MetricsRegistry::Global().GetHistogram("msg.rtt_us")),
+      m_retry_latency_us_(
+          MetricsRegistry::Global().GetHistogram("msg.retry_latency_us")) {
   MutexLock lock(&mu_);
   next_request_id_ = options_.first_request_id == 0 ? 1
                                                     : options_.first_request_id;
@@ -151,12 +154,12 @@ Result<Envelope> MessageBus::AwaitReply(PendingCall* call,
     cleanup();
     return last_error;
   }
-  const double elapsed = static_cast<double>(SteadyNowMicros() - start_us);
-  MetricsRegistry::Global().Observe("msg.rtt_us", elapsed);
+  const std::uint64_t elapsed = SteadyNowMicros() - start_us;
+  m_rtt_us_->Record(elapsed);
   if (attempts_used > 1) {
     // Latency distribution of calls that needed at least one retry: the
     // price of a lost frame under the exactly-once contract.
-    MetricsRegistry::Global().Observe("msg.retry_latency_us", elapsed);
+    m_retry_latency_us_->Record(elapsed);
   }
   return reply;
 }

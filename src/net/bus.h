@@ -151,6 +151,8 @@ class MessageBus {
   Counter* const m_decode_errors_;
   Counter* const m_stale_replies_;
   Counter* const m_retries_;
+  Histogram* const m_rtt_us_;
+  Histogram* const m_retry_latency_us_;
 };
 
 }  // namespace hermes

@@ -147,7 +147,6 @@ std::size_t LightweightRepartitioner::RunStage(const Graph& g, int stage,
 
   const std::size_t k = EffectiveK(n);
   std::size_t moves = 0;
-  long applied_gain = 0;
   for (PartitionId p = 0; p < alpha; ++p) {
     auto& cands = per_partition[p];
     if (cands.size() > k) {
@@ -190,13 +189,8 @@ std::size_t LightweightRepartitioner::RunStage(const Graph& g, int stage,
       // Logical migration: only auxiliary data and the directory move.
       aux->OnVertexMigrated(g, c.vertex, p, c.target);
       asg->Assign(c.vertex, c.target);
-      applied_gain += c.gain;
       ++moves;
     }
-  }
-  if (moves > 0) {
-    MetricsRegistry::Global().Observe("repartitioner.stage_gain_sum",
-                                      static_cast<double>(applied_gain));
   }
   return moves;
 }
@@ -228,13 +222,15 @@ std::size_t LightweightRepartitioner::RunIteration(const Graph& g,
 RepartitionResult LightweightRepartitioner::Run(const Graph& g,
                                                 PartitionAssignment* asg,
                                                 AuxiliaryData* aux) const {
-  TraceSpan span("repartitioner.run");
   auto& registry = MetricsRegistry::Global();
+  ScopedTimer timer(registry.GetHistogram("repartitioner.run"));
   Counter* const m_iterations =
       registry.GetCounter("repartitioner.iterations");
   Counter* const m_moves = registry.GetCounter("repartitioner.logical_moves");
   Counter* const m_aux_bytes =
       registry.GetCounter("repartitioner.aux_bytes_exchanged");
+  Histogram* const m_iteration_moves =
+      registry.GetHistogram("repartitioner.iteration_moves");
 
   RepartitionResult result;
   const PartitionAssignment initial = *asg;
@@ -268,8 +264,7 @@ RepartitionResult LightweightRepartitioner::Run(const Graph& g,
     m_iterations->Increment();
     m_moves->Increment(moves);
     m_aux_bytes->Increment(iter_bytes);
-    registry.Observe("repartitioner.iteration_moves",
-                     static_cast<double>(moves));
+    m_iteration_moves->Record(moves);
     const std::size_t cut = EdgeCut(g, *asg);
     if (options_.track_edge_cut_history) {
       result.edge_cut_history.push_back(cut);

@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -248,8 +247,6 @@ Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path,
 
 Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
   std::uint64_t lsn = 0;
-  bool group_commit = true;
-  bool wake_leader = false;
   {
     MutexLock lock(&mu_);
     if (!poison_.ok()) return poison_;
@@ -273,7 +270,6 @@ Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
         if (Status staged = file_.Append(pending_.data(), pending_.size());
             staged.ok()) {
           pending_.clear();
-          pending_entries_ = 0;
         }
         const std::uint64_t want =
             torn.arg != 0 ? torn.arg : frame.size() / 2;
@@ -295,12 +291,10 @@ Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
       return Status::IOError("failpoint: wal.append.short_write");
     }
     pending_ += frame;
-    ++pending_entries_;
     m_appends_->Increment();
     m_append_bytes_->Increment(frame.size());
     lsn = entry.lsn;
-    group_commit = options_.enabled;
-    if (durable && !group_commit) {
+    if (durable && !options_.enabled) {
       // Per-append-fsync baseline: one write + one fsync per durable
       // append, fully serialized under mu_.
       // audit:allow(blocking, the per-append-fsync baseline is *defined*
@@ -309,11 +303,7 @@ Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
       HERMES_RETURN_NOT_OK(CommitPendingLocked());
       return lsn;
     }
-    wake_leader = leader_waiting_ &&
-                  (pending_.size() >= options_.max_window_bytes ||
-                   pending_entries_ >= options_.max_window_entries);
   }
-  if (wake_leader) arrival_cv_.NotifyAll();
   if (durable) {
     HERMES_RETURN_NOT_OK(SyncUntil(lsn));
   }
@@ -323,8 +313,6 @@ Result<std::uint64_t> WriteAheadLog::Append(WalEntry entry, bool durable) {
 Status WriteAheadLog::CommitPendingLocked() {
   std::string batch;
   batch.swap(pending_);
-  const std::size_t batch_entries = pending_entries_;
-  pending_entries_ = 0;
   const std::uint64_t batch_end = next_lsn_ - 1;
   // audit:allow(blocking, REQUIRES(mu_) is this helper's contract: it is
   // the per-append-fsync baseline and the destructor/Reset flush path,
@@ -341,7 +329,6 @@ Status WriteAheadLog::CommitPendingLocked() {
       // frames staged meanwhile so the on-disk order stays the LSN order.
       batch += pending_;
       pending_ = std::move(batch);
-      pending_entries_ += batch_entries;
       return commit.status;
     case CommitOutcome::kPoison:
       poison_ = commit.status;
@@ -365,7 +352,6 @@ Status WriteAheadLog::Sync() {
 Status WriteAheadLog::SyncUntil(std::uint64_t lsn) {
   for (;;) {
     std::string batch;
-    std::size_t batch_entries = 0;
     std::uint64_t batch_end = 0;
     FdAppender* file = nullptr;
     {
@@ -387,25 +373,7 @@ Status WriteAheadLog::SyncUntil(std::uint64_t lsn) {
         continue;
       }
       leader_active_ = true;
-      if (options_.max_window_delay_us > 0) {
-        // Linger for more arrivals so sub-threshold windows amortize the
-        // fsync better. Appenders notify when a bound is crossed.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(options_.max_window_delay_us);
-        leader_waiting_ = true;
-        while (pending_.size() < options_.max_window_bytes &&
-               pending_entries_ < options_.max_window_entries) {
-          if (arrival_cv_.WaitUntil(&mu_, deadline) ==
-              std::cv_status::timeout) {
-            break;
-          }
-        }
-        leader_waiting_ = false;
-      }
       batch.swap(pending_);
-      batch_entries = pending_entries_;
-      pending_entries_ = 0;
       batch_end = next_lsn_ - 1;
       // The leader token makes this thread the only one touching the
       // file until leader_active_ clears, so the pointer may be used
@@ -430,7 +398,6 @@ Status WriteAheadLog::SyncUntil(std::uint64_t lsn) {
         case CommitOutcome::kRestage:
           batch += pending_;
           pending_ = std::move(batch);
-          pending_entries_ += batch_entries;
           break;
         case CommitOutcome::kPoison:
           poison_ = commit.status;
@@ -484,7 +451,6 @@ Status WriteAheadLog::Reset() {
     // LSNs, stay pending, and are NOT covered — hence `covered` is
     // captured here, not after the truncate.
     pending_.clear();
-    pending_entries_ = 0;
     covered = next_lsn_ - 1;
     // Take the leader token: exclusive file access with mu_ released.
     // Pre-fix, the ftruncate+fsync ran under mu_ and every concurrent

@@ -68,22 +68,15 @@ struct WalEntry {
   }
 };
 
-/// Tuning knobs for the group-commit window (DESIGN.md §"Durability
-/// semantics"). A window closes — one contiguous write + one fsync — when
-/// any bound is reached: staged bytes, staged entries, or the optional
-/// leader linger. With `enabled` false the log falls back to
-/// per-append-fsync (each durable append performs its own write+fsync
-/// inside the append critical section) — the baseline mode the
-/// write_throughput bench compares against.
+/// Group-commit switch (DESIGN.md §9 "Durability semantics"). A window
+/// is everything staged when its leader takes the batch: one contiguous
+/// write + one fsync. Appenders that arrive while a window's fsync is in
+/// flight accumulate into the next one. With `enabled` false the log
+/// falls back to per-append-fsync (each durable append performs its own
+/// write+fsync inside the append critical section) — the baseline mode
+/// the write_throughput bench compares against.
 struct WalGroupCommitOptions {
   bool enabled = true;
-  std::size_t max_window_bytes = std::size_t{1} << 20;
-  std::size_t max_window_entries = 1024;
-  /// How long the commit leader lingers for more arrivals before closing
-  /// a sub-threshold window. 0 (default) = close immediately; natural
-  /// batching still happens because appenders accumulate while the
-  /// previous window's fsync is in flight.
-  std::uint32_t max_window_delay_us = 0;
 };
 
 /// Append-only write-ahead log with CRC-protected, length-prefixed binary
@@ -130,7 +123,6 @@ class WriteAheadLog {
         file_(std::move(other.file_)),
         options_(other.options_),
         pending_(std::move(other.pending_)),
-        pending_entries_(other.pending_entries_),
         next_lsn_(other.next_lsn_),
         durable_lsn_(other.durable_lsn_),
         fsync_count_(other.fsync_count_),
@@ -138,16 +130,13 @@ class WriteAheadLog {
         commit_io_hook_for_test_(std::move(other.commit_io_hook_for_test_)),
         m_appends_(other.m_appends_),
         m_append_bytes_(other.m_append_bytes_),
-        m_syncs_(other.m_syncs_) {
-    other.pending_entries_ = 0;
-  }
+        m_syncs_(other.m_syncs_) {}
   WriteAheadLog& operator=(WriteAheadLog&& other) noexcept
       NO_THREAD_SAFETY_ANALYSIS {
     path_ = std::move(other.path_);
     file_ = std::move(other.file_);
     options_ = other.options_;
     pending_ = std::move(other.pending_);
-    pending_entries_ = other.pending_entries_;
     next_lsn_ = other.next_lsn_;
     durable_lsn_ = other.durable_lsn_;
     fsync_count_ = other.fsync_count_;
@@ -156,7 +145,6 @@ class WriteAheadLog {
     m_appends_ = other.m_appends_;
     m_append_bytes_ = other.m_append_bytes_;
     m_syncs_ = other.m_syncs_;
-    other.pending_entries_ = 0;
     return *this;
   }
 
@@ -236,7 +224,6 @@ class WriteAheadLog {
   WalGroupCommitOptions options_ GUARDED_BY(mu_);
   /// Encoded frames accepted but not yet handed to the OS, in LSN order.
   std::string pending_ GUARDED_BY(mu_);
-  std::size_t pending_entries_ GUARDED_BY(mu_) = 0;
   std::uint64_t next_lsn_ GUARDED_BY(mu_) = 1;
   /// Highest LSN covered by a successful fsync (or by the snapshot after
   /// Reset).
@@ -245,18 +232,13 @@ class WriteAheadLog {
   /// True while one thread (the window leader) performs file I/O with
   /// `mu_` released.
   bool leader_active_ GUARDED_BY(mu_) = false;
-  /// True while the leader lingers for more arrivals
-  /// (max_window_delay_us); Append() notifies `arrival_cv_` when a window
-  /// bound is crossed.
-  bool leader_waiting_ GUARDED_BY(mu_) = false;
   /// Sticky failure: set when the file may hold a partial frame (torn
   /// append, failed batch write) or a Reset failed. OK when healthy.
   Status poison_ GUARDED_BY(mu_);
   // audit:allow(guard, test hook set before the log is shared; only the
   // leader-token holder invokes it)
   std::function<void()> commit_io_hook_for_test_;
-  CondVar commit_cv_;   // leader done: durable_lsn_/poison_ changed
-  CondVar arrival_cv_;  // staged bytes/entries crossed a window bound
+  CondVar commit_cv_;  // leader done: durable_lsn_/poison_ changed
 
   // Observability (all logs share the process-wide counters; DESIGN.md §7).
   Counter* m_appends_ = nullptr;

@@ -1,7 +1,11 @@
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +13,7 @@
 #include "test_util.h"
 
 #include "common/histogram.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -212,62 +217,154 @@ TEST(RngTest, ForkProducesIndependentStream) {
 
 TEST(HistogramTest, EmptyIsZero) {
   Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum, 0.0);
+  EXPECT_EQ(s.mean, 0.0);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 0.0);
+  EXPECT_EQ(s.p50, 0.0);
+  EXPECT_EQ(s.p99, 0.0);
 }
 
 TEST(HistogramTest, TracksMinMaxMean) {
   Histogram h;
-  h.Add(1.0);
-  h.Add(2.0);
-  h.Add(3.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 3.0);
-  EXPECT_DOUBLE_EQ(h.Mean(), 2.0);
+  h.Record(1);
+  h.Record(2);
+  h.Record(3);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_EQ(s.count, 3u);
+  EXPECT_DOUBLE_EQ(s.sum, 6.0);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 3.0);
+  EXPECT_DOUBLE_EQ(s.mean, 2.0);
 }
 
 TEST(HistogramTest, QuantileIsMonotone) {
   Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.Add(static_cast<double>(i));
-  double prev = 0.0;
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const double val = h.Quantile(q);
-    EXPECT_GE(val, prev);
-    prev = val;
-  }
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1000.0);
+  for (std::uint64_t i = 1; i <= 1000; ++i) h.Record(i);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_LE(s.min, s.p50);
+  EXPECT_LE(s.p50, s.p99);
+  EXPECT_LE(s.p99, s.max);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 1000.0);
 }
 
+// A latency-like shape: 990 fast samples and 10 slow outliers. The
+// outliers move max, not the median.
 TEST(HistogramTest, QuantileApproximatesMedian) {
   Histogram h;
-  for (int i = 1; i <= 10000; ++i) h.Add(static_cast<double>(i));
-  const double median = h.Quantile(0.5);
-  // Bucketed estimate: allow a factor-2 band.
-  EXPECT_GT(median, 2500.0);
-  EXPECT_LT(median, 10000.0);
+  for (int i = 0; i < 990; ++i) h.Record(100);
+  for (int i = 0; i < 10; ++i) h.Record(50'000);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_GE(s.p50, 100.0);
+  EXPECT_LT(s.p50, 125.0);
+  EXPECT_DOUBLE_EQ(s.max, 50'000.0);
 }
 
-TEST(HistogramTest, MergeCombines) {
-  Histogram a;
-  Histogram b;
-  a.Add(1.0);
-  b.Add(9.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 9.0);
-  EXPECT_DOUBLE_EQ(a.Mean(), 5.0);
+// p50 and p99 of 1..10000 land in the sub-bucket holding the exact
+// value: at most one sub-bucket width above it, never below.
+TEST(HistogramTest, QuantilesWithinOneSubBucket) {
+  Histogram h;
+  for (std::uint64_t i = 1; i <= 10000; ++i) h.Record(i);
+  const Histogram::Summary s = h.Summarize();
+  for (const auto& [estimate, exact] :
+       {std::pair{s.p50, std::uint64_t{5000}},
+        std::pair{s.p99, std::uint64_t{9900}}}) {
+    const std::size_t b = Histogram::BucketOf(exact);
+    const std::uint64_t width =
+        Histogram::BucketUpperBound(b) - Histogram::BucketUpperBound(b - 1);
+    EXPECT_GE(estimate, static_cast<double>(exact));
+    EXPECT_LE(estimate, static_cast<double>(exact + width));
+  }
+}
+
+// Buckets tile the u64 range without gaps, each no wider than a quarter
+// of its lower bound, so adjacent bounds are far closer than the 1.78x of
+// quarter-decade buckets.
+TEST(HistogramTest, BucketsTileTheRangeFinely) {
+  EXPECT_EQ(Histogram::BucketUpperBound(0), 0u);
+  for (std::size_t b = 1; b < Histogram::kNumBuckets; ++b) {
+    const std::uint64_t lower = Histogram::BucketUpperBound(b - 1) + 1;
+    const std::uint64_t upper = Histogram::BucketUpperBound(b);
+    ASSERT_LE(lower, upper) << "bucket " << b;
+    EXPECT_EQ(Histogram::BucketOf(lower), b);
+    EXPECT_EQ(Histogram::BucketOf(upper), b);
+    EXPECT_LE((upper - lower) * 4, lower) << "bucket " << b;
+    if (b >= 3) {
+      EXPECT_LE(static_cast<double>(upper),
+                1.78 * static_cast<double>(lower - 1))
+          << "bucket " << b;
+    }
+  }
+  EXPECT_EQ(Histogram::BucketUpperBound(Histogram::kNumBuckets - 1),
+            ~std::uint64_t{0});
+}
+
+TEST(HistogramTest, ConcurrentRecordsAreExact) {
+  Histogram h;
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  std::vector<std::thread> workers;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, t] {
+      for (std::uint64_t i = 1; i <= kPerThread; ++i) {
+        h.Record(i * kThreads + t);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  // Thread t records i * 4 + t for i in 1..20000: together every value
+  // in [4, 80003] exactly once.
+  const std::uint64_t lo = kThreads;
+  const std::uint64_t hi = kPerThread * kThreads + kThreads - 1;
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_EQ(s.count, kThreads * kPerThread);
+  EXPECT_DOUBLE_EQ(s.sum, static_cast<double>((lo + hi) * (hi - lo + 1) / 2));
+  EXPECT_DOUBLE_EQ(s.min, static_cast<double>(lo));
+  EXPECT_DOUBLE_EQ(s.max, static_cast<double>(hi));
 }
 
 TEST(HistogramTest, ResetClears) {
   Histogram h;
-  h.Add(5.0);
+  h.Record(5);
   h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
+  EXPECT_EQ(h.Summarize().count, 0u);
+  h.Record(7);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_DOUBLE_EQ(s.min, 7.0);
+  EXPECT_DOUBLE_EQ(s.max, 7.0);
+}
+
+TEST(HistogramTest, RegisteredPointerSurvivesResetAll) {
+  auto& registry = MetricsRegistry::Global();
+  Histogram* h = registry.GetHistogram("common_test.hist");
+  EXPECT_EQ(h, registry.GetHistogram("common_test.hist"));
+  h->Record(40);
+  registry.ResetAll();
+  EXPECT_EQ(registry.Snapshot().histograms.count("common_test.hist"), 0u);
+  h->Record(2);
+  const auto snap = registry.Snapshot();
+  ASSERT_EQ(snap.histograms.count("common_test.hist"), 1u);
+  EXPECT_EQ(snap.histograms.at("common_test.hist").count, 1u);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("common_test.hist").max, 2.0);
+}
+
+TEST(HistogramTest, ScopedTimerRecordsOnEveryExit) {
+  Histogram h;
+  auto timed = [&h](bool early) {
+    ScopedTimer timer(&h);
+    if (early) return 1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return 2;
+  };
+  EXPECT_EQ(timed(true), 1);
+  EXPECT_EQ(timed(false), 2);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_GE(s.max, 2000.0);
 }
 
 // --- ThreadPool ------------------------------------------------------------

@@ -336,6 +336,24 @@ TEST(NetTransportTest, PinnedCallCostsAtMostThreeContextSwitches) {
   EXPECT_LE(per_call, 3.0);
 }
 
+#ifdef HERMES_LOCK_PROFILING
+// The bus records each reply's round trip through a cached histogram
+// handle: once the first call has registered everything, calls take the
+// metrics registry's mutex zero times. The closing Snapshot() takes it
+// once, and counts that acquisition in what it reports.
+TEST(NetTransportTest, CallsTakeNoMetricsRegistryLock) {
+  constexpr std::uint64_t kCalls = 100;
+  const std::string key = "lock.metrics_registry.mu.acquisitions";
+  Rig rig;
+  ASSERT_OK(rig.Call(HealthRequest{}));
+  const std::uint64_t before = CounterValue(key);
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_OK(rig.Call(HealthRequest{}));
+  }
+  EXPECT_EQ(CounterValue(key), before + 1);
+}
+#endif  // HERMES_LOCK_PROFILING
+
 TEST(NetTransportFaultTest, SendIoErrorSurfacesAsStatus) {
   if (!kFailpointsEnabled) {
     GTEST_SKIP() << "HERMES_FAILPOINTS is off (default preset); run the "

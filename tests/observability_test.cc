@@ -41,21 +41,19 @@ TEST(MetricsRegistryTest, GaugeSetAndAdd) {
 
 TEST(MetricsRegistryTest, HistogramSummaryQuantiles) {
   auto& registry = MetricsRegistry::Global();
-  for (int i = 1; i <= 100; ++i) {
-    registry.Observe("obs_test.hist", static_cast<double>(i));
-  }
+  Histogram* hist = registry.GetHistogram("obs_test.hist");
+  for (std::uint64_t i = 1; i <= 100; ++i) hist->Record(i);
   const auto snap = registry.Snapshot();
   const auto& h = snap.histograms.at("obs_test.hist");
   EXPECT_EQ(h.count, 100u);
+  EXPECT_DOUBLE_EQ(h.sum, 5050.0);
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
   EXPECT_NEAR(h.mean, 50.5, 1e-9);
-  // Quarter-decade buckets: p50 lands on the upper edge of the bucket
-  // holding the 50th sample (~56.2 for uniform 1..100).
-  EXPECT_GE(h.p50, 30.0);
-  EXPECT_LE(h.p50, 60.0);
-  EXPECT_GE(h.p99, 90.0);
-  EXPECT_LE(h.p99, 100.0);
+  // p50 lands on the upper edge of the sub-bucket holding the 50th
+  // sample ([48, 55]); p99's sub-bucket ([96, 111]) is clamped to max.
+  EXPECT_DOUBLE_EQ(h.p50, 55.0);
+  EXPECT_DOUBLE_EQ(h.p99, 100.0);
 }
 
 TEST(MetricsRegistryTest, ResetAllKeepsRegisteredPointersValid) {
@@ -88,77 +86,6 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsDoNotLoseCounts) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(c->Value(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-#ifndef HERMES_NO_TRACING
-TEST(TraceLogTest, RecordsSpansOldestFirst) {
-  auto& log = TraceLog::Global();
-  log.Clear();
-  {
-    TraceSpan span("obs_test.span");
-  }
-  const auto events = log.Events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "obs_test.span");
-  EXPECT_EQ(log.total_recorded(), 1u);
-  EXPECT_EQ(log.dropped(), 0u);
-  // The span also feeds the same-named latency histogram.
-  const auto snap = MetricsRegistry::Global().Snapshot();
-  EXPECT_GE(snap.histograms.at("obs_test.span").count, 1u);
-}
-#endif  // HERMES_NO_TRACING
-
-TEST(TraceLogTest, RingOverwritesOldestAndCountsDrops) {
-  auto& log = TraceLog::Global();
-  log.Clear();
-  const std::size_t total = TraceLog::kCapacity + 10;
-  for (std::size_t i = 0; i < total; ++i) {
-    log.Record("obs_test.flood", i, 1);
-  }
-  const auto events = log.Events();
-  ASSERT_EQ(events.size(), TraceLog::kCapacity);
-  EXPECT_EQ(log.total_recorded(), total);
-  EXPECT_EQ(log.dropped(), 10u);
-  // Oldest first: the first 10 records were overwritten.
-  EXPECT_EQ(events.front().start_us, 10u);
-  EXPECT_EQ(events.back().start_us, total - 1);
-}
-
-TEST(TraceLogTest, MultipleFullWraparoundsKeepOrderAndDropCount) {
-  // Wrap the 4096-slot ring twice and a bit: the buffer must hold
-  // exactly the newest kCapacity events in oldest-first order, with
-  // every older record counted as dropped and the write position
-  // mid-ring (total % kCapacity != 0 exercises the unaligned case).
-  auto& log = TraceLog::Global();
-  log.Clear();
-  const std::size_t total = 2 * TraceLog::kCapacity + 123;
-  for (std::size_t i = 0; i < total; ++i) {
-    log.Record("obs_test.wrap", i, 1);
-  }
-  const auto events = log.Events();
-  ASSERT_EQ(events.size(), TraceLog::kCapacity);
-  EXPECT_EQ(log.total_recorded(), total);
-  EXPECT_EQ(log.dropped(), total - TraceLog::kCapacity);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].start_us, total - TraceLog::kCapacity + i);
-  }
-}
-
-TEST(TraceLogTest, ClearResetsRingDropsAndTotals) {
-  auto& log = TraceLog::Global();
-  log.Clear();
-  for (std::size_t i = 0; i < TraceLog::kCapacity + 5; ++i) {
-    log.Record("obs_test.clear", i, 1);
-  }
-  ASSERT_GT(log.dropped(), 0u);
-  log.Clear();
-  EXPECT_TRUE(log.Events().empty());
-  EXPECT_EQ(log.total_recorded(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-  // The ring keeps working after a mid-life Clear().
-  log.Record("obs_test.clear", 7, 1);
-  ASSERT_EQ(log.Events().size(), 1u);
-  EXPECT_EQ(log.Events()[0].start_us, 7u);
 }
 
 TEST(ClusterMetricsTest, SnapshotExposesClusterCountersAndGauges) {
@@ -217,15 +144,11 @@ TEST(ClusterMetricsTest, RepartitionRecordsMigrationMetrics) {
   EXPECT_EQ(snap.counters.at("cluster.migration_bytes_copied"),
             stats->bytes_copied);
   EXPECT_GT(snap.counters.at("repartitioner.iterations"), 0u);
-#ifndef HERMES_NO_TRACING
-  // The repartition + migration phases left spans behind.
-  bool saw_repartition = false;
-  for (const TraceEvent& e : TraceLog::Global().Events()) {
-    if (std::string(e.name) == "cluster.repartition") saw_repartition = true;
-  }
-  EXPECT_TRUE(saw_repartition);
-  EXPECT_GE(snap.histograms.at("cluster.repartition").count, 1u);
-#endif
+  // The repartition and its migration steps were timed.
+  EXPECT_EQ(snap.histograms.at("cluster.repartition").count, 1u);
+  ASSERT_GT(stats->vertices_moved, 0u);
+  EXPECT_GE(snap.histograms.at("cluster.migration.copy").count, 1u);
+  EXPECT_GE(snap.histograms.at("cluster.migration.remove").count, 1u);
 }
 
 }  // namespace

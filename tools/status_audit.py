@@ -112,7 +112,7 @@ MUTEX_MEMBER_RE = re.compile(
 # PT_GUARDED_BY (the pointer itself must still be effectively const —
 # set during construction/Open, before the object is shared).
 SELF_SYNC_TYPES = {
-    "Counter", "Gauge", "MetricsRegistry", "TraceLog", "CondVar",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "CondVar",
     "Mutex", "SharedMutex", "ThreadPool", "FailpointRegistry",
     "TransactionManager",  # atomic id counter + internally-locked table
 }
