@@ -34,21 +34,10 @@ HermesCluster::HermesCluster(Graph graph, PartitionAssignment assignment,
 HermesCluster::HermesCluster(Graph graph, PartitionAssignment assignment)
     : HermesCluster(std::move(graph), std::move(assignment), Options{}) {}
 
-HermesCluster::HermesCluster(
-    RecoveredTag, Graph graph, PartitionAssignment assignment, Options options,
-    std::unique_ptr<InProcTransport> transport,
-    std::vector<std::unique_ptr<PartitionServer>> servers,
-    std::unique_ptr<MessageBus> bus, std::vector<char> tombstoned)
-    : graph_(std::move(graph)),
-      assignment_(std::move(assignment)),
+HermesCluster::HermesCluster(PartitionId num_partitions, Options options)
+    : assignment_(0, num_partitions),
       aux_(graph_, assignment_),
-      options_(std::move(options)),
-      tombstoned_(std::move(tombstoned)),
-      transport_(std::move(transport)),
-      servers_(std::move(servers)),
-      bus_(std::move(bus)) {
-  tombstoned_.resize(assignment_.size(), 0);
-}
+      options_(std::move(options)) {}
 
 HermesCluster::~HermesCluster() {
   // Fail every pending call, then join the dispatch threads while all the
@@ -58,12 +47,76 @@ HermesCluster::~HermesCluster() {
   if (transport_ != nullptr) transport_->Shutdown();
 }
 
+// --- Message-bus round-trips ----------------------------------------------
+//
+// Every cross-server operation is one Call() on the bus, or one
+// BusCallMany() for a fan-out: encode, send, block for the matching reply
+// (bounded by the call timeout). A reply payload of the wrong type is a
+// protocol bug, not an I/O error.
+
+namespace {
+// Shared unwrap: the call succeeded, now the payload must be the reply
+// type the request implies.
+template <typename ReplyT>
+[[nodiscard]] Result<ReplyT> UnwrapReply(Result<Envelope> reply) {
+  HERMES_RETURN_NOT_OK(reply.status());
+  auto* typed = std::get_if<ReplyT>(&reply->payload);
+  if (typed == nullptr) {
+    return Status::Internal("message bus: unexpected reply payload type");
+  }
+  return std::move(*typed);
+}
+}  // namespace
+
+template <typename Reply>
+Result<Reply> HermesCluster::Call(PartitionId p, MessagePayload payload) const {
+  Envelope request;
+  request.payload = std::move(payload);
+  return UnwrapReply<Reply>(bus_->Call(p, std::move(request)));
+}
+
+std::vector<Result<Envelope>> HermesCluster::BusCallMany(
+    std::vector<std::pair<PartitionId, MessagePayload>> calls) const {
+  std::vector<MessageBus::Outgoing> requests(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    requests[i].dst = calls[i].first;
+    requests[i].request.payload = std::move(calls[i].second);
+  }
+  return bus_->CallMany(std::move(requests));
+}
+
+Status HermesCluster::Mutate(PartitionId p, MutateRequest req) const {
+  HERMES_ASSIGN_OR_RETURN(MutateReply reply,
+                          Call<MutateReply>(p, std::move(req)));
+  return reply.status;
+}
+
+std::size_t HermesCluster::StoreBytesLocked() const {
+  std::vector<std::pair<PartitionId, MessagePayload>> calls;
+  calls.reserve(num_servers());
+  for (PartitionId p = 0; p < num_servers(); ++p) {
+    calls.emplace_back(p, HealthRequest{});
+  }
+  std::size_t total = 0;
+  // audit:allow(blocking, bus round-trips under the shared directory hold:
+  // dispatch threads never take cluster locks (DESIGN.md §12))
+  for (Result<Envelope>& reply : BusCallMany(std::move(calls))) {
+    const Result<HealthReply> health =
+        UnwrapReply<HealthReply>(std::move(reply));
+    if (health.ok() && health->status.ok()) {
+      total += static_cast<std::size_t>(health->store_bytes);
+    }
+  }
+  return total;
+}
+
 Status HermesCluster::InitServers() {
   // Construction-time, single-threaded: no cluster locks needed or taken.
   // Endpoint layout: server p owns endpoint p, the client bus owns
   // endpoint alpha.
   const PartitionId alpha = assignment_.num_partitions();
   transport_ = std::make_unique<InProcTransport>(options_.transport);
+  MessageBus::Options bus_options = options_.bus;
   servers_.reserve(alpha);
   for (PartitionId p = 0; p < alpha; ++p) {
     PartitionServer::Options server_options;
@@ -80,11 +133,15 @@ Status HermesCluster::InitServers() {
     HERMES_ASSIGN_OR_RETURN(
         auto server, PartitionServer::Open(p, p, transport_.get(),
                                            std::move(server_options)));
+    // Start minting request ids above every idempotency token recovered
+    // from the WALs: a fresh call whose id collided with a recovered token
+    // would be answered from stale dedup state instead of being applied.
+    bus_options.first_request_id = std::max(
+        bus_options.first_request_id, server->max_recovered_token_id() + 1);
     servers_.push_back(std::move(server));
   }
-  bus_ = std::make_unique<MessageBus>(transport_.get(), alpha, options_.bus);
-  HERMES_RETURN_NOT_OK(bus_->Start());
-  return Status::OK();
+  bus_ = std::make_unique<MessageBus>(transport_.get(), alpha, bus_options);
+  return bus_->Start();
 }
 
 Status HermesCluster::LoadServers() {
@@ -100,8 +157,9 @@ Status HermesCluster::LoadServers() {
     if (pending[p].nodes.empty() && pending[p].edges.empty()) {
       return Status::OK();
     }
-    HERMES_ASSIGN_OR_RETURN(InstallChunkReply reply,
-                            CallInstallChunk(p, std::move(pending[p])));
+    HERMES_ASSIGN_OR_RETURN(
+        InstallChunkReply reply,
+        Call<InstallChunkReply>(p, std::move(pending[p])));
     pending[p] = InstallChunkRequest{};
     return reply.status;
   };
@@ -145,64 +203,21 @@ Result<std::unique_ptr<HermesCluster>> HermesCluster::Recover(
   if (options.durability_dir.empty()) {
     return Status::InvalidArgument("Recover() needs a durability_dir");
   }
-  // Bring up the message runtime first, exactly as the constructor does,
-  // then rebuild the logical directory from per-server Dump replies. On
-  // any failure the transport is shut down before the servers go out of
-  // scope, so no dispatch thread outlives its server.
-  auto transport = std::make_unique<InProcTransport>(options.transport);
-  std::vector<std::unique_ptr<PartitionServer>> servers;
-  servers.reserve(num_partitions);
-  for (PartitionId p = 0; p < num_partitions; ++p) {
-    PartitionServer::Options server_options;
-    server_options.durability_dir =
-        options.durability_dir + "/p" + std::to_string(p);
-    server_options.dedup_window =
-        options.transport.inbox_capacity *
-        (static_cast<std::size_t>(num_partitions) + 1);
-    auto server =
-        PartitionServer::Open(p, p, transport.get(), std::move(server_options));
-    if (!server.ok()) {
-      transport->Shutdown();
-      return server.status();
-    }
-    servers.push_back(std::move(*server));
-  }
-  // Start minting request ids above every idempotency token recovered
-  // from the WALs: a fresh call whose id collided with a recovered token
-  // would be answered from stale dedup state instead of being applied.
-  for (const auto& server : servers) {
-    options.bus.first_request_id = std::max(
-        options.bus.first_request_id, server->max_recovered_token_id() + 1);
-  }
-  auto bus =
-      std::make_unique<MessageBus>(transport.get(), num_partitions, options.bus);
-  {
-    const Status st = bus->Start();
-    if (!st.ok()) {
-      transport->Shutdown();
-      return st;
-    }
-  }
+  // Bring up the message runtime exactly as the constructor does; each
+  // server recovers its store (snapshot + WAL tail) as it opens. Then
+  // rebuild the logical directory from per-server Dump replies. On any
+  // failure the destructor shuts the bus and transport down before the
+  // servers go, so no dispatch thread outlives its server.
+  std::unique_ptr<HermesCluster> cluster(
+      new HermesCluster(num_partitions, std::move(options)));
+  HERMES_RETURN_NOT_OK(cluster->InitServers());
   std::vector<DumpReply> dumps;
   dumps.reserve(num_partitions);
   for (PartitionId p = 0; p < num_partitions; ++p) {
-    Envelope request;
-    request.payload = DumpRequest{};
-    auto reply = bus->Call(p, std::move(request));
-    if (!reply.ok()) {
-      transport->Shutdown();
-      return reply.status();
-    }
-    auto* dump = std::get_if<DumpReply>(&reply->payload);
-    if (dump == nullptr) {
-      transport->Shutdown();
-      return Status::Internal("recover: unexpected reply payload");
-    }
-    if (!dump->status.ok()) {
-      transport->Shutdown();
-      return dump->status;
-    }
-    dumps.push_back(std::move(*dump));
+    HERMES_ASSIGN_OR_RETURN(DumpReply dump,
+                            cluster->Call<DumpReply>(p, DumpRequest{}));
+    HERMES_RETURN_NOT_OK(dump.status);
+    dumps.push_back(std::move(dump));
   }
 
   // Rebuild the graph view and directory from the recovered records:
@@ -245,16 +260,14 @@ Result<std::unique_ptr<HermesCluster>> HermesCluster::Recover(
     for (const auto& rel : dump.rels) {
       if (rel.ghost) continue;
       const Status st = graph.AddEdge(rel.src, rel.dst);
-      if (!st.ok() && !st.IsAlreadyExists()) {
-        transport->Shutdown();
-        return st;
-      }
+      if (!st.ok() && !st.IsAlreadyExists()) return st;
     }
   }
-  return std::unique_ptr<HermesCluster>(new HermesCluster(
-      RecoveredTag{}, std::move(graph), std::move(assignment),
-      std::move(options), std::move(transport), std::move(servers),
-      std::move(bus), std::move(tombstoned)));
+  cluster->graph_ = std::move(graph);
+  cluster->assignment_ = std::move(assignment);
+  cluster->aux_ = AuxiliaryData(cluster->graph_, cluster->assignment_);
+  cluster->tombstoned_ = std::move(tombstoned);
+  return cluster;
 }
 
 Status HermesCluster::Checkpoint() {
@@ -272,155 +285,11 @@ Status HermesCluster::Checkpoint() {
     // exclusive directory hold is what makes the per-partition snapshots
     // mutually consistent, and the dispatch thread serving this call takes
     // only its own server mutex — never a cluster lock)
-    HERMES_ASSIGN_OR_RETURN(CheckpointReply reply, CallCheckpoint(p));
+    HERMES_ASSIGN_OR_RETURN(CheckpointReply reply,
+                            Call<CheckpointReply>(p, CheckpointRequest{}));
     HERMES_RETURN_NOT_OK(reply.status);
   }
   return Status::OK();
-}
-
-// --- Message-bus round-trips ----------------------------------------------
-//
-// Every cross-server operation below is one Call() on the bus, or one
-// CallMany() for a fan-out: encode, send, block for the matching reply
-// (bounded by the call timeout). The typed wrappers unwrap the expected
-// reply payload; a payload of the wrong type is a protocol bug, not an
-// I/O error.
-
-Result<Envelope> HermesCluster::BusCall(PartitionId p,
-                                        MessagePayload payload) const {
-  Envelope request;
-  request.payload = std::move(payload);
-  return bus_->Call(p, std::move(request));
-}
-
-std::vector<Result<Envelope>> HermesCluster::BusCallMany(
-    std::vector<std::pair<PartitionId, MessagePayload>> calls) const {
-  std::vector<MessageBus::Outgoing> requests(calls.size());
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    requests[i].dst = calls[i].first;
-    requests[i].request.payload = std::move(calls[i].second);
-  }
-  return bus_->CallMany(std::move(requests));
-}
-
-namespace {
-// Shared unwrap: BusCall succeeded, now the payload must be the reply
-// type the request implies.
-template <typename ReplyT>
-[[nodiscard]] Result<ReplyT> UnwrapReply(Result<Envelope> reply) {
-  HERMES_RETURN_NOT_OK(reply.status());
-  auto* typed = std::get_if<ReplyT>(&reply->payload);
-  if (typed == nullptr) {
-    return Status::Internal("message bus: unexpected reply payload type");
-  }
-  return std::move(*typed);
-}
-}  // namespace
-
-Result<NeighborsReply> HermesCluster::CallNeighbors(
-    PartitionId p, NeighborsRequest req) const {
-  return UnwrapReply<NeighborsReply>(BusCall(p, MessagePayload(std::move(req))));
-}
-Result<ProbeReply> HermesCluster::CallProbe(PartitionId p,
-                                            ProbeRequest req) const {
-  return UnwrapReply<ProbeReply>(BusCall(p, MessagePayload(std::move(req))));
-}
-Result<MutateReply> HermesCluster::CallMutate(PartitionId p,
-                                              MutateRequest req) const {
-  return UnwrapReply<MutateReply>(BusCall(p, MessagePayload(std::move(req))));
-}
-Result<InstallChunkReply> HermesCluster::CallInstallChunk(
-    PartitionId p, InstallChunkRequest req) const {
-  return UnwrapReply<InstallChunkReply>(
-      BusCall(p, MessagePayload(std::move(req))));
-}
-Result<ExtractReply> HermesCluster::CallExtract(PartitionId p,
-                                                VertexId v) const {
-  ExtractRequest req;
-  req.vertex = v;
-  return UnwrapReply<ExtractReply>(BusCall(p, MessagePayload(std::move(req))));
-}
-Result<HealthReply> HermesCluster::CallHealth(PartitionId p) const {
-  return UnwrapReply<HealthReply>(BusCall(p, MessagePayload(HealthRequest{})));
-}
-Result<CheckpointReply> HermesCluster::CallCheckpoint(PartitionId p) const {
-  return UnwrapReply<CheckpointReply>(
-      BusCall(p, MessagePayload(CheckpointRequest{})));
-}
-
-// --- Mutation routing -----------------------------------------------------
-//
-// Thin wrappers that put one store mutation on the wire. Callers hold
-// dir_mu_ (shared for single-record ops, exclusive for migration epochs);
-// the owning server serializes execution on its dispatch thread.
-
-Status HermesCluster::DoCreateNode(PartitionId p, VertexId id, double w) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kCreateNode;
-  req.vertex = id;
-  req.weight = w;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
-}
-Status HermesCluster::DoRemoveNode(PartitionId p, VertexId v) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kRemoveNode;
-  req.vertex = v;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
-}
-Status HermesCluster::DoSetNodeState(PartitionId p, VertexId v,
-                                     WireNodeState state) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kSetNodeState;
-  req.vertex = v;
-  req.node_state = state;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
-}
-Result<RecordId> HermesCluster::DoAddEdge(PartitionId p, VertexId v,
-                                          VertexId other, std::uint32_t type,
-                                          bool other_is_local) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kAddEdge;
-  req.vertex = v;
-  req.other = other;
-  req.type_or_key = type;
-  req.other_is_local = other_is_local;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  HERMES_RETURN_NOT_OK(reply.status);
-  return reply.record_id;
-}
-Status HermesCluster::DoRemoveEdge(PartitionId p, VertexId v, VertexId other) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kRemoveEdge;
-  req.vertex = v;
-  req.other = other;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
-}
-Status HermesCluster::DoSetNodeProperty(PartitionId p, VertexId v,
-                                        std::uint32_t key,
-                                        const std::string& value) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kSetNodeProperty;
-  req.vertex = v;
-  req.type_or_key = key;
-  req.value = value;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
-}
-Status HermesCluster::DoSetEdgeProperty(PartitionId p, VertexId v,
-                                        VertexId other, std::uint32_t key,
-                                        const std::string& value) {
-  MutateRequest req;
-  req.op = MutateRequest::Op::kSetEdgeProperty;
-  req.vertex = v;
-  req.other = other;
-  req.type_or_key = key;
-  req.value = value;
-  HERMES_ASSIGN_OR_RETURN(MutateReply reply, CallMutate(p, std::move(req)));
-  return reply.status;
 }
 
 Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,
@@ -580,7 +449,7 @@ NeighborProvider HermesCluster::MakeNeighborProvider() const {
     // audit:allow(blocking, bus round-trip under the shared directory
     // hold: dispatch threads never take cluster locks (DESIGN.md §12))
     HERMES_ASSIGN_OR_RETURN(NeighborsReply reply,
-                            CallNeighbors(p, std::move(req)));
+                            Call<NeighborsReply>(p, std::move(req)));
     HERMES_RETURN_NOT_OK(reply.status);
     if (reply.results.size() != 1) {
       return Status::Internal("neighbors reply shape mismatch");
@@ -610,7 +479,8 @@ Result<VertexId> HermesCluster::InsertVertex(double weight) {
   // audit:allow(blocking, bus round-trip under the exclusive directory
   // hold: the dispatch thread serving it takes only its own server mutex,
   // never a cluster lock (DESIGN.md §12))
-  const Status created = DoCreateNode(p, id, weight);
+  const Status created = Mutate(
+      p, {.op = MutateRequest::Op::kCreateNode, .vertex = id, .weight = weight});
   if (!created.ok()) {
     // The store never saw the node (the send failed before apply), so
     // tombstoning the burned id keeps directory and stores in agreement;
@@ -656,25 +526,27 @@ Status HermesCluster::InsertEdge(VertexId u, VertexId v, std::uint32_t type) {
   // Write the half records through the bus; each owning server serializes
   // its own store, and the exclusive record locks above make the pair of
   // sends atomic with respect to competing writers.
-  Status store_st;
   bool first_half_stranded = false;
-  if (pu == pv) {
-    // audit:allow(blocking, bus round-trip under the shared directory
-    // hold: dispatch threads never take cluster locks (DESIGN.md §12))
-    store_st = DoAddEdge(pu, u, v, type, true).status();
-  } else {
+  // audit:allow(blocking, bus round-trip under the shared directory
+  // hold: dispatch threads never take cluster locks (DESIGN.md §12))
+  Status store_st = Mutate(pu, {.op = MutateRequest::Op::kAddEdge,
+                                .vertex = u,
+                                .other = v,
+                                .type_or_key = type,
+                                .other_is_local = pu == pv});
+  if (pu != pv && store_st.ok()) {
     // audit:allow(blocking, same bus round-trip contract as above)
-    store_st = DoAddEdge(pu, u, v, type, false).status();
-    if (store_st.ok()) {
+    store_st = Mutate(pv, {.op = MutateRequest::Op::kAddEdge,
+                           .vertex = v,
+                           .other = u,
+                           .type_or_key = type});
+    if (!store_st.ok()) {
+      // v's half failed after u's succeeded: undo u's half so the two
+      // stores agree before we roll back the graph view.
       // audit:allow(blocking, same bus round-trip contract as above)
-      store_st = DoAddEdge(pv, v, u, type, false).status();
-      if (!store_st.ok()) {
-        // v's half failed after u's succeeded: undo u's half so the two
-        // stores agree before we roll back the graph view.
-        // audit:allow(blocking, same bus round-trip contract as above)
-        const Status undo = DoRemoveEdge(pu, u, v);
-        first_half_stranded = !undo.ok();
-      }
+      const Status undo = Mutate(
+          pu, {.op = MutateRequest::Op::kRemoveEdge, .vertex = u, .other = v});
+      first_half_stranded = !undo.ok();
     }
   }
   if (!store_st.ok()) {
@@ -841,7 +713,8 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
         // audit:allow(blocking, bus round-trip under the exclusive
         // directory hold: the dispatch thread serving it takes only its
         // own server mutex, never a cluster lock (DESIGN.md §12))
-        HERMES_ASSIGN_OR_RETURN(ExtractReply snap, CallExtract(sp, v));
+        HERMES_ASSIGN_OR_RETURN(
+            ExtractReply snap, Call<ExtractReply>(sp, ExtractRequest{v}));
         HERMES_RETURN_NOT_OK(snap.status);
         stats.bytes_copied += snap.wire_bytes;
         target_busy[after->PartitionOf(v)] +=
@@ -886,17 +759,20 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
       const Status copy_st = [&]() -> Status {
         for (const auto& [tp, req] : installs) {
           // audit:allow(blocking, bus round-trip under the exclusive
-          // directory hold — same non-deadlock argument as CallExtract)
-          const Result<InstallChunkReply> reply = CallInstallChunk(tp, req);
+          // directory hold — same non-deadlock argument as the extract)
+          const auto reply = Call<InstallChunkReply>(tp, req);
           HERMES_RETURN_NOT_OK(reply.status());
           created_by_target.emplace_back(tp, reply->nodes_created);
           HERMES_RETURN_NOT_OK(reply->status);
         }
         for (; marked < chunk.size(); ++marked) {
+          const MutateRequest unavailable{
+              .op = MutateRequest::Op::kSetNodeState,
+              .vertex = chunk[marked],
+              .node_state = WireNodeState::kUnavailable};
           // audit:allow(blocking, bus round-trip under the exclusive
-          // directory hold — same non-deadlock argument as CallExtract)
-          HERMES_RETURN_NOT_OK(DoSetNodeState(sources[marked], chunk[marked],
-                                              WireNodeState::kUnavailable));
+          // directory hold — same non-deadlock argument as the extract)
+          HERMES_RETURN_NOT_OK(Mutate(sources[marked], unavailable));
         }
         return Status::OK();
       }();
@@ -912,9 +788,11 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
         // possible is released, then surface the original error.
         for (std::size_t i = 0; i < marked; ++i) {
           // audit:allow(blocking, bus round-trip under the exclusive
-          // directory hold — same non-deadlock argument as CallExtract)
+          // directory hold — same non-deadlock argument as the extract)
           const Status undo =
-              DoSetNodeState(sources[i], chunk[i], WireNodeState::kAvailable);
+              Mutate(sources[i], {.op = MutateRequest::Op::kSetNodeState,
+                                  .vertex = chunk[i],
+                                  .node_state = WireNodeState::kAvailable});
           if (!undo.ok()) {
             HERMES_LOG(Warning)
                 << "migration unwind: vertex " << chunk[i]
@@ -926,8 +804,9 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
           const auto& nodes = installs[tp].nodes;
           for (std::uint64_t i = 0; i < created; ++i) {
             // audit:allow(blocking, bus round-trip under the exclusive
-            // directory hold — same non-deadlock argument as CallExtract)
-            const Status undo = DoRemoveNode(tp, nodes[i].id);
+            // directory hold — same non-deadlock argument as the extract)
+            const Status undo = Mutate(
+                tp, {.op = MutateRequest::Op::kRemoveNode, .vertex = nodes[i].id});
             if (!undo.ok()) {
               HERMES_LOG(Warning)
                   << "migration unwind: replica of vertex " << nodes[i].id
@@ -973,8 +852,9 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
             static_cast<SimTime>(1 + snap.relationships.size()) *
             options_.net.write_op_us;
         // audit:allow(blocking, bus round-trip under the exclusive
-        // directory hold — same non-deadlock argument as CallExtract)
-        HERMES_RETURN_NOT_OK(DoRemoveNode(sp, snap.id));
+        // directory hold — same non-deadlock argument as the extract)
+        HERMES_RETURN_NOT_OK(Mutate(
+            sp, {.op = MutateRequest::Op::kRemoveNode, .vertex = snap.id}));
       }
     }
   }
@@ -999,14 +879,12 @@ bool HermesCluster::Validate(std::size_t sample, std::uint64_t seed) const {
   // counts as an inconsistency (strict by design).
   auto probe = [this](PartitionId p, ProbeRequest::Mode mode, VertexId v,
                       VertexId other) -> Result<bool> {
-    ProbeRequest req;
-    req.mode = mode;
-    req.vertex = v;
-    req.other = other;
     // audit:allow(blocking, bus round-trip under the exclusive directory
     // hold: the dispatch thread serving it takes only its own server
     // mutex, never a cluster lock (DESIGN.md §12))
-    HERMES_ASSIGN_OR_RETURN(ProbeReply reply, CallProbe(p, std::move(req)));
+    HERMES_ASSIGN_OR_RETURN(
+        ProbeReply reply,
+        Call<ProbeReply>(p, ProbeRequest{mode, v, other}));
     HERMES_RETURN_NOT_OK(reply.status);
     return reply.truth;
   };
@@ -1039,7 +917,8 @@ bool HermesCluster::Validate(std::size_t sample, std::uint64_t seed) const {
     req.vertices.push_back(v);
     // audit:allow(blocking, bus round-trip under the exclusive directory
     // hold — same non-deadlock argument as the probe lambda)
-    const Result<NeighborsReply> reply = CallNeighbors(pv, std::move(req));
+    const Result<NeighborsReply> reply =
+        Call<NeighborsReply>(pv, std::move(req));
     if (!reply.ok() || !reply->status.ok() || reply->results.size() != 1 ||
         !reply->results[0].status.ok()) {
       return false;
@@ -1072,17 +951,7 @@ bool HermesCluster::Validate(std::size_t sample, std::uint64_t seed) const {
 
 std::size_t HermesCluster::TotalStoreBytes() const {
   ReaderMutexLock dir(&dir_mu_);
-  std::size_t total = 0;
-  for (PartitionId p = 0; p < num_servers(); ++p) {
-    // Best-effort metric: a server that fails to answer contributes 0.
-    // audit:allow(blocking, bus round-trip under the shared directory
-    // hold: dispatch threads never take cluster locks (DESIGN.md §12))
-    const Result<HealthReply> health = CallHealth(p);
-    if (health.ok() && health->status.ok()) {
-      total += static_cast<std::size_t>(health->store_bytes);
-    }
-  }
-  return total;
+  return StoreBytesLocked();
 }
 
 hermes::MetricsSnapshot HermesCluster::MetricsSnapshot() const {
@@ -1092,17 +961,8 @@ hermes::MetricsSnapshot HermesCluster::MetricsSnapshot() const {
     // snapshot. The registry mutex is a leaf, so every acquisition here
     // respects the lock order.
     ReaderMutexLock dir(&dir_mu_);
-    std::size_t store_bytes = 0;
-    for (PartitionId p = 0; p < num_servers(); ++p) {
-      // audit:allow(blocking, bus round-trip under the shared directory
-      // hold: dispatch threads never take cluster locks (DESIGN.md §12))
-      const Result<HealthReply> health = CallHealth(p);
-      if (health.ok() && health->status.ok()) {
-        store_bytes += static_cast<std::size_t>(health->store_bytes);
-      }
-    }
     registry.GetGauge("cluster.store_bytes")
-        ->Set(static_cast<double>(store_bytes));
+        ->Set(static_cast<double>(StoreBytesLocked()));
     MutexLock topo(&topo_mu_);
     registry.GetGauge("cluster.num_vertices")
         ->Set(static_cast<double>(graph_.NumVertices()));

@@ -276,17 +276,15 @@ class HermesCluster {
   hermes::MetricsSnapshot MetricsSnapshot() const EXCLUDES(dir_mu_);
 
  private:
-  /// Builds without loading stores (used by Recover()).
-  struct RecoveredTag {};
-  HermesCluster(RecoveredTag, Graph graph, PartitionAssignment assignment,
-                Options options,
-                std::unique_ptr<InProcTransport> transport,
-                std::vector<std::unique_ptr<PartitionServer>> servers,
-                std::unique_ptr<MessageBus> bus,
-                std::vector<char> tombstoned);
+  /// An empty directory over `num_partitions` servers, with nothing
+  /// brought up yet: Recover() calls InitServers() itself so that a
+  /// store that fails to recover is an error, not a crash.
+  HermesCluster(PartitionId num_partitions, Options options);
 
   /// Brings up the transport, one PartitionServer per partition
-  /// (endpoints 0..alpha-1), and the client bus (endpoint alpha).
+  /// (endpoints 0..alpha-1), and the client bus (endpoint alpha). A
+  /// durable server recovers its store as it opens; the bus then mints
+  /// request ids above every idempotency token recovered from the WALs.
   [[nodiscard]] Status InitServers();
   /// Seeds every server's store from graph_/assignment_ with chunked
   /// InstallChunk messages.
@@ -305,38 +303,26 @@ class HermesCluster {
   [[nodiscard]] Status FoldReadCountsLocked() REQUIRES_SHARED(dir_mu_);
 
   // --- Message-bus round-trips ----------------------------------------------
-  // All cross-server traffic funnels through BusCall or, for fan-outs,
-  // BusCallMany; the typed wrappers unwrap the expected reply payload.
-  // Every one of these blocks on the reply (bounded by
+  // All cross-server traffic funnels through Call or, for fan-outs,
+  // BusCallMany. Every one of these blocks on the reply (bounded by
   // options_.bus.call_timeout_us). Locking contract: issuing a call while
   // holding dir_mu_/topo_mu_ is legal (see the class comment); dispatch
   // threads never take cluster locks.
-  [[nodiscard]] Result<Envelope> BusCall(PartitionId p, MessagePayload payload) const;
+
+  /// One request to server `p`; the reply unwrapped to the type the
+  /// request implies (any other payload type is a protocol bug).
+  template <typename Reply>
+  [[nodiscard]] Result<Reply> Call(PartitionId p, MessagePayload payload) const;
   /// One request per element, all in flight at once; replies in order.
   [[nodiscard]] std::vector<Result<Envelope>> BusCallMany(
       std::vector<std::pair<PartitionId, MessagePayload>> calls) const;
-  [[nodiscard]] Result<NeighborsReply> CallNeighbors(PartitionId p, NeighborsRequest req) const;
-  [[nodiscard]] Result<ProbeReply> CallProbe(PartitionId p, ProbeRequest req) const;
-  [[nodiscard]] Result<MutateReply> CallMutate(PartitionId p, MutateRequest req) const;
-  [[nodiscard]] Result<InstallChunkReply> CallInstallChunk(PartitionId p,
-                                                           InstallChunkRequest req) const;
-  [[nodiscard]] Result<ExtractReply> CallExtract(PartitionId p, VertexId v) const;
-  [[nodiscard]] Result<HealthReply> CallHealth(PartitionId p) const;
-  [[nodiscard]] Result<CheckpointReply> CallCheckpoint(PartitionId p) const;
-
-  // Mutation helpers over CallMutate, mirroring the store API. The
-  // owning server serializes execution; callers typically hold dir_mu_
-  // (shared for single-record ops, exclusive for migration epochs).
-  [[nodiscard]] Status DoCreateNode(PartitionId p, VertexId id, double weight);
-  [[nodiscard]] Status DoRemoveNode(PartitionId p, VertexId v);
-  [[nodiscard]] Status DoSetNodeState(PartitionId p, VertexId v, WireNodeState state);
-  [[nodiscard]] Result<RecordId> DoAddEdge(PartitionId p, VertexId v, VertexId other,
-                             std::uint32_t type, bool other_is_local);
-  [[nodiscard]] Status DoRemoveEdge(PartitionId p, VertexId v, VertexId other);
-  [[nodiscard]] Status DoSetNodeProperty(PartitionId p, VertexId v, std::uint32_t key,
-                           const std::string& value);
-  [[nodiscard]] Status DoSetEdgeProperty(PartitionId p, VertexId v, VertexId other,
-                           std::uint32_t key, const std::string& value);
+  /// One store mutation on server `p`, which serializes its execution.
+  /// Callers typically hold dir_mu_ (shared for single-record ops,
+  /// exclusive for migration epochs).
+  [[nodiscard]] Status Mutate(PartitionId p, MutateRequest req) const;
+  /// Total bytes across all store shards: one Health fan-out. Best
+  /// effort: a server that fails to answer contributes 0.
+  std::size_t StoreBytesLocked() const REQUIRES_SHARED(dir_mu_);
 
   /// Capabilities — see the class comment for the full scheme. The
   /// guarded data members stay unannotated (the "shared-or-exclusive"

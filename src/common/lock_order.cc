@@ -135,7 +135,6 @@ struct LockStats {
   std::string name;
   std::atomic<std::uint64_t> acquisitions{0};
   std::atomic<std::uint64_t> contention{0};
-  std::atomic<std::uint64_t> try_lock_misses{0};
   Histogram hold;
   Histogram wait;
 };
@@ -184,11 +183,6 @@ void ProfileContention(LockStats* s, std::uint64_t wait_us) {
   s->wait.Record(wait_us);
 }
 
-void ProfileTryLockMiss(LockStats* s) {
-  if (s == nullptr) return;
-  s->try_lock_misses.fetch_add(1, std::memory_order_relaxed);
-}
-
 void ProfileAcquired(LockStats* s, const void* mu) {
   if (s == nullptr) return;
   s->acquisitions.fetch_add(1, std::memory_order_relaxed);
@@ -213,10 +207,8 @@ std::vector<LockProfileRow> ProfileSnapshot() {
     LockProfileRow row;
     row.name = name;
     row.acquisitions = stats->acquisitions.load(std::memory_order_relaxed);
+    if (row.acquisitions == 0) continue;
     row.contention = stats->contention.load(std::memory_order_relaxed);
-    row.try_lock_misses =
-        stats->try_lock_misses.load(std::memory_order_relaxed);
-    if (row.acquisitions == 0 && row.try_lock_misses == 0) continue;
     row.hold = stats->hold.Summarize();
     row.wait = stats->wait.Summarize();
     rows.push_back(std::move(row));
@@ -230,7 +222,6 @@ void ProfileReset() {
   for (auto& [name, stats] : *g_profile_rows) {
     stats->acquisitions.store(0, std::memory_order_relaxed);
     stats->contention.store(0, std::memory_order_relaxed);
-    stats->try_lock_misses.store(0, std::memory_order_relaxed);
     stats->hold.Reset();
     stats->wait.Reset();
   }

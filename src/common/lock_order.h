@@ -73,9 +73,9 @@ inline constexpr int kRankLogging = 10230;       // g_log_mutex (ultimate leaf)
 #ifdef HERMES_DEBUG_LOCK_ORDER
 
 /// Called by Mutex immediately before a blocking Lock() (so a would-be
-/// deadlock aborts with the stacks instead of hanging) and after a
-/// successful TryLock(). Aborts on rank inversion, self-relock, or an
-/// acquired-before edge whose reverse was observed earlier.
+/// deadlock aborts with the stacks instead of hanging). Aborts on rank
+/// inversion, self-relock, or an acquired-before edge whose reverse was
+/// observed earlier.
 void OnAcquire(const void* mu, const char* name, int rank);
 
 /// Called by Mutex after unlocking. Removal is by address anywhere in
@@ -132,9 +132,6 @@ LockStats* ProfileStats(std::atomic<LockStats*>* slot, const char* name,
 /// Records one contended acquisition that waited `wait_us`.
 void ProfileContention(LockStats* s, std::uint64_t wait_us);
 
-/// Records a failed TryLock (the lock was held by someone else).
-void ProfileTryLockMiss(LockStats* s);
-
 /// Records a successful acquisition of `mu` and stamps the hold start on
 /// this thread; paired with ProfileReleased(mu).
 void ProfileAcquired(LockStats* s, const void* mu);
@@ -148,13 +145,12 @@ struct LockProfileRow {
   std::string name;
   std::uint64_t acquisitions = 0;
   std::uint64_t contention = 0;
-  std::uint64_t try_lock_misses = 0;
   Histogram::Summary hold;
   Histogram::Summary wait;
 };
 
-/// All registered locks, sorted by name. Rows with zero acquisitions and
-/// zero misses are skipped.
+/// All registered locks, sorted by name. Rows with zero acquisitions are
+/// skipped.
 std::vector<LockProfileRow> ProfileSnapshot();
 
 /// Zeroes every registered row (test/bench hook; registration survives).

@@ -74,10 +74,6 @@
 #define RELEASE_SHARED(...) \
   HERMES_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 
-/// Function acquires the capability when it returns the given value.
-#define TRY_ACQUIRE(...) \
-  HERMES_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
 /// Function must NOT be called while holding the capability (it acquires
 /// it itself; prevents self-deadlock on non-recursive mutexes).
 #define EXCLUDES(...) \
@@ -97,8 +93,8 @@
 
 namespace hermes {
 
-/// Annotated std::mutex. Lock()/Unlock()/TryLock() carry the acquire /
-/// release attributes. CondVar waits on the underlying std::mutex
+/// Annotated std::mutex. Lock()/Unlock() carry the acquire / release
+/// attributes. CondVar waits on the underlying std::mutex
 /// directly and runs the same validator/profiler hooks around the wait.
 ///
 /// Shared-state mutexes are constructed with a name and a rank from the
@@ -138,19 +134,6 @@ class CAPABILITY("mutex") Mutex {
 #ifdef HERMES_LOCK_PROFILING
     lock_order::ProfileReleased(this);
 #endif
-  }
-  bool TryLock() TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) {
-#ifdef HERMES_LOCK_PROFILING
-      lock_order::ProfileTryLockMiss(ProfileRow());
-#endif
-      return false;
-    }
-    lock_order::OnAcquire(this, name_, rank_);
-#ifdef HERMES_LOCK_PROFILING
-    lock_order::ProfileAcquired(ProfileRow(), this);
-#endif
-    return true;
   }
 
   const char* name() const { return name_; }

@@ -257,6 +257,40 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
   return Status::OK();
 }
 
+[[nodiscard]] Result<RecordId> ApplyWalEntry(const WalEntry& e,
+                                             GraphStore* store) {
+  switch (e.type) {
+    case WalOpType::kCreateNode:
+      HERMES_RETURN_NOT_OK(store->CreateNode(e.a, e.weight));
+      return kInvalidRecord;
+    case WalOpType::kRemoveNode:
+      HERMES_RETURN_NOT_OK(store->RemoveNode(e.a));
+      return kInvalidRecord;
+    case WalOpType::kSetNodeState:
+      HERMES_RETURN_NOT_OK(
+          store->SetNodeState(e.a, static_cast<NodeState>(e.flag)));
+      return kInvalidRecord;
+    case WalOpType::kAddNodeWeight:
+      HERMES_RETURN_NOT_OK(store->AddNodeWeight(e.a, e.weight));
+      return kInvalidRecord;
+    case WalOpType::kAddEdge:
+      return store->AddEdge(e.a, e.b, e.key, e.flag != 0);
+    case WalOpType::kRemoveEdge:
+      HERMES_RETURN_NOT_OK(store->RemoveEdge(e.a, e.b));
+      return kInvalidRecord;
+    case WalOpType::kSetNodeProperty:
+      HERMES_RETURN_NOT_OK(store->SetNodeProperty(e.a, e.key, e.payload));
+      return kInvalidRecord;
+    case WalOpType::kSetEdgeProperty:
+      HERMES_RETURN_NOT_OK(
+          store->SetEdgeProperty(e.a, e.b, e.key, e.payload));
+      return kInvalidRecord;
+    case WalOpType::kCheckpoint:
+      return Status::InvalidArgument("a checkpoint marker is not a mutation");
+  }
+  return Status::Internal("unknown WAL entry type");
+}
+
 Status DurableGraphStore::Replay(const WalEntry& e, GraphStore* store) {
   // Precheck() keeps rejected mutations out of the log and the snapshot's
   // covered LSN keeps already-applied entries out of replay, so a store
@@ -264,40 +298,22 @@ Status DurableGraphStore::Replay(const WalEntry& e, GraphStore* store) {
   // case: an AlreadyExists whose payload provably matches the current
   // state (e.g. a pre-v3 log tail overlapping its snapshot) — anything
   // else must surface instead of hiding behind a blanket tolerance.
-  switch (e.type) {
-    case WalOpType::kCreateNode: {
-      const Status st = store->CreateNode(e.a, e.weight);
-      if (!st.IsAlreadyExists()) return st;
-      const Result<double> weight = store->NodeWeight(e.a);
-      if (weight.ok() && *weight == e.weight) return Status::OK();
-      return Status::IOError(
-          "replay: kCreateNode collides with an existing node of "
-          "different weight (corrupt log or replay bug)");
-    }
-    case WalOpType::kRemoveNode:
-      return store->RemoveNode(e.a);
-    case WalOpType::kSetNodeState:
-      return store->SetNodeState(e.a, static_cast<NodeState>(e.flag));
-    case WalOpType::kAddNodeWeight:
-      return store->AddNodeWeight(e.a, e.weight);
-    case WalOpType::kAddEdge: {
-      const Status st = store->AddEdge(e.a, e.b, e.key, e.flag != 0).status();
-      if (!st.IsAlreadyExists()) return st;
-      if (store->FindEdge(e.a, e.b).ok()) return Status::OK();
-      return Status::IOError(
-          "replay: kAddEdge rejected but the edge is not present "
-          "(corrupt log or replay bug)");
-    }
-    case WalOpType::kRemoveEdge:
-      return store->RemoveEdge(e.a, e.b);
-    case WalOpType::kSetNodeProperty:
-      return store->SetNodeProperty(e.a, e.key, e.payload);
-    case WalOpType::kSetEdgeProperty:
-      return store->SetEdgeProperty(e.a, e.b, e.key, e.payload);
-    case WalOpType::kCheckpoint:
-      return Status::OK();
+  const Status st = ApplyWalEntry(e, store).status();
+  if (!st.IsAlreadyExists()) return st;
+  if (e.type == WalOpType::kCreateNode) {
+    const Result<double> weight = store->NodeWeight(e.a);
+    if (weight.ok() && *weight == e.weight) return Status::OK();
+    return Status::IOError(
+        "replay: kCreateNode collides with an existing node of "
+        "different weight (corrupt log or replay bug)");
   }
-  return Status::Internal("unknown WAL entry type");
+  if (e.type == WalOpType::kAddEdge) {
+    if (store->FindEdge(e.a, e.b).ok()) return Status::OK();
+    return Status::IOError(
+        "replay: kAddEdge rejected but the edge is not present "
+        "(corrupt log or replay bug)");
+  }
+  return st;
 }
 
 Status DurableGraphStore::Precheck(const WalEntry& e, const GraphStore& s) {
@@ -344,7 +360,7 @@ Status DurableGraphStore::Precheck(const WalEntry& e, const GraphStore& s) {
       return Status::OK();
     }
     case WalOpType::kCheckpoint:
-      return Status::OK();
+      return Status::InvalidArgument("a checkpoint marker is not a mutation");
   }
   return Status::Internal("unknown WAL entry type");
 }
@@ -425,158 +441,17 @@ Status DurableGraphStore::Checkpoint() {
   return wal_->Reset();
 }
 
-// Every mutator follows the same shape: under mu_, precheck + append +
-// apply (the WAL rule, atomic across threads); then, only when
-// durable_mutations is on, wait for the entry's LSN to be fsynced with
-// mu_ RELEASED. The release is the point of group commit — concurrent
-// mutators stage back-to-back under mu_ and then share one fsync window
-// instead of serializing write+fsync per call.
-
-Status DurableGraphStore::CreateNode(VertexId id, double weight,
-                                     WalToken token) {
+Result<RecordId> DurableGraphStore::Apply(WalEntry entry) {
   std::uint64_t lsn = 0;
+  RecordId rid = kInvalidRecord;
   {
     MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kCreateNode;
-    e.a = id;
-    e.weight = weight;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->CreateNode(id, weight));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
-}
-
-Status DurableGraphStore::RemoveNode(VertexId v, WalToken token) {
-  std::uint64_t lsn = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kRemoveNode;
-    e.a = v;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->RemoveNode(v));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
-}
-
-Status DurableGraphStore::SetNodeState(VertexId id, NodeState state,
-                                       WalToken token) {
-  std::uint64_t lsn = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kSetNodeState;
-    e.a = id;
-    e.flag = static_cast<std::uint8_t>(state);
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->SetNodeState(id, state));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
-}
-
-Status DurableGraphStore::AddNodeWeight(VertexId id, double delta,
-                                        WalToken token) {
-  std::uint64_t lsn = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kAddNodeWeight;
-    e.a = id;
-    e.weight = delta;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->AddNodeWeight(id, delta));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
-}
-
-Result<RecordId> DurableGraphStore::AddEdge(VertexId v, VertexId other,
-                                            std::uint32_t type,
-                                            bool other_is_local,
-                                            WalToken token) {
-  std::uint64_t lsn = 0;
-  RecordId rid = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kAddEdge;
-    e.a = v;
-    e.b = other;
-    e.key = type;
-    e.flag = other_is_local ? 1 : 0;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_ASSIGN_OR_RETURN(rid,
-                            store_->AddEdge(v, other, type, other_is_local));
+    HERMES_RETURN_NOT_OK(Precheck(entry, *store_));
+    HERMES_ASSIGN_OR_RETURN(lsn, wal_->Append(entry));
+    HERMES_ASSIGN_OR_RETURN(rid, ApplyWalEntry(entry, store_.get()));
   }
   if (durable_mutations_) HERMES_RETURN_NOT_OK(wal_->SyncUntil(lsn));
   return rid;
-}
-
-Status DurableGraphStore::RemoveEdge(VertexId v, VertexId other,
-                                     WalToken token) {
-  std::uint64_t lsn = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kRemoveEdge;
-    e.a = v;
-    e.b = other;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->RemoveEdge(v, other));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
-}
-
-Status DurableGraphStore::SetNodeProperty(VertexId id, std::uint32_t key,
-                                          const std::string& value,
-                                          WalToken token) {
-  std::uint64_t lsn = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kSetNodeProperty;
-    e.a = id;
-    e.key = key;
-    e.payload = value;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->SetNodeProperty(id, key, value));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
-}
-
-Status DurableGraphStore::SetEdgeProperty(VertexId v, VertexId other,
-                                          std::uint32_t key,
-                                          const std::string& value,
-                                          WalToken token) {
-  std::uint64_t lsn = 0;
-  {
-    MutexLock lock(&mu_);
-    WalEntry e;
-    e.type = WalOpType::kSetEdgeProperty;
-    e.a = v;
-    e.b = other;
-    e.key = key;
-    e.payload = value;
-    e.token = token;
-    HERMES_RETURN_NOT_OK(Precheck(e, *store_));
-    HERMES_ASSIGN_OR_RETURN(lsn, Log(std::move(e)));
-    HERMES_RETURN_NOT_OK(store_->SetEdgeProperty(v, other, key, value));
-  }
-  return durable_mutations_ ? wal_->SyncUntil(lsn) : Status::OK();
 }
 
 }  // namespace hermes

@@ -13,11 +13,19 @@
 
 namespace hermes {
 
+/// Applies one redo record to `store`: the one WalOpType -> GraphStore
+/// switch. DurableGraphStore::Apply and recovery replay use it, and so
+/// does an in-memory partition server. Returns a kAddEdge's record id,
+/// kInvalidRecord for the other ops; a kCheckpoint marker is
+/// InvalidArgument (it is not a mutation).
+[[nodiscard]] Result<RecordId> ApplyWalEntry(const WalEntry& entry,
+                                             GraphStore* store);
+
 /// Durable wrapper around one partition's GraphStore: every mutation is
-/// prechecked against the store's rejection rules, appended to a
-/// write-ahead log, and only then applied (WAL rule). Prechecking means a
-/// mutation the store would reject never reaches the log, so recovery
-/// replay treats store rejections as real divergence. Checkpoint()
+/// a WalEntry, prechecked against the store's rejection rules, appended
+/// to a write-ahead log, and only then applied (WAL rule). Prechecking
+/// means a mutation the store would reject never reaches the log, so
+/// recovery replay treats store rejections as real divergence. Checkpoint()
 /// persists a full binary snapshot (stamped with the covered LSN) so the
 /// log can be truncated. Open() recovers by loading the latest snapshot
 /// and replaying the uncovered log tail — including after a crash that
@@ -27,7 +35,7 @@ namespace hermes {
 /// "disk-based, transactional persistence engine"); the lock manager in
 /// src/txn supplies the isolation half.
 ///
-/// Concurrency: every logged mutation and Checkpoint() is serialized
+/// Concurrency: every Apply() and Checkpoint() is serialized
 /// under `mu_`, which keeps the WAL rule atomic (log, then apply) across
 /// threads — but the *fsync wait* of a durable mutation happens after
 /// `mu_` is released, so concurrent durable writers stage under the
@@ -70,31 +78,73 @@ class DurableGraphStore {
   GraphStore* mutable_store() { return store_.get(); }
 
   // --- Logged mutations (same contracts as GraphStore) --------------------
-  //
-  // The trailing `token` stamps the mutation's idempotency token into its
-  // WAL entry (see WalToken). Callers off the message bus leave it
-  // defaulted; PartitionServer passes the bus (src, request_id) so a
-  // crash between apply and reply leaves the token recoverable.
 
-  [[nodiscard]] Status CreateNode(VertexId id, double weight = 1.0,
-                                  WalToken token = {}) EXCLUDES(mu_);
-  [[nodiscard]] Status RemoveNode(VertexId v, WalToken token = {})
-      EXCLUDES(mu_);
-  [[nodiscard]] Status SetNodeState(VertexId id, NodeState state,
-                                    WalToken token = {}) EXCLUDES(mu_);
-  [[nodiscard]] Status AddNodeWeight(VertexId id, double delta,
-                                     WalToken token = {}) EXCLUDES(mu_);
-  [[nodiscard]] Result<RecordId> AddEdge(VertexId v, VertexId other, std::uint32_t type,
-                           bool other_is_local, WalToken token = {})
-      EXCLUDES(mu_);
-  [[nodiscard]] Status RemoveEdge(VertexId v, VertexId other,
-                                  WalToken token = {}) EXCLUDES(mu_);
+  /// The one logged-mutation path: under mu_, precheck `entry` against
+  /// the store's rejection rules, append it to the WAL, and apply it
+  /// (ApplyWalEntry); then, only when durable_mutations is on, wait for
+  /// its LSN to be fsynced with mu_ RELEASED. The release is the point of
+  /// group commit: concurrent mutators stage back-to-back under mu_ and
+  /// share one fsync window instead of serializing write+fsync per call.
+  /// Returns a kAddEdge's record id, kInvalidRecord for the other ops.
+  /// `entry.token` is logged with it (PartitionServer stamps the bus
+  /// (src, request_id) there, so a crash between apply and reply leaves
+  /// the token recoverable). A kCheckpoint marker is InvalidArgument.
+  [[nodiscard]] Result<RecordId> Apply(WalEntry entry) EXCLUDES(mu_);
+
+  // Forwards that fill the entry, for callers off the message bus.
+  [[nodiscard]] Status CreateNode(VertexId id, double weight = 1.0)
+      EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kCreateNode, .a = id, .weight = weight})
+        .status();
+  }
+  [[nodiscard]] Status RemoveNode(VertexId v) EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kRemoveNode, .a = v}).status();
+  }
+  [[nodiscard]] Status SetNodeState(VertexId id, NodeState state)
+      EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kSetNodeState,
+                  .a = id,
+                  .flag = static_cast<std::uint8_t>(state)})
+        .status();
+  }
+  [[nodiscard]] Status AddNodeWeight(VertexId id, double delta)
+      EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kAddNodeWeight, .a = id, .weight = delta})
+        .status();
+  }
+  [[nodiscard]] Result<RecordId> AddEdge(VertexId v, VertexId other,
+                                         std::uint32_t type,
+                                         bool other_is_local) EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kAddEdge,
+                  .a = v,
+                  .b = other,
+                  .key = type,
+                  .flag = other_is_local});
+  }
+  [[nodiscard]] Status RemoveEdge(VertexId v, VertexId other) EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kRemoveEdge, .a = v, .b = other})
+        .status();
+  }
   [[nodiscard]] Status SetNodeProperty(VertexId id, std::uint32_t key,
-                         const std::string& value, WalToken token = {})
-      EXCLUDES(mu_);
-  [[nodiscard]] Status SetEdgeProperty(VertexId v, VertexId other, std::uint32_t key,
-                         const std::string& value, WalToken token = {})
-      EXCLUDES(mu_);
+                                       const std::string& value)
+      EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kSetNodeProperty,
+                  .a = id,
+                  .key = key,
+                  .payload = value})
+        .status();
+  }
+  [[nodiscard]] Status SetEdgeProperty(VertexId v, VertexId other,
+                                       std::uint32_t key,
+                                       const std::string& value)
+      EXCLUDES(mu_) {
+    return Apply({.type = WalOpType::kSetEdgeProperty,
+                  .a = v,
+                  .b = other,
+                  .key = key,
+                  .payload = value})
+        .status();
+  }
 
   /// Writes a snapshot, marks a checkpoint, and truncates the log.
   [[nodiscard]] Status Checkpoint() EXCLUDES(mu_);
@@ -148,14 +198,6 @@ class DurableGraphStore {
   // the WAL, so recovery replay can treat any store rejection as real
   // divergence instead of tolerating it (see Replay).
   [[nodiscard]] static Status Precheck(const WalEntry& entry, const GraphStore& store);
-
-  /// Appends under mu_ (the log-then-apply step of the WAL rule) and
-  /// hands back the assigned LSN so the caller can wait for durability
-  /// AFTER releasing mu_ — that release is what lets concurrent durable
-  /// mutations share one group-commit fsync.
-  [[nodiscard]] Result<std::uint64_t> Log(WalEntry entry) REQUIRES(mu_) {
-    return wal_->Append(std::move(entry));
-  }
 
   const PartitionId partition_id_;
   const std::string dir_;

@@ -63,9 +63,9 @@ class GraphStore {
 
   /// Adds the local materialization of edge {v, other}. `other_is_local`
   /// selects full-record vs. ghost/half-record handling; `v` must be local
-  /// and available. When both endpoints are local and the record already
-  /// exists (e.g. created via the other endpoint) the call is a no-op
-  /// returning the existing record id.
+  /// and available. A record already in v's chain is AlreadyExists; a
+  /// half record the local `other` holds for the edge is upgraded to a
+  /// full record, and its id returned.
   [[nodiscard]] Result<RecordId> AddEdge(VertexId v, VertexId other, std::uint32_t type,
                            bool other_is_local);
 

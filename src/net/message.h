@@ -140,7 +140,7 @@ struct MutateRequest {
   WireNodeState node_state = WireNodeState::kAvailable;
   double weight = 0.0;
   bool other_is_local = false;
-  std::string value;
+  std::string value{};
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<MutateRequest> DecodeFrom(WireReader* r);

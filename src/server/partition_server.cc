@@ -20,6 +20,99 @@ namespace {
 /// token can never be evicted while its duplicate is still queued.
 constexpr std::size_t kDefaultDedupWindow = 4096;
 
+// The one conversion from a mutating request to the WAL entries that
+// carry it to the store: a MutateRequest, and each node, edge and
+// property of an install chunk and each entry of a fold. Every entry
+// carries the request's idempotency token.
+
+WalEntry ToWalEntry(const MutateRequest& m, const WalToken& token) {
+  WalEntry e{.a = m.vertex, .token = token};
+  switch (m.op) {
+    case MutateRequest::Op::kCreateNode:
+      e.type = WalOpType::kCreateNode;
+      e.weight = m.weight;
+      break;
+    case MutateRequest::Op::kRemoveNode:
+      e.type = WalOpType::kRemoveNode;
+      break;
+    case MutateRequest::Op::kSetNodeState:
+      e.type = WalOpType::kSetNodeState;
+      e.flag = static_cast<std::uint8_t>(m.node_state);
+      break;
+    case MutateRequest::Op::kAddNodeWeight:
+      e.type = WalOpType::kAddNodeWeight;
+      e.weight = m.weight;
+      break;
+    case MutateRequest::Op::kAddEdge:
+      e.type = WalOpType::kAddEdge;
+      e.b = m.other;
+      e.key = m.type_or_key;
+      e.flag = m.other_is_local;
+      break;
+    case MutateRequest::Op::kRemoveEdge:
+      e.type = WalOpType::kRemoveEdge;
+      e.b = m.other;
+      break;
+    case MutateRequest::Op::kSetNodeProperty:
+      e.type = WalOpType::kSetNodeProperty;
+      e.key = m.type_or_key;
+      e.payload = m.value;
+      break;
+    case MutateRequest::Op::kSetEdgeProperty:
+      e.type = WalOpType::kSetEdgeProperty;
+      e.b = m.other;
+      e.key = m.type_or_key;
+      e.payload = m.value;
+      break;
+  }
+  return e;
+}
+
+WalEntry ToWalEntry(const InstallChunkRequest::Node& node,
+                    const WalToken& token) {
+  return {.type = WalOpType::kCreateNode,
+          .a = node.id,
+          .weight = node.weight,
+          .token = token};
+}
+
+WalEntry ToWalEntry(const InstallChunkRequest::Node& node,
+                    const WireProperty& prop, const WalToken& token) {
+  return {.type = WalOpType::kSetNodeProperty,
+          .a = node.id,
+          .key = prop.key,
+          .token = token,
+          .payload = prop.value};
+}
+
+WalEntry ToWalEntry(const InstallChunkRequest::Edge& edge,
+                    const WalToken& token) {
+  return {.type = WalOpType::kAddEdge,
+          .a = edge.v,
+          .b = edge.other,
+          .key = edge.type,
+          .flag = edge.other_is_local,
+          .token = token};
+}
+
+WalEntry ToWalEntry(const InstallChunkRequest::Edge& edge,
+                    const WireProperty& prop, const WalToken& token) {
+  return {.type = WalOpType::kSetEdgeProperty,
+          .a = edge.v,
+          .b = edge.other,
+          .key = prop.key,
+          .token = token,
+          .payload = prop.value};
+}
+
+WalEntry ToWalEntry(const AuxExchangeReply::Entry& fold,
+                    const WalToken& token) {
+  return {.type = WalOpType::kAddNodeWeight,
+          .a = fold.vertex,
+          .weight = static_cast<double>(fold.reads),
+          .token = token};
+}
+
 }  // namespace
 
 PartitionServer::PartitionServer(PartitionId partition, EndpointId endpoint,
@@ -129,7 +222,8 @@ void PartitionServer::HandleFrame(std::string frame) {
         reply.payload = RecoveredReplyLocked(env->payload);
       } else {
         if (mutating) RememberLocked(key);
-        reply.payload = ApplyLocked(env->payload, env->src, env->request_id);
+        reply.payload =
+            DispatchLocked(env->payload, {env->src, env->request_id});
         if (counted_read && RememberLocked(key)) {
           CountReadsLocked(*read, std::get<NeighborsReply>(reply.payload));
         }
@@ -179,9 +273,8 @@ void PartitionServer::CountReadsLocked(const NeighborsRequest& req,
   }
 }
 
-MessagePayload PartitionServer::ApplyLocked(const MessagePayload& request,
-                                            EndpointId src,
-                                            std::uint64_t request_id) {
+MessagePayload PartitionServer::DispatchLocked(const MessagePayload& request,
+                                               const WalToken& token) {
   if (const auto* m = std::get_if<NeighborsRequest>(&request)) {
     return DoNeighbors(*m);
   }
@@ -189,16 +282,16 @@ MessagePayload PartitionServer::ApplyLocked(const MessagePayload& request,
     return DoProbe(*m);
   }
   if (const auto* m = std::get_if<MutateRequest>(&request)) {
-    return DoMutate(*m, src, request_id);
+    return DoMutate(*m, token);
   }
   if (const auto* m = std::get_if<InstallChunkRequest>(&request)) {
-    return DoInstall(*m, src, request_id);
+    return DoInstall(*m, token);
   }
   if (const auto* m = std::get_if<ExtractRequest>(&request)) {
     return DoExtract(*m);
   }
   if (std::get_if<AuxExchangeRequest>(&request) != nullptr) {
-    return DoFold(src, request_id);
+    return DoFold(token);
   }
   if (std::get_if<HealthRequest>(&request) != nullptr) {
     return DoHealth();
@@ -301,133 +394,55 @@ ProbeReply PartitionServer::DoProbe(const ProbeRequest& req) {
   return reply;
 }
 
+Result<RecordId> PartitionServer::ApplyLocked(WalEntry entry) {
+  if (durable_raw_ != nullptr) return durable_raw_->Apply(std::move(entry));
+  return ApplyWalEntry(entry, store_);
+}
+
 MutateReply PartitionServer::DoMutate(const MutateRequest& req,
-                                      EndpointId src,
-                                      std::uint64_t request_id) {
-  const WalToken token{src, request_id};
+                                      const WalToken& token) {
+  const Result<RecordId> applied = ApplyLocked(ToWalEntry(req, token));
   MutateReply reply;
-  switch (req.op) {
-    case MutateRequest::Op::kCreateNode:
-      reply.status = durable_raw_
-                         ? durable_raw_->CreateNode(req.vertex, req.weight, token)
-                         : store_->CreateNode(req.vertex, req.weight);
-      break;
-    case MutateRequest::Op::kRemoveNode:
-      reply.status = durable_raw_ ? durable_raw_->RemoveNode(req.vertex, token)
-                                  : store_->RemoveNode(req.vertex);
-      // A migrated vertex took its pending reads along in ExtractReply.
-      if (reply.status.ok()) read_counts_.erase(req.vertex);
-      break;
-    case MutateRequest::Op::kSetNodeState: {
-      const NodeState state = static_cast<NodeState>(req.node_state);
-      reply.status = durable_raw_
-                         ? durable_raw_->SetNodeState(req.vertex, state, token)
-                         : store_->SetNodeState(req.vertex, state);
-      break;
-    }
-    case MutateRequest::Op::kAddNodeWeight:
-      reply.status = durable_raw_
-                         ? durable_raw_->AddNodeWeight(req.vertex, req.weight, token)
-                         : store_->AddNodeWeight(req.vertex, req.weight);
-      break;
-    case MutateRequest::Op::kAddEdge: {
-      auto added = durable_raw_
-                       ? durable_raw_->AddEdge(req.vertex, req.other,
-                                               req.type_or_key,
-                                               req.other_is_local, token)
-                       : store_->AddEdge(req.vertex, req.other,
-                                         req.type_or_key, req.other_is_local);
-      if (added.ok()) {
-        reply.record_id = *added;
-        reply.status = Status::OK();
-      } else {
-        reply.status = added.status();
-      }
-      break;
-    }
-    case MutateRequest::Op::kRemoveEdge:
-      reply.status = durable_raw_
-                         ? durable_raw_->RemoveEdge(req.vertex, req.other, token)
-                         : store_->RemoveEdge(req.vertex, req.other);
-      break;
-    case MutateRequest::Op::kSetNodeProperty:
-      reply.status =
-          durable_raw_
-              ? durable_raw_->SetNodeProperty(req.vertex, req.type_or_key,
-                                              req.value, token)
-              : store_->SetNodeProperty(req.vertex, req.type_or_key,
-                                        req.value);
-      break;
-    case MutateRequest::Op::kSetEdgeProperty:
-      reply.status =
-          durable_raw_
-              ? durable_raw_->SetEdgeProperty(req.vertex, req.other,
-                                              req.type_or_key, req.value,
-                                              token)
-              : store_->SetEdgeProperty(req.vertex, req.other,
-                                        req.type_or_key, req.value);
-      break;
-  }
+  reply.status = applied.status();
+  if (!applied.ok()) return reply;
+  reply.record_id = *applied;
+  // A migrated vertex took its pending reads along in ExtractReply.
+  if (req.op == MutateRequest::Op::kRemoveNode) read_counts_.erase(req.vertex);
   return reply;
 }
 
 InstallChunkReply PartitionServer::DoInstall(const InstallChunkRequest& req,
-                                             EndpointId src,
-                                             std::uint64_t request_id) {
-  const WalToken token{src, request_id};
+                                             const WalToken& token) {
   InstallChunkReply reply;
   reply.status = Status::OK();
   // Nodes first, so edges between co-installed vertices find both
   // endpoints. nodes_created counts actual creations even on failure:
   // the cluster's unwind removes exactly these.
   for (const auto& node : req.nodes) {
-    const Status st = durable_raw_
-                          ? durable_raw_->CreateNode(node.id, node.weight, token)
-                          : store_->CreateNode(node.id, node.weight);
-    if (!st.ok()) {
-      reply.status = st;
-      return reply;
-    }
+    reply.status = ApplyLocked(ToWalEntry(node, token)).status();
+    if (!reply.status.ok()) return reply;
     ++reply.nodes_created;
     for (const auto& prop : node.properties) {
-      const Status pst =
-          durable_raw_
-              ? durable_raw_->SetNodeProperty(node.id, prop.key, prop.value,
-                                              token)
-              : store_->SetNodeProperty(node.id, prop.key, prop.value);
-      if (!pst.ok()) {
-        reply.status = pst;
-        return reply;
-      }
+      reply.status = ApplyLocked(ToWalEntry(node, prop, token)).status();
+      if (!reply.status.ok()) return reply;
     }
   }
   for (const auto& edge : req.edges) {
-    auto added =
-        durable_raw_
-            ? durable_raw_->AddEdge(edge.v, edge.other, edge.type,
-                                    edge.other_is_local, token)
-            : store_->AddEdge(edge.v, edge.other, edge.type,
-                              edge.other_is_local);
+    const Status added = ApplyLocked(ToWalEntry(edge, token)).status();
+    // Co-migrated neighbors may have installed this record already.
+    if (added.IsAlreadyExists()) continue;
     if (!added.ok()) {
-      // Co-migrated neighbors may have installed this record already.
-      if (added.status().IsAlreadyExists()) continue;
-      reply.status = added.status();
+      reply.status = added;
       return reply;
     }
     ++reply.edges_created;
-    if (edge.properties_included) {
-      for (const auto& prop : edge.properties) {
-        const Status pst =
-            durable_raw_
-                ? durable_raw_->SetEdgeProperty(edge.v, edge.other, prop.key,
-                                                prop.value, token)
-                : store_->SetEdgeProperty(edge.v, edge.other, prop.key,
-                                          prop.value);
-        // Ghost copies refuse properties by design.
-        if (!pst.ok() && !pst.IsInvalidArgument()) {
-          reply.status = pst;
-          return reply;
-        }
+    if (!edge.properties_included) continue;
+    for (const auto& prop : edge.properties) {
+      const Status pst = ApplyLocked(ToWalEntry(edge, prop, token)).status();
+      // Ghost copies refuse properties by design.
+      if (!pst.ok() && !pst.IsInvalidArgument()) {
+        reply.status = pst;
+        return reply;
       }
     }
   }
@@ -469,19 +484,14 @@ ExtractReply PartitionServer::DoExtract(const ExtractRequest& req) {
   return reply;
 }
 
-AuxExchangeReply PartitionServer::DoFold(EndpointId src,
-                                         std::uint64_t request_id) {
-  const WalToken token{src, request_id};
+AuxExchangeReply PartitionServer::DoFold(const WalToken& token) {
   AuxExchangeReply reply;
   reply.status = Status::OK();
   for (auto it = read_counts_.begin(); it != read_counts_.end();) {
-    const auto [vertex, reads] = *it;
-    const double delta = static_cast<double>(reads);
-    reply.status = durable_raw_
-                       ? durable_raw_->AddNodeWeight(vertex, delta, token)
-                       : store_->AddNodeWeight(vertex, delta);
+    const AuxExchangeReply::Entry fold{it->first, it->second};
+    reply.status = ApplyLocked(ToWalEntry(fold, token)).status();
     if (!reply.status.ok()) break;  // the rest stay pending
-    reply.folded.push_back({vertex, reads});
+    reply.folded.push_back(fold);
     it = read_counts_.erase(it);
   }
   return reply;

@@ -35,6 +35,8 @@ namespace hermes {
 
 class GraphStore;
 class DurableGraphStore;
+struct WalEntry;
+struct WalToken;
 
 class PartitionServer {
  public:
@@ -98,13 +100,17 @@ class PartitionServer {
   /// first delivery (its token joins the window, with no cached reply).
   [[nodiscard]] static bool IsMutatingRequest(const MessagePayload& request);
 
-  /// Applies one decoded request and produces the reply payload. `src`
-  /// and `request_id` identify the mutation's idempotency token for the
-  /// WAL (reads ignore them).
-  [[nodiscard]] MessagePayload ApplyLocked(const MessagePayload& request,
-                                           EndpointId src,
-                                           std::uint64_t request_id)
+  /// Serves one decoded request and produces the reply payload. `token`
+  /// is the bus (src, request_id): a mutation's WAL entries carry it
+  /// (reads ignore it).
+  [[nodiscard]] MessagePayload DispatchLocked(const MessagePayload& request,
+                                              const WalToken& token)
       REQUIRES(mu_);
+
+  /// Applies one store mutation: the only place that chooses between the
+  /// durable store (DurableGraphStore::Apply: precheck, log, apply) and
+  /// the in-memory one (ApplyWalEntry). Returns a kAddEdge's record id.
+  [[nodiscard]] Result<RecordId> ApplyLocked(WalEntry entry) REQUIRES(mu_);
 
   /// Synthesizes the reply for a mutation whose token was recovered from
   /// the WAL: the mutation is applied state, but its encoded reply died
@@ -124,13 +130,12 @@ class PartitionServer {
 
   NeighborsReply DoNeighbors(const NeighborsRequest& req) REQUIRES(mu_);
   ProbeReply DoProbe(const ProbeRequest& req) REQUIRES(mu_);
-  MutateReply DoMutate(const MutateRequest& req, EndpointId src,
-                       std::uint64_t request_id) REQUIRES(mu_);
-  InstallChunkReply DoInstall(const InstallChunkRequest& req, EndpointId src,
-                              std::uint64_t request_id) REQUIRES(mu_);
-  ExtractReply DoExtract(const ExtractRequest& req) REQUIRES(mu_);
-  AuxExchangeReply DoFold(EndpointId src, std::uint64_t request_id)
+  MutateReply DoMutate(const MutateRequest& req, const WalToken& token)
       REQUIRES(mu_);
+  InstallChunkReply DoInstall(const InstallChunkRequest& req,
+                              const WalToken& token) REQUIRES(mu_);
+  ExtractReply DoExtract(const ExtractRequest& req) REQUIRES(mu_);
+  AuxExchangeReply DoFold(const WalToken& token) REQUIRES(mu_);
   HealthReply DoHealth() REQUIRES(mu_);
   CheckpointReply DoCheckpoint() REQUIRES(mu_);
   DumpReply DoDump() REQUIRES(mu_);

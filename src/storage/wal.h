@@ -57,8 +57,8 @@ struct WalEntry {
   double weight = 0.0;              // node weight / weight delta
   std::uint32_t key = 0;            // property key / relationship type
   std::uint8_t flag = 0;            // other_is_local / NodeState
-  WalToken token;                   // idempotency token (0 = none)
-  std::string payload;              // property value
+  WalToken token{};                 // idempotency token (0 = none)
+  std::string payload{};            // property value
 
   bool operator==(const WalEntry& other) const {
     return type == other.type && lsn == other.lsn && a == other.a &&

@@ -6,8 +6,9 @@ Builds throwaway fixture repos in a temp directory and asserts that both
 audit passes flag known-bad trees, stay quiet on known-good ones, and
 honor the audit:allow(blocking, ...) suppression contract:
 
-  * Pass A must flag a declared-blocking method call, a raw syscall, and
-    a sleep inside a critical section — and accept the same work after an
+  * Pass A must flag a declared-blocking method call (also one with
+    explicit template arguments), a raw syscall, and a sleep inside a
+    critical section — and accept the same work after an
     early Unlock(), outside any lock scope, or after the RAII guard's
     block closed.
   * REQUIRES(mu_) on a function (declaration or definition) makes the
@@ -132,6 +133,24 @@ Status Log::Flush() {
         check("blocking-under-lock exits 1", code == 1, out)
         check("finding names the call and the lock",
               "FdAppender::Append" in out and "mu_" in out, out)
+
+
+def case_template_call_under_lock_is_flagged():
+    print("case: a call with explicit template arguments is a call")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={"Log": ["Flush", "Call"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", """\
+Status Log::Flush() {
+  MutexLock lock(&mu_);
+  return Call<Reply>(0, Request{}).status();
+}
+""")
+        code, out = run_audit(root)
+        check("template call under lock exits 1", code == 1, out)
+        check("finding names the templated call",
+              "Log::Call" in out and "mu_" in out, out)
 
 
 def case_primitives_under_lock_are_flagged():
@@ -409,6 +428,7 @@ def case_repo_itself_is_clean():
 def main():
     for case in (case_clean_scope_passes,
                  case_blocking_call_under_lock_is_flagged,
+                 case_template_call_under_lock_is_flagged,
                  case_primitives_under_lock_are_flagged,
                  case_early_unlock_then_io_passes,
                  case_requires_body_is_a_lock_scope,

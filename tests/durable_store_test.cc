@@ -294,6 +294,23 @@ TEST(DurableStoreTest, OpenOnEmptyDirectoryIsFreshStore) {
   EXPECT_EQ((*db)->store().partition_id(), 3u);
 }
 
+// Apply is the one logged-mutation path; a checkpoint marker is not a
+// mutation, and logging one would hide every earlier entry from replay.
+TEST(DurableStoreTest, ApplyRejectsCheckpointMarkerWithoutLogging) {
+  const std::string dir = FreshDir("hermes_apply_checkpoint");
+  auto db = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(db);
+  ASSERT_OK((*db)->CreateNode(1));
+  const std::uint64_t next = (*db)->next_lsn();
+  EXPECT_TRUE(
+      (*db)->Apply({.type = WalOpType::kCheckpoint}).status().IsInvalidArgument());
+  EXPECT_EQ((*db)->next_lsn(), next);
+  auto added = (*db)->Apply(
+      {.type = WalOpType::kAddEdge, .a = 1, .b = 7, .key = 3});
+  ASSERT_OK(added);
+  EXPECT_EQ(*added, *(*db)->store().FindEdge(1, 7));
+}
+
 TEST(DurableStoreTest, RepeatedCheckpointsStayConsistent) {
   const std::string dir = FreshDir("hermes_repeat");
   auto db = DurableGraphStore::Open(0, dir);

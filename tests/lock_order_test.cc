@@ -70,25 +70,6 @@ TEST(LockOrderTest, UnrankedMutexIsInvisibleToTheValidator) {
   plain.Unlock();
 }
 
-TEST(LockOrderTest, TryLockTracksOnlySuccessfulAcquisitions) {
-  lock_order::ResetGraphForTest();
-  Mutex mu("test.trylock.mu", 12);
-  mu.Lock();
-  std::thread contender([&] {
-    EXPECT_FALSE(mu.TryLock());
-    EXPECT_EQ(lock_order::HeldCount(), 0u);  // failed try must not track
-  });
-  contender.join();
-  mu.Unlock();
-
-  ASSERT_TRUE(mu.TryLock());
-#ifdef HERMES_DEBUG_LOCK_ORDER
-  EXPECT_EQ(lock_order::HeldCount(), 1u);
-#endif
-  mu.Unlock();
-  EXPECT_EQ(lock_order::HeldCount(), 0u);
-}
-
 TEST(LockOrderTest, CondVarWaitsKeepTheHeldStackBalanced) {
   lock_order::ResetGraphForTest();
   Mutex outer("test.cv.outer", 18);

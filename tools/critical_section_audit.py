@@ -102,7 +102,10 @@ EXPLICIT_UNLOCK_RE = re.compile(
     r"(?P<m>Unlock|UnlockShared|unlock)\s*\(\s*\)$")
 REQUIRES_RE = re.compile(r"\b(?:REQUIRES|REQUIRES_SHARED)\s*\(([^)]*)\)")
 
-CALL_RE = re.compile(r"(?P<prefix>(?:\w+\s*(?:\.|->|::)\s*)*)(?P<name>[\w~]+)\s*\(")
+# A call, with or without explicit (non-nested) template arguments:
+# `Call<NeighborsReply>(p, req)` is a call to `Call`.
+CALL_RE = re.compile(r"(?P<prefix>(?:\w+\s*(?:\.|->|::)\s*)*)(?P<name>[\w~]+)"
+                     r"\s*(?:<[^<>;{}()]*>\s*)?\(")
 CPP_KEYWORDS = frozenset(
     "if while for switch return sizeof catch new delete throw "
     "static_assert alignof decltype typeid co_await co_return co_yield "
