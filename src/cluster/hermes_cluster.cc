@@ -6,7 +6,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -318,20 +317,24 @@ Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,
   // processed in partition order. Touching a vertex's record happens on
   // its host, so the per-server visit counts — and the number of
   // distinct remote servers per level — are what edge-cut controls.
-  std::unordered_set<VertexId> seen{start};
+  // One bit per directory entry and one counter per partition: a read
+  // pays per adjacency list, not per visited vertex, for its bookkeeping.
+  const PartitionId alpha = assignment_.num_partitions();
+  std::vector<bool> seen(assignment_.size());
+  seen[start] = true;
   std::vector<VertexId> level{start};
   PartitionId position = p0;  // server currently holding the traversal
   for (int depth = 0; depth < std::max(hops, 1) && !level.empty(); ++depth) {
-    std::map<PartitionId, NeighborsRequest> batches;
+    std::vector<NeighborsRequest> batches(alpha);
     for (VertexId v : level) {
       batches[assignment_.PartitionOf(v)].vertices.push_back(v);
     }
     std::vector<std::pair<PartitionId, MessagePayload>> calls;
-    calls.reserve(batches.size());
-    for (auto& [pv, batch] : batches) {
+    for (PartitionId pv = 0; pv < alpha; ++pv) {
+      if (batches[pv].vertices.empty()) continue;
       // Level 0 is the start alone; its server counts the read.
-      batch.count_reads = depth == 0 && options_.count_reads_in_weights;
-      calls.emplace_back(pv, std::move(batch));
+      batches[pv].count_reads = depth == 0 && options_.count_reads_in_weights;
+      calls.emplace_back(pv, std::move(batches[pv]));
     }
     // audit:allow(blocking, bus round-trips under the shared directory
     // hold: the dispatch threads serving them take only their own server
@@ -353,16 +356,17 @@ Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,
     if (depth >= hops) break;  // hops <= 0: the start fetch is the read
 
     std::vector<VertexId> next_level;
-    std::map<PartitionId, std::uint32_t> visits_by_server;
+    std::vector<std::uint32_t> visits_by_server(alpha, 0);
     for (const NeighborsReply& reply : fetched) {
       for (const auto& adjacency : reply.results) {
         // Per-vertex failure = unavailable (mid-migration barrier): skip
         // the vertex, keep the batch.
         if (!adjacency.status.ok()) continue;
+        run.vertices_processed += adjacency.neighbors.size();
         for (VertexId w : adjacency.neighbors) {
           ++visits_by_server[assignment_.PartitionOf(w)];
-          ++run.vertices_processed;
-          if (seen.insert(w).second) {
+          if (!seen[w]) {
+            seen[w] = true;
             ++run.unique_vertices;
             next_level.push_back(w);
           }
@@ -370,12 +374,11 @@ Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,
       }
     }
     // Serve the local batch first, then hop to each remote server once.
-    if (auto it = visits_by_server.find(position);
-        it != visits_by_server.end()) {
-      run.segments.back().second += it->second;
-      visits_by_server.erase(it);
-    }
-    for (const auto& [server, visits] : visits_by_server) {
+    run.segments.back().second += visits_by_server[position];
+    visits_by_server[position] = 0;
+    for (PartitionId server = 0; server < alpha; ++server) {
+      const std::uint32_t visits = visits_by_server[server];
+      if (visits == 0) continue;
       ++run.remote_hops;
       run.segments.emplace_back(server, visits);
       position = server;
@@ -923,8 +926,8 @@ bool HermesCluster::Validate(std::size_t sample, std::uint64_t seed) const {
         !reply->results[0].status.ok()) {
       return false;
     }
-    std::vector<VertexId> from_store = reply->results[0].neighbors;
-    std::sort(from_store.begin(), from_store.end());
+    // Both lists are in ascending id order.
+    const std::vector<VertexId>& from_store = reply->results[0].neighbors;
     const auto expected = graph_.Neighbors(v);
     if (from_store.size() != expected.size() ||
         !std::equal(from_store.begin(), from_store.end(), expected.begin())) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/failpoint.h"
 #include "net/wire.h"
 #include "storage/fd_appender.h"

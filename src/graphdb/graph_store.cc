@@ -167,24 +167,7 @@ Status GraphStore::RemoveEdge(VertexId v, VertexId other) {
   return rels_.Delete(rel_id);
 }
 
-Result<std::vector<VertexId>> GraphStore::Neighbors(VertexId v) const {
-  const NodeRecord* n = nodes_.GetPtr(v);
-  if (n == nullptr || !n->in_use) return Status::NotFound("no such node");
-  if (n->state != NodeState::kAvailable) {
-    return Status::Unavailable("node is mid-migration");
-  }
-  std::vector<VertexId> out;
-  RecordId id = n->first_rel;
-  while (id != kInvalidRecord) {
-    const RelationshipRecord* rec = rels_.GetPtr(id);
-    HERMES_CHECK(rec != nullptr);
-    out.push_back(rec->OtherEnd(v));
-    id = GetNext(*rec, v);
-  }
-  return out;
-}
-
-Result<std::vector<VertexId>> GraphStore::NeighborsByType(
+Result<std::vector<VertexId>> GraphStore::Neighbors(
     VertexId v, std::optional<std::uint32_t> type) const {
   const NodeRecord* n = nodes_.GetPtr(v);
   if (n == nullptr || !n->in_use) return Status::NotFound("no such node");
@@ -192,14 +175,14 @@ Result<std::vector<VertexId>> GraphStore::NeighborsByType(
     return Status::Unavailable("node is mid-migration");
   }
   std::vector<VertexId> out;
-  RecordId id = n->first_rel;
-  while (id != kInvalidRecord) {
-    const RelationshipRecord* rec = rels_.GetPtr(id);
-    HERMES_CHECK(rec != nullptr);
-    if (!type.has_value() || rec->type == *type) {
-      out.push_back(rec->OtherEnd(v));
+  for (auto it = links_.LowerBoundIter({v, 0});
+       it != links_.end() && it.key().first == v; ++it) {
+    if (type.has_value()) {
+      const RelationshipRecord* rec = rels_.GetPtr(it.value());
+      HERMES_CHECK(rec != nullptr);
+      if (rec->type != *type) continue;
     }
-    id = GetNext(*rec, v);
+    out.push_back(it.key().second);
   }
   return out;
 }

@@ -72,13 +72,12 @@ class GraphStore {
   /// Removes the local materialization of edge {v, other}.
   [[nodiscard]] Status RemoveEdge(VertexId v, VertexId other);
 
-  /// Walks v's relationship chain; fully local by construction.
-  [[nodiscard]] Result<std::vector<VertexId>> Neighbors(VertexId v) const;
-
-  /// Neighbors reached via relationships of the given type only
-  /// (pass std::nullopt for all types).
-  [[nodiscard]] Result<std::vector<VertexId>> NeighborsByType(
-      VertexId v, std::optional<std::uint32_t> type) const;
+  /// v's neighbours in ascending id order: one range scan of the link
+  /// index, fully local by construction. With `type` set, only those
+  /// reached via relationships of that type (the scan then reads each
+  /// relationship record); std::nullopt means all types.
+  [[nodiscard]] Result<std::vector<VertexId>> Neighbors(
+      VertexId v, std::optional<std::uint32_t> type = std::nullopt) const;
 
   [[nodiscard]] Result<std::size_t> DegreeOf(VertexId v) const;
 

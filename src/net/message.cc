@@ -1,12 +1,13 @@
 #include "net/message.h"
 
+#include "common/crc32.h"
+
 namespace hermes {
 
 namespace {
 
 /// Minimum encoded sizes, used to bound element counts before reserving.
 constexpr std::size_t kMinPropertyBytes = 8;   // key u32 + length u32
-constexpr std::size_t kMinVertexBytes = 8;     // u64
 constexpr std::size_t kMinAdjacencyBytes = 9;  // status (1+4) + count u32
 constexpr std::size_t kMinNodeBytes = 20;      // id + weight + prop count
 constexpr std::size_t kMinEdgeBytes = 26;      // ids + type + flags + count
@@ -37,27 +38,10 @@ void EncodeProperties(const std::vector<WireProperty>& props, WireWriter* w) {
   return Status::OK();
 }
 
-void PutVertices(const std::vector<VertexId>& vs, WireWriter* w) {
-  w->PutU32(static_cast<std::uint32_t>(vs.size()));
-  for (VertexId v : vs) w->PutU64(v);
-}
-
-[[nodiscard]] Status ReadVertices(WireReader* r, std::vector<VertexId>* out) {
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinVertexBytes, &n));
-  out->reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint64_t v = 0;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&v));
-    out->push_back(v);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 void NeighborsRequest::EncodeTo(WireWriter* w) const {
-  PutVertices(vertices, w);
+  w->PutVertices(vertices);
   w->PutBool(has_type);
   w->PutU32(type);
   w->PutBool(count_reads);
@@ -65,7 +49,7 @@ void NeighborsRequest::EncodeTo(WireWriter* w) const {
 
 Result<NeighborsRequest> NeighborsRequest::DecodeFrom(WireReader* r) {
   NeighborsRequest m;
-  HERMES_RETURN_NOT_OK(ReadVertices(r, &m.vertices));
+  HERMES_RETURN_NOT_OK(r->ReadVertices(&m.vertices));
   HERMES_RETURN_NOT_OK(r->ReadBool(&m.has_type));
   HERMES_RETURN_NOT_OK(r->ReadU32(&m.type));
   HERMES_RETURN_NOT_OK(r->ReadBool(&m.count_reads));
@@ -77,7 +61,7 @@ void NeighborsReply::EncodeTo(WireWriter* w) const {
   w->PutU32(static_cast<std::uint32_t>(results.size()));
   for (const Adjacency& a : results) {
     PutStatus(a.status, w);
-    PutVertices(a.neighbors, w);
+    w->PutVertices(a.neighbors);
   }
 }
 
@@ -90,7 +74,7 @@ Result<NeighborsReply> NeighborsReply::DecodeFrom(WireReader* r) {
   for (std::uint32_t i = 0; i < n; ++i) {
     Adjacency a;
     HERMES_RETURN_NOT_OK(ReadStatus(r, &a.status));
-    HERMES_RETURN_NOT_OK(ReadVertices(r, &a.neighbors));
+    HERMES_RETURN_NOT_OK(r->ReadVertices(&a.neighbors));
     m.results.push_back(std::move(a));
   }
   return m;
@@ -410,22 +394,23 @@ constexpr std::size_t kFrameHeaderBytes = 1 + 1 + 2 + 8 + 4 + 4;
 }  // namespace
 
 [[nodiscard]] Result<std::string> EncodeFrame(const Envelope& env) {
-  WireWriter body;
-  body.PutU8(kWireVersion);
-  body.PutU8(static_cast<std::uint8_t>(env.type()));
-  body.PutU16(env.attempt);
-  body.PutU64(env.request_id);
-  body.PutU32(env.src);
-  body.PutU32(env.dst);
-  std::visit([&body](const auto& m) { m.EncodeTo(&body); }, env.payload);
-  if (4 + body.size() + 4 > kMaxFrameBytes) {
+  // One buffer: the length prefix is written as a placeholder and patched
+  // once the body's size is known.
+  WireWriter frame;
+  frame.PutU32(0);
+  frame.PutU8(kWireVersion);
+  frame.PutU8(static_cast<std::uint8_t>(env.type()));
+  frame.PutU16(env.attempt);
+  frame.PutU64(env.request_id);
+  frame.PutU32(env.src);
+  frame.PutU32(env.dst);
+  std::visit([&frame](const auto& m) { m.EncodeTo(&frame); }, env.payload);
+  const std::size_t body_bytes = frame.size() - 4;
+  if (4 + body_bytes + 4 > kMaxFrameBytes) {
     return Status::InvalidArgument("wire: frame exceeds kMaxFrameBytes");
   }
-  const std::uint32_t crc = Crc32(body.bytes().data(), body.size());
-  WireWriter frame;
-  frame.PutU32(static_cast<std::uint32_t>(body.size() + 4));
-  frame.PutRaw(body.bytes());
-  frame.PutU32(crc);
+  frame.PatchU32(0, static_cast<std::uint32_t>(body_bytes + 4));
+  frame.PutU32(Crc32(frame.bytes().data() + 4, body_bytes));
   return frame.TakeBytes();
 }
 

@@ -1,72 +1,23 @@
 #include "net/wire.h"
 
-#include <array>
+#include <bit>
 
 namespace hermes {
 
-namespace {
-
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
+void WireWriter::PutVertices(const std::vector<VertexId>& vs) {
+  PutU32(static_cast<std::uint32_t>(vs.size()));
+  if constexpr (std::endian::native == std::endian::little) {
+    out_.append(reinterpret_cast<const char*>(vs.data()),
+                vs.size() * sizeof(VertexId));
+  } else {
+    for (VertexId v : vs) PutU64(v);
   }
-  return table;
 }
 
-}  // namespace
-
-std::uint32_t Crc32(const void* data, std::size_t len) {
-  static const std::array<std::uint32_t, 256> kTable = BuildCrcTable();
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+void WireWriter::PatchU32(std::size_t offset, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    out_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-Status WireReader::ReadU16(std::uint16_t* out) {
-  HERMES_RETURN_NOT_OK(Need(2));
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v |= static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(buf_[pos_ + static_cast<std::size_t>(i)])
-        << (8 * i));
-  }
-  pos_ += 2;
-  *out = v;
-  return Status::OK();
-}
-
-Status WireReader::ReadU32(std::uint32_t* out) {
-  HERMES_RETURN_NOT_OK(Need(4));
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<std::uint8_t>(buf_[pos_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  *out = v;
-  return Status::OK();
-}
-
-Status WireReader::ReadU64(std::uint64_t* out) {
-  HERMES_RETURN_NOT_OK(Need(8));
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<std::uint8_t>(buf_[pos_ + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  pos_ += 8;
-  *out = v;
-  return Status::OK();
 }
 
 Status WireReader::ReadBool(bool* out) {
@@ -104,6 +55,21 @@ Status WireReader::ReadCount(std::size_t min_elem_bytes, std::uint32_t* out) {
     return Status::OutOfRange("wire: element count exceeds buffer");
   }
   *out = count;
+  return Status::OK();
+}
+
+Status WireReader::ReadVertices(std::vector<VertexId>* out) {
+  std::uint32_t n = 0;
+  HERMES_RETURN_NOT_OK(ReadCount(sizeof(VertexId), &n));
+  out->resize(n);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n > 0) {
+      std::memcpy(out->data(), buf_.data() + pos_, n * sizeof(VertexId));
+      pos_ += n * sizeof(VertexId);
+    }
+  } else {
+    for (VertexId& v : *out) HERMES_RETURN_NOT_OK(ReadU64(&v));
+  }
   return Status::OK();
 }
 

@@ -1,11 +1,12 @@
 /// Wire primitives for the typed message layer (DESIGN.md §12): a
-/// little-endian append-only writer, a bounds-checked reader whose every
-/// accessor returns Status instead of crashing on hostile input, and the
-/// CRC-32 used to seal frames. The encoding is deliberately dumb —
-/// fixed-width integers, doubles as raw bit patterns, strings and vectors
-/// as u32 count + elements — so that encode→decode→re-encode is
-/// byte-identical (the round-trip fuzz test in tests/net_wire_test.cc
-/// relies on this).
+/// little-endian append-only writer and a bounds-checked reader whose
+/// every accessor returns Status instead of crashing on hostile input.
+/// Frames are sealed with common/crc32.h's IEEE CRC-32. The encoding is
+/// deliberately dumb — fixed-width integers, doubles as raw bit patterns,
+/// strings and vectors as u32 count + elements — so that
+/// encode→decode→re-encode is byte-identical (the round-trip fuzz test in
+/// tests/net_wire_test.cc relies on this). Each call moves a whole
+/// integer, and a vertex list moves as one block.
 #ifndef HERMES_NET_WIRE_H_
 #define HERMES_NET_WIRE_H_
 
@@ -13,8 +14,10 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
+#include "common/types.h"
 
 namespace hermes {
 
@@ -37,17 +40,14 @@ inline constexpr std::uint8_t kWireVersion = 3;
 /// loading, migration) chunk their payloads well below this.
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data`.
-[[nodiscard]] std::uint32_t Crc32(const void* data, std::size_t len);
-
 /// Appends little-endian primitives to an owned buffer. Never fails:
 /// bounds problems only exist on the decode side.
 class WireWriter {
  public:
   void PutU8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void PutU16(std::uint16_t v) { PutLittleEndian(v, 2); }
-  void PutU32(std::uint32_t v) { PutLittleEndian(v, 4); }
-  void PutU64(std::uint64_t v) { PutLittleEndian(v, 8); }
+  void PutU16(std::uint16_t v) { PutLittleEndian<2>(v); }
+  void PutU32(std::uint32_t v) { PutLittleEndian<4>(v); }
+  void PutU64(std::uint64_t v) { PutLittleEndian<8>(v); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   /// Doubles travel as their IEEE-754 bit pattern, so every value —
   /// including NaNs — re-encodes to the same bytes.
@@ -61,6 +61,11 @@ class WireWriter {
     out_.append(s.data(), s.size());
   }
   void PutRaw(std::string_view s) { out_.append(s.data(), s.size()); }
+  /// u32 count, then the ids as u64s in one block.
+  void PutVertices(const std::vector<VertexId>& vs);
+  /// Overwrites the four bytes at `offset` (already written) with `v`:
+  /// a length prefix known only once the body is encoded.
+  void PatchU32(std::size_t offset, std::uint32_t v);
   /// Sizes the buffer once when the caller knows the encoded length.
   void Reserve(std::size_t bytes) { out_.reserve(bytes); }
 
@@ -69,10 +74,13 @@ class WireWriter {
   std::size_t size() const { return out_.size(); }
 
  private:
-  void PutLittleEndian(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  template <std::size_t kBytes>
+  void PutLittleEndian(std::uint64_t v) {
+    char le[kBytes];
+    for (std::size_t i = 0; i < kBytes; ++i) {
+      le[i] = static_cast<char>((v >> (8 * i)) & 0xff);
     }
+    out_.append(le, kBytes);
   }
 
   std::string out_;
@@ -91,9 +99,15 @@ class WireReader {
     *out = static_cast<std::uint8_t>(buf_[pos_++]);
     return Status::OK();
   }
-  [[nodiscard]] Status ReadU16(std::uint16_t* out);
-  [[nodiscard]] Status ReadU32(std::uint32_t* out);
-  [[nodiscard]] Status ReadU64(std::uint64_t* out);
+  [[nodiscard]] Status ReadU16(std::uint16_t* out) {
+    return ReadLittleEndian(out);
+  }
+  [[nodiscard]] Status ReadU32(std::uint32_t* out) {
+    return ReadLittleEndian(out);
+  }
+  [[nodiscard]] Status ReadU64(std::uint64_t* out) {
+    return ReadLittleEndian(out);
+  }
   [[nodiscard]] Status ReadBool(bool* out);
   [[nodiscard]] Status ReadF64(double* out);
   [[nodiscard]] Status ReadString(std::string* out);
@@ -102,6 +116,9 @@ class WireReader {
   /// hostile count cannot trigger a huge allocation.
   [[nodiscard]] Status ReadCount(std::size_t min_elem_bytes,
                                  std::uint32_t* out);
+  /// Reads what PutVertices wrote into `out` (replacing its contents).
+  /// The count is bounded by ReadCount before `out` is sized.
+  [[nodiscard]] Status ReadVertices(std::vector<VertexId>* out);
 
   std::size_t remaining() const { return buf_.size() - pos_; }
   bool AtEnd() const { return pos_ == buf_.size(); }
@@ -111,6 +128,19 @@ class WireReader {
     if (remaining() < n) {
       return Status::OutOfRange("wire: truncated buffer");
     }
+    return Status::OK();
+  }
+
+  template <typename T>
+  [[nodiscard]] Status ReadLittleEndian(T* out) {
+    HERMES_RETURN_NOT_OK(Need(sizeof(T)));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(
+          static_cast<T>(static_cast<std::uint8_t>(buf_[pos_ + i])) << (8 * i));
+    }
+    pos_ += sizeof(T);
+    *out = v;
     return Status::OK();
   }
 

@@ -1,6 +1,7 @@
 #include "server/partition_server.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/logging.h"
@@ -357,9 +358,9 @@ NeighborsReply PartitionServer::DoNeighbors(const NeighborsRequest& req) {
   reply.results.reserve(req.vertices.size());
   for (VertexId v : req.vertices) {
     NeighborsReply::Adjacency adj;
-    auto neighbors = req.has_type
-                         ? store_->NeighborsByType(v, req.type)
-                         : store_->Neighbors(v);
+    auto neighbors = store_->Neighbors(
+        v, req.has_type ? std::optional<std::uint32_t>(req.type)
+                        : std::nullopt);
     if (neighbors.ok()) {
       adj.status = Status::OK();
       adj.neighbors = std::move(*neighbors);

@@ -7,6 +7,7 @@
 #include <system_error>
 #include <utility>
 
+#include "common/crc32.h"
 #include "common/failpoint.h"
 
 namespace hermes {
@@ -55,7 +56,7 @@ std::string EncodeEntry(const WalEntry& e) {
   // Frame: [u32 length][u32 crc][body].
   std::string frame;
   const auto length = static_cast<std::uint32_t>(body.size());
-  const std::uint32_t crc = WalCrc32(body.data(), body.size());
+  const std::uint32_t crc = Crc32c(body.data(), body.size());
   PutBytes(&frame, &length, sizeof(length));
   PutBytes(&frame, &crc, sizeof(crc));
   frame += body;
@@ -83,7 +84,7 @@ struct ScannedLog {
     if (length < sizeof(EntryHeader) || length > (1u << 26)) break;
     std::string body(length, '\0');
     if (!in.read(body.data(), length)) break;  // torn tail: stop replay
-    if (WalCrc32(body.data(), body.size()) != crc) break;  // corrupt tail
+    if (Crc32c(body.data(), body.size()) != crc) break;  // corrupt tail
 
     EntryHeader h;
     std::memcpy(&h, body.data(), sizeof(h));
@@ -172,18 +173,6 @@ CommitResult CommitBatchIo(FdAppender& file, const std::string& batch) {
 }
 
 }  // namespace
-
-std::uint32_t WalCrc32(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t crc = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc ^= bytes[i];
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0x82f63b78u & (0u - (crc & 1u)));
-    }
-  }
-  return crc ^ 0xffffffffu;
-}
 
 WriteAheadLog::WriteAheadLog(std::string path, FdAppender file,
                              std::uint64_t next_lsn,

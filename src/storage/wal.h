@@ -246,10 +246,6 @@ class WriteAheadLog {
   Counter* m_syncs_ = nullptr;
 };
 
-/// CRC32 (Castagnoli polynomial, bitwise) used by the log format; exposed
-/// for tests.
-std::uint32_t WalCrc32(const void* data, std::size_t size);
-
 }  // namespace hermes
 
 #endif  // HERMES_STORAGE_WAL_H_

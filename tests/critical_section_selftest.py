@@ -357,6 +357,65 @@ Status Log::Stage(int x) {
               summary["suppressions"]["applied"] == 2, summary)
 
 
+def case_marker_in_lambda_body_applies():
+    print("case: a marker above a wrapped statement in a lambda body applies")
+    # Lambda bodies, as an initializer and as a call argument, are folded
+    # into their enclosing statement; their own statements still take a
+    # marker above their first line, as in a plain loop body.
+    lambdas = """\
+Status Log::Stage(int x) {
+  MutexLock lock(&mu_);
+  const Status st = [&]() -> Status {
+    for (int i = 0; i < x; ++i) {
+%(marker)s      HERMES_RETURN_NOT_OK(
+          file_.Append(nullptr, 0));
+    }
+    return Status::OK();
+  }();
+  HERMES_RETURN_NOT_OK(st);
+  return RunEach(x, [&](int i) {
+%(marker)s    HERMES_RETURN_NOT_OK(
+        file_.Append(nullptr, i));
+    return Status::OK();
+  });
+}
+"""
+    marker = """\
+    // audit:allow(blocking, the same marker and statement as in the
+    // plain loop body)
+"""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={**CONTRACT_FD, "Log": ["Flush", "Stage"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", """\
+Status Log::Flush() {
+  MutexLock lock(&mu_);
+  for (int i = 0; i < 2; ++i) {
+    // audit:allow(blocking, a plain loop body: the marker covers the
+    // statement's wrapped call)
+    HERMES_RETURN_NOT_OK(
+        file_.Append(nullptr, 0));
+  }
+  return Status::OK();
+}
+""" + lambdas % {"marker": marker})
+        json_path = root / "audit.json"
+        code, out = run_audit(root, json_path)
+        check("marked lambda bodies exit 0", code == 0, out)
+        summary = json.loads(json_path.read_text())
+        check("loop and both lambda markers applied",
+              summary["suppressions"]["applied"] == 3, summary)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={**CONTRACT_FD, "Log": ["Stage"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", lambdas % {"marker": ""})
+        code, out = run_audit(root)
+        check("unmarked calls in lambda bodies are still flagged",
+              code == 1 and "log.cc:6:" in out and "log.cc:13:" in out, out)
+
+
 def case_reasonless_marker_is_a_finding():
     print("case: a reason-less marker is itself a finding")
     with tempfile.TemporaryDirectory() as tmp:
@@ -437,6 +496,7 @@ def main():
                  case_notify_after_unlock_passes,
                  case_notify_marker_suppresses,
                  case_markers_suppress_and_are_counted,
+                 case_marker_in_lambda_body_applies,
                  case_reasonless_marker_is_a_finding,
                  case_contract_drift_is_flagged,
                  case_exempt_files_are_skipped,

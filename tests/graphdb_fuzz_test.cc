@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -59,6 +60,26 @@ void ExpectLookupsMatch(const GraphStore& store, const Reference& ref) {
                         back != ref.adjacency.end() && back->second.count(v);
       EXPECT_EQ(*ghost, !full && v > w) << v << "->" << w;
     }
+  }
+}
+
+// Neighbors is one scan of the link index: strictly ascending, and the
+// same ids as the other ends of the node's chain (ExtractNode walks it).
+void ExpectNeighborsMatchChains(const GraphStore& store) {
+  for (VertexId v : store.NodeIds()) {
+    if (!store.HasNode(v)) continue;
+    const Result<std::vector<VertexId>> neighbors = store.Neighbors(v);
+    const Result<NodeSnapshot> snapshot = store.ExtractNode(v);
+    ASSERT_OK(neighbors);
+    ASSERT_OK(snapshot);
+    ASSERT_EQ(std::adjacent_find(neighbors->begin(), neighbors->end(),
+                                 std::greater_equal<VertexId>()),
+              neighbors->end())
+        << "vertex " << v << ": neighbours not strictly ascending";
+    std::vector<VertexId> chain;
+    for (const auto& rel : snapshot->relationships) chain.push_back(rel.other);
+    std::sort(chain.begin(), chain.end());
+    ASSERT_EQ(*neighbors, chain) << "vertex " << v;
   }
 }
 
@@ -175,6 +196,8 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
       }
     }
 
+    ASSERT_NO_FATAL_FAILURE(ExpectNeighborsMatchChains(store))
+        << "step " << step;
     if (step % 250 == 0) {
       ASSERT_TRUE(store.CheckChains()) << "step " << step;
       ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(store, ref))

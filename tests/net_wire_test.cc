@@ -18,6 +18,7 @@
 
 #include "test_util.h"
 
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -338,6 +339,97 @@ TEST(NetWireTest, HostileElementCountRejectedWithoutAllocation) {
   // instead of reserving gigabytes.
   WireWriter payload;
   payload.PutU32(0xffffffffu);  // vertex count
+  const std::string frame = CraftFrame(
+      kWireVersion, static_cast<std::uint8_t>(MsgType::kNeighborsRequest), 0,
+      payload.bytes());
+  Result<Envelope> decoded = DecodeFrame(frame);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsOutOfRange()) << decoded.status().ToString();
+}
+
+/// Appends `v` one byte at a time: the per-element reference the block
+/// codec must match byte for byte.
+void AppendLe(std::string* out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+TEST(NetWireTest, LongVertexListMatchesPerElementEncoding) {
+  NeighborsReply reply;
+  reply.status = Status::OK();
+  NeighborsReply::Adjacency hub;
+  hub.status = Status::OK();
+  Rng rng(17);
+  for (int i = 0; i < 10000; ++i) hub.neighbors.push_back(rng.Next());
+  reply.results.push_back(hub);
+  NeighborsReply::Adjacency moving;
+  moving.status = Status::Unavailable("mid-migration");
+  reply.results.push_back(moving);
+  Envelope env;
+  env.attempt = 2;
+  env.request_id = 0x0102030405060708ULL;
+  env.src = 9;
+  env.dst = 4;
+  env.payload = reply;
+
+  // The frame layout of DESIGN.md §12, written out field by field.
+  std::string body;
+  AppendLe(&body, kWireVersion, 1);
+  AppendLe(&body, static_cast<std::uint8_t>(MsgType::kNeighborsReply), 1);
+  AppendLe(&body, env.attempt, 2);
+  AppendLe(&body, env.request_id, 8);
+  AppendLe(&body, env.src, 4);
+  AppendLe(&body, env.dst, 4);
+  AppendLe(&body, 0, 1);  // reply status OK, empty message
+  AppendLe(&body, 0, 4);
+  AppendLe(&body, 2, 4);  // two adjacency lists
+  AppendLe(&body, 0, 1);
+  AppendLe(&body, 0, 4);
+  AppendLe(&body, hub.neighbors.size(), 4);
+  for (VertexId v : hub.neighbors) AppendLe(&body, v, 8);
+  AppendLe(&body, static_cast<std::uint8_t>(StatusCode::kUnavailable), 1);
+  AppendLe(&body, moving.status.message().size(), 4);
+  body += moving.status.message();
+  AppendLe(&body, 0, 4);  // no neighbours
+  std::string want;
+  AppendLe(&want, body.size() + 4, 4);
+  want += body;
+  AppendLe(&want, Crc32(body.data(), body.size()), 4);
+
+  Result<std::string> frame = EncodeFrame(env);
+  ASSERT_OK(frame);
+  ASSERT_EQ(frame->size(), want.size());
+  EXPECT_TRUE(*frame == want) << "block encoding differs from the reference";
+
+  Result<Envelope> decoded = DecodeFrame(*frame);
+  ASSERT_OK(decoded);
+  const auto* back = std::get_if<NeighborsReply>(&decoded->payload);
+  ASSERT_NE(back, nullptr);
+  ASSERT_EQ(back->results.size(), 2u);
+  EXPECT_EQ(back->results[0].neighbors, hub.neighbors);
+  EXPECT_TRUE(back->results[1].status.IsUnavailable());
+  EXPECT_TRUE(back->results[1].neighbors.empty());
+}
+
+TEST(NetWireTest, VertexCountPastRemainingBytesFailsBeforeSizing) {
+  // Three ids on the wire under a count of four.
+  WireWriter list;
+  list.PutU32(4);
+  for (VertexId v : {11u, 12u, 13u}) list.PutU64(v);
+  WireReader reader(list.bytes());
+  std::vector<VertexId> out;
+  const Status st = reader.ReadVertices(&out);
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  EXPECT_EQ(out.capacity(), 0u);  // the bound tripped before the resize
+
+  // The same list inside a NeighborsRequest: its trailing has_type, type
+  // and count_reads fields (6 bytes) do not make room for a fourth id.
+  WireWriter payload;
+  payload.PutRaw(list.bytes());
+  payload.PutBool(false);
+  payload.PutU32(0);
+  payload.PutBool(false);
   const std::string frame = CraftFrame(
       kWireVersion, static_cast<std::uint8_t>(MsgType::kNeighborsRequest), 0,
       payload.bytes());

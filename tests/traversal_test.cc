@@ -28,7 +28,7 @@ GraphStore MakeStore() {
 
 NeighborProvider Provider(const GraphStore& store) {
   return [&store](VertexId v, std::optional<std::uint32_t> type) {
-    return store.NeighborsByType(v, type);
+    return store.Neighbors(v, type);
   };
 }
 

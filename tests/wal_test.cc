@@ -299,12 +299,6 @@ TEST(WalTest, OpenTruncatesTornTailSoLaterAppendsSurvive) {
   EXPECT_EQ(entries->back().lsn, 4u);
 }
 
-TEST(WalTest, Crc32KnownVector) {
-  // CRC-32C of "123456789" is 0xE3069283 (RFC 3720 test vector).
-  EXPECT_EQ(WalCrc32("123456789", 9), 0xE3069283u);
-  EXPECT_EQ(WalCrc32("", 0), 0u);
-}
-
 // --- durability / group commit -------------------------------------------
 
 TEST(WalTest, SyncBatchesStagedAppendsIntoOneFsync) {

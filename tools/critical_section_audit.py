@@ -51,7 +51,11 @@ list stays curated rather than regex-drifting. Constructors,
 destructors, operators, and main() are exempt.
 
 Suppression is explicit and audited: a Pass A finding is allowed only by
-a marker on the offending line (or the line above)
+a marker on the offending line or in the comment block directly above
+that line, above its statement's first line, or above the first line of
+the innermost statement around it (a lambda body folded into its
+enclosing statement, as an initializer or a call argument, holds
+statements of its own)
 
     // audit:allow(blocking, <reason>)
     // audit:allow(notify, <reason>)      for notify-under-lock only
@@ -173,6 +177,12 @@ def marker_on(raw_lines, line_no, kind="blocking"):
             return marker_reason(raw_lines, ln) or ""
         ln -= 1
     return None
+
+
+def marked_at(raw_lines, anchors, kind="blocking"):
+    """True when a marker of `kind` covers any of the 1-based `anchors`."""
+    return any(marker_on(raw_lines, ln, kind) is not None
+               for ln in dict.fromkeys(anchors))
 
 
 def collect_markers(raw_lines, findings, rel, counts):
@@ -528,19 +538,15 @@ class Auditor:
             out.append("".join(cur))
         return out
 
-    def report(self, rel, raw_lines, line, kind, message, alt_line=None,
+    def report(self, rel, raw_lines, anchors, kind, message,
                marker="blocking"):
-        # A marker covers the finding line itself or — for a call on a
-        # continuation line of a wrapped statement — the statement's first
-        # line (`alt_line`), so the comment block above the statement
-        # suppresses everything the statement does.
-        reason = marker_on(raw_lines, line, marker)
-        if reason is None and alt_line is not None and alt_line != line:
-            reason = marker_on(raw_lines, alt_line, marker)
-        if reason is not None:
+        # `anchors` (see analyze) starts with the finding's own line; a
+        # marker on or above any anchor covers the finding, so the comment
+        # block above a wrapped statement suppresses everything it does.
+        if marked_at(raw_lines, anchors, marker):
             self.suppressed += 1
             return False
-        self.findings.append((rel, line, kind, message))
+        self.findings.append((rel, anchors[0], kind, message))
         return True
 
     def note_evidence(self, frames, rel, line, what):
@@ -561,6 +567,17 @@ class Auditor:
         def line_of(pos):
             return st.line + text[:pos].count("\n")
 
+        def anchors(pos):
+            # The line at `pos`, the first line of the innermost statement
+            # around it, and the first line of the whole statement. A
+            # lambda body is folded into its enclosing statement (as an
+            # initializer or a call argument), so its own statements start
+            # after the last `;`, `{` or `}` before `pos`.
+            start = max(text.rfind(c, 0, pos) for c in ";{}") + 1
+            while start < pos and text[start].isspace():
+                start += 1
+            return (line_of(pos), line_of(start), st.line)
+
         # Blocking primitives.
         for pat, label in ((RAW_SYSCALL_RE, "raw syscall"),
                            (STREAM_IO_RE, "stream I/O"),
@@ -568,16 +585,15 @@ class Auditor:
                            (SLEEP_RE, "sleep")):
             for m in pat.finditer(text):
                 line = line_of(m.start())
-                marked = (marker_on(raw_lines, line) is not None
-                          or marker_on(raw_lines, st.line) is not None)
+                at = anchors(m.start())
+                marked = marked_at(raw_lines, at)
                 if held:
                     self.report(
-                        rel, raw_lines, line, "blocking-under-lock",
+                        rel, raw_lines, at, "blocking-under-lock",
                         f"{label} `{m.group(0).strip().rstrip(chr(40)).strip()}` while holding "
                         f"{held_display(held)} — move the I/O outside the "
                         "critical section or mark "
-                        "// audit:allow(blocking, <reason>)",
-                        alt_line=st.line)
+                        "// audit:allow(blocking, <reason>)")
                 if not marked:
                     self.note_evidence(frames, rel, line,
                                        f"{label} {m.group(0).strip().rstrip(chr(40)).strip()}")
@@ -589,8 +605,8 @@ class Auditor:
                 continue
             prefix = re.sub(r"\s+", "", m.group("prefix"))
             line = line_of(m.start())
-            marked = (marker_on(raw_lines, line) is not None
-                      or marker_on(raw_lines, st.line) is not None)
+            at = anchors(m.start())
+            marked = marked_at(raw_lines, at)
             args = balanced_args(text, m.end() - 1)
 
             if name in WAIT_METHODS and prefix.endswith((".", "->")):
@@ -604,11 +620,10 @@ class Auditor:
                            if h.norm == released or h.var == arg]
                     if foreign and own:
                         self.report(
-                            rel, raw_lines, line, "foreign-condvar",
+                            rel, raw_lines, at, "foreign-condvar",
                             f"condvar wait releases `{arg}` but the thread "
                             f"also holds {held_display(foreign)} — those "
-                            "locks stay held while this thread sleeps",
-                            alt_line=st.line)
+                            "locks stay held while this thread sleeps")
                     if not marked:
                         self.note_evidence(frames, rel, line,
                                            f"condvar wait ({name})")
@@ -619,13 +634,13 @@ class Auditor:
             if name in NOTIFY_METHODS and prefix.endswith((".", "->")):
                 if held:
                     self.report(
-                        rel, raw_lines, line, "notify-under-lock",
+                        rel, raw_lines, at, "notify-under-lock",
                         f"condvar {name} while holding "
                         f"{held_display(held)} — the woken thread blocks "
                         "on the lock its waker still holds; notify after "
                         "the guard's block closes or mark "
                         "// audit:allow(notify, <reason>)",
-                        alt_line=st.line, marker="notify")
+                        marker="notify")
                 continue
 
             if name == "Lock" or name == "Unlock" or name == "lock" \
@@ -669,11 +684,10 @@ class Auditor:
                 continue
             if held:
                 self.report(
-                    rel, raw_lines, line, "blocking-under-lock",
+                    rel, raw_lines, at, "blocking-under-lock",
                     f"blocking call {matched} while holding "
                     f"{held_display(held)} — move it outside the critical "
-                    "section or mark // audit:allow(blocking, <reason>)",
-                    alt_line=st.line)
+                    "section or mark // audit:allow(blocking, <reason>)")
             if not marked:
                 self.note_evidence(frames, rel, line, f"call to {matched}")
 
