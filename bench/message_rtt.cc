@@ -218,16 +218,11 @@ int main(int argc, char** argv) {
     const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
     const auto begin = Clock::now();
     for (long i = 0; i < mutations; ++i) {
-      MutateRequest req;
-      if (i == 0) {
-        req.op = MutateRequest::Op::kCreateNode;
-        req.vertex = 1;
-        req.weight = 1.0;
-      } else {
-        req.op = MutateRequest::Op::kAddNodeWeight;
-        req.vertex = 1;
-        req.weight = 1.0;
-      }
+      const MutateRequest req{
+          .entries = {{.op = i == 0 ? MutateRequest::Op::kCreateNode
+                                    : MutateRequest::Op::kAddNodeWeight,
+                       .vertex = 1,
+                       .weight = 1.0}}};
       Envelope env;
       env.payload = req;
       auto reply = bus.Call(0, std::move(env));

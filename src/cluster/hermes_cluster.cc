@@ -84,10 +84,60 @@ std::vector<Result<Envelope>> HermesCluster::BusCallMany(
   return bus_->CallMany(std::move(requests));
 }
 
-Status HermesCluster::Mutate(PartitionId p, MutateRequest req) const {
+template <typename Reply, typename Request>
+std::map<PartitionId, Result<Reply>> HermesCluster::CallEach(
+    const std::map<PartitionId, Request>& requests) const {
+  std::vector<std::pair<PartitionId, MessagePayload>> calls;
+  calls.reserve(requests.size());
+  for (const auto& [p, request] : requests) calls.emplace_back(p, request);
+  std::vector<Result<Envelope>> replies = BusCallMany(std::move(calls));
+  std::map<PartitionId, Result<Reply>> unwrapped;
+  auto request = requests.begin();
+  for (Result<Envelope>& reply : replies) {
+    unwrapped.emplace((request++)->first,
+                      UnwrapReply<Reply>(std::move(reply)));
+  }
+  return unwrapped;
+}
+
+Status HermesCluster::Mutate(PartitionId p, MutateRequest::Entry entry) const {
+  MutateRequest request;
+  request.entries.push_back(std::move(entry));
   HERMES_ASSIGN_OR_RETURN(MutateReply reply,
-                          Call<MutateReply>(p, std::move(req)));
+                          Call<MutateReply>(p, std::move(request)));
   return reply.status;
+}
+
+Status HermesCluster::MutateEach(std::map<PartitionId, MutateRequest> batches,
+                                 const char* step) const {
+  Status first_error;
+  while (!batches.empty()) {
+    std::map<PartitionId, MutateRequest> rest;
+    for (auto& [p, reply] : CallEach<MutateReply>(batches)) {
+      const Status st = reply.ok() ? reply->status : reply.status();
+      if (st.ok()) continue;
+      if (first_error.ok()) first_error = st;
+      std::vector<MutateRequest::Entry>& entries = batches[p].entries;
+      if (!reply.ok()) {
+        // Every attempt lost its reply: what applied there is unknown.
+        HERMES_LOG(Warning) << step << ": " << entries.size()
+                            << " entries on partition " << p
+                            << " in doubt: " << st.ToString();
+        continue;
+      }
+      // Skip the entry that failed and resend the ones after it.
+      const std::size_t failed =
+          std::min<std::size_t>(reply->applied, entries.size() - 1);
+      HERMES_LOG(Warning) << step << ": vertex " << entries[failed].vertex
+                          << " left as it was on partition " << p << ": "
+                          << st.ToString();
+      entries.erase(entries.begin(),
+                    entries.begin() + static_cast<std::ptrdiff_t>(failed) + 1);
+      if (!entries.empty()) rest[p] = std::move(batches[p]);
+    }
+    batches = std::move(rest);
+  }
+  return first_error;
 }
 
 std::size_t HermesCluster::StoreBytesLocked() const {
@@ -695,47 +745,59 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
     const std::size_t end = std::min(moved.size(), begin + chunk_size);
     chunk.assign(moved.begin() + begin, moved.begin() + end);
     ++stats.chunks;
-    std::vector<ExtractReply> extracts;
+    // Both parallel to `chunk`.
+    std::vector<ExtractReply::Snapshot> extracts;
     std::vector<PartitionId> sources;
     extracts.reserve(chunk.size());
     sources.reserve(chunk.size());
 
     // --- Copy step (exclusive directory hold, which excludes every other
-    // cluster-side capability). Extract each vertex off its source server,
-    // replicate everything on the targets with InstallChunk messages, then
-    // mark the originals unavailable so the barrier window below is
-    // observable to readers (Section 3.2: the directory still routes to
-    // the source, whose record answers Unavailable).
+    // cluster-side capability): three fan-outs, each one request per
+    // server. Extract the chunk off its sources, replicate it on the
+    // targets, then mark the originals unavailable so the barrier window
+    // below is observable to readers (Section 3.2: the directory still
+    // routes to the source, whose record answers Unavailable).
     {
       WriterMutexLock dir(&dir_mu_);
       ScopedTimer copy_timer(m_migration_copy_us_);
+      std::map<PartitionId, ExtractRequest> extract_requests;
       for (VertexId v : chunk) {
-        const PartitionId sp = assignment_.PartitionOf(v);
-        // Extraction is read-only: a failure here aborts the chunk with
-        // nothing to unwind.
-        // audit:allow(blocking, bus round-trip under the exclusive
-        // directory hold: the dispatch thread serving it takes only its
-        // own server mutex, never a cluster lock (DESIGN.md §12))
-        HERMES_ASSIGN_OR_RETURN(
-            ExtractReply snap, Call<ExtractReply>(sp, ExtractRequest{v}));
-        HERMES_RETURN_NOT_OK(snap.status);
+        sources.push_back(assignment_.PartitionOf(v));
+        extract_requests[sources.back()].vertices.push_back(v);
+      }
+      // Extraction is read-only: a failure here aborts the chunk with
+      // nothing to unwind.
+      // audit:allow(blocking, bus round-trips under the exclusive
+      // directory hold: the dispatch threads serving them take only their
+      // own server mutex, never a cluster lock (DESIGN.md §12))
+      auto extracted = CallEach<ExtractReply>(extract_requests);
+      for (auto& [sp, reply] : extracted) {
+        HERMES_RETURN_NOT_OK(reply.status());
+        HERMES_RETURN_NOT_OK(reply->status);
+        if (reply->snapshots.size() !=
+            extract_requests[sp].vertices.size()) {
+          return Status::Internal("extract reply shape mismatch");
+        }
+      }
+      // A source's snapshots come in the chunk's order.
+      std::vector<std::size_t> next_snapshot(alpha, 0);
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        ExtractReply::Snapshot& snap =
+            extracted.at(sources[i])->snapshots[next_snapshot[sources[i]]++];
         stats.bytes_copied += snap.wire_bytes;
-        target_busy[after->PartitionOf(v)] +=
+        target_busy[after->PartitionOf(snap.id)] +=
             static_cast<SimTime>(snap.wire_bytes) * options_.net.per_byte_us +
             static_cast<SimTime>(1 + snap.relationships.size()) *
                 options_.net.write_op_us;
-        sources.push_back(sp);
         extracts.push_back(std::move(snap));
       }
       // Group the replicas into one InstallChunk per target server. The
       // server creates node records before edges, so edges between
-      // co-migrating vertices find both endpoints present. Progress is
-      // tracked through the replies so that a mid-chunk storage failure
-      // (a WAL append rejected on the target, say) unwinds to the
-      // pre-chunk state instead of leaving a vertex hosted by two stores
-      // with the directory still at the source.
+      // co-migrating vertices find both endpoints present. The targets
+      // install in parallel: an edge to a vertex bound for another target
+      // is a half record, so no install reads another's records.
       std::map<PartitionId, InstallChunkRequest> installs;
-      for (const ExtractReply& snap : extracts) {
+      for (const ExtractReply::Snapshot& snap : extracts) {
         const PartitionId tp = after->PartitionOf(snap.id);
         InstallChunkRequest& req = installs[tp];
         req.nodes.push_back({snap.id, snap.weight, snap.properties});
@@ -755,30 +817,59 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
                                rel.properties_included, rel.properties});
         }
       }
-      // (target, nodes created there) for the unwind path; node order
-      // within a target matches installs[target].nodes.
-      std::vector<std::pair<PartitionId, std::uint64_t>> created_by_target;
-      std::size_t marked = 0;  // sources already flagged kUnavailable
-      const Status copy_st = [&]() -> Status {
-        for (const auto& [tp, req] : installs) {
-          // audit:allow(blocking, bus round-trip under the exclusive
-          // directory hold — same non-deadlock argument as the extract)
-          const auto reply = Call<InstallChunkReply>(tp, req);
-          HERMES_RETURN_NOT_OK(reply.status());
-          created_by_target.emplace_back(tp, reply->nodes_created);
-          HERMES_RETURN_NOT_OK(reply->status);
+      // Progress is tracked through the replies, so that a mid-chunk
+      // storage failure (a WAL append rejected on a target, say) unwinds
+      // to the pre-chunk state instead of leaving a vertex hosted by two
+      // stores with the directory still at the source. `unwind` collects,
+      // per server, the entries that undo what the chunk applied there.
+      Status copy_st;
+      std::map<PartitionId, MutateRequest> unwind;
+      // audit:allow(blocking, bus round-trips under the exclusive
+      // directory hold — same non-deadlock argument as the extract)
+      for (auto& [tp, reply] : CallEach<InstallChunkReply>(installs)) {
+        const Status st = reply.ok() ? reply->status : reply.status();
+        if (copy_st.ok()) copy_st = st;
+        if (!reply.ok()) {
+          HERMES_LOG(Warning) << "migration unwind: the replicas installed "
+                                 "on partition "
+                              << tp << " are in doubt: " << st.ToString();
+          continue;
         }
-        for (; marked < chunk.size(); ++marked) {
-          const MutateRequest unavailable{
-              .op = MutateRequest::Op::kSetNodeState,
-              .vertex = chunk[marked],
-              .node_state = WireNodeState::kUnavailable};
-          // audit:allow(blocking, bus round-trip under the exclusive
-          // directory hold — same non-deadlock argument as the extract)
-          HERMES_RETURN_NOT_OK(Mutate(sources[marked], unavailable));
+        const auto& nodes = installs[tp].nodes;
+        for (std::uint64_t i = 0; i < reply->nodes_created && i < nodes.size();
+             ++i) {
+          unwind[tp].entries.push_back(
+              {.op = MutateRequest::Op::kRemoveNode, .vertex = nodes[i].id});
         }
-        return Status::OK();
-      }();
+      }
+      if (copy_st.ok()) {
+        std::map<PartitionId, MutateRequest> marks;
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+          marks[sources[i]].entries.push_back(
+              {.op = MutateRequest::Op::kSetNodeState,
+               .vertex = chunk[i],
+               .node_state = WireNodeState::kUnavailable});
+        }
+        // audit:allow(blocking, bus round-trips under the exclusive
+        // directory hold — same non-deadlock argument as the extract)
+        for (auto& [sp, reply] : CallEach<MutateReply>(marks)) {
+          const Status st = reply.ok() ? reply->status : reply.status();
+          if (copy_st.ok()) copy_st = st;
+          // A lost reply may have marked any prefix: re-mark them all
+          // (marking an available vertex available changes nothing).
+          const std::vector<MutateRequest::Entry>& entries =
+              marks[sp].entries;
+          const std::size_t marked =
+              reply.ok() ? std::min<std::size_t>(reply->applied, entries.size())
+                         : entries.size();
+          for (std::size_t i = 0; i < marked; ++i) {
+            unwind[sp].entries.push_back(
+                {.op = MutateRequest::Op::kSetNodeState,
+                 .vertex = entries[i].vertex,
+                 .node_state = WireNodeState::kAvailable});
+          }
+        }
+      }
       if (!copy_st.ok()) {
         // Unwind under the same exclusive directory hold, so no reader or
         // writer ever observes the half-replicated chunk. Removing a
@@ -787,36 +878,16 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
         // rule node removal always applies), so the pre-chunk
         // representation is restored exactly. Unwind writes are
         // best-effort: under a persistent storage fault they can fail too
-        // — warn loudly and keep going so as much of the chunk as
-        // possible is released, then surface the original error.
-        for (std::size_t i = 0; i < marked; ++i) {
-          // audit:allow(blocking, bus round-trip under the exclusive
-          // directory hold — same non-deadlock argument as the extract)
-          const Status undo =
-              Mutate(sources[i], {.op = MutateRequest::Op::kSetNodeState,
-                                  .vertex = chunk[i],
-                                  .node_state = WireNodeState::kAvailable});
-          if (!undo.ok()) {
-            HERMES_LOG(Warning)
-                << "migration unwind: vertex " << chunk[i]
-                << " stuck unavailable on partition " << sources[i] << ": "
-                << undo.ToString();
-          }
-        }
-        for (const auto& [tp, created] : created_by_target) {
-          const auto& nodes = installs[tp].nodes;
-          for (std::uint64_t i = 0; i < created; ++i) {
-            // audit:allow(blocking, bus round-trip under the exclusive
-            // directory hold — same non-deadlock argument as the extract)
-            const Status undo = Mutate(
-                tp, {.op = MutateRequest::Op::kRemoveNode, .vertex = nodes[i].id});
-            if (!undo.ok()) {
-              HERMES_LOG(Warning)
-                  << "migration unwind: replica of vertex " << nodes[i].id
-                  << " stranded on partition " << tp << ": "
-                  << undo.ToString();
-            }
-          }
+        // — MutateEach warns loudly and keeps going so as much of the
+        // chunk as possible is released, then the original error surfaces.
+        // audit:allow(blocking, bus round-trips under the exclusive
+        // directory hold — same non-deadlock argument as the extract)
+        const Status unwound =
+            MutateEach(std::move(unwind), "migration unwind");
+        if (!unwound.ok()) {
+          HERMES_LOG(Warning) << "migration unwind incomplete ("
+                              << unwound.ToString() << ") after "
+                              << copy_st.ToString();
         }
         return copy_st;
       }
@@ -829,36 +900,42 @@ Result<MigrationStats> HermesCluster::MigrateDiffChunked(
       options_.migration_barrier_hook(chunk);
     }
 
-    // --- Remove step: flip the directory, shift the auxiliary counters,
-    // and delete the originals.
+    // --- Remove step: flip the directory and shift the auxiliary
+    // counters for the whole chunk, then delete the originals with one
+    // request per source. Every chunk vertex is routed to its target
+    // before any remove is sent, so a failed remove leaves an unavailable
+    // copy at its source that nothing routes to, never an unreadable
+    // vertex (DESIGN.md §9).
     {
       WriterMutexLock dir(&dir_mu_);
       ScopedTimer remove_timer(m_migration_remove_us_);
-      for (std::size_t i = 0; i < extracts.size(); ++i) {
-        const ExtractReply& snap = extracts[i];
-        const PartitionId sp = sources[i];
-        const PartitionId tp = after->PartitionOf(snap.id);
-        {
+      std::map<PartitionId, MutateRequest> removes;
+      {
+        MutexLock topo(&topo_mu_);
+        for (std::size_t i = 0; i < extracts.size(); ++i) {
+          const ExtractReply::Snapshot& snap = extracts[i];
+          const PartitionId sp = sources[i];
+          const PartitionId tp = after->PartitionOf(snap.id);
           // Live counters (not the phase-one copies). The extracted
           // weight includes the reads counted on the source since the
           // last fold; the source drops them with the record below, so
           // the vertex takes that weight here.
-          MutexLock topo(&topo_mu_);
           aux_.OnVertexWeightChanged(
               snap.id, snap.weight - graph_.VertexWeight(snap.id),
               assignment_);
           graph_.SetVertexWeight(snap.id, snap.weight);
           aux_.OnVertexMigrated(graph_, snap.id, sp, tp);
+          assignment_.Assign(snap.id, tp);
+          source_busy[sp] +=
+              static_cast<SimTime>(1 + snap.relationships.size()) *
+              options_.net.write_op_us;
+          removes[sp].entries.push_back(
+              {.op = MutateRequest::Op::kRemoveNode, .vertex = snap.id});
         }
-        assignment_.Assign(snap.id, tp);
-        source_busy[sp] +=
-            static_cast<SimTime>(1 + snap.relationships.size()) *
-            options_.net.write_op_us;
-        // audit:allow(blocking, bus round-trip under the exclusive
-        // directory hold — same non-deadlock argument as the extract)
-        HERMES_RETURN_NOT_OK(Mutate(
-            sp, {.op = MutateRequest::Op::kRemoveNode, .vertex = snap.id}));
       }
+      // audit:allow(blocking, bus round-trips under the exclusive
+      // directory hold — same non-deadlock argument as the extract)
+      HERMES_RETURN_NOT_OK(MutateEach(std::move(removes), "migration remove"));
     }
   }
 

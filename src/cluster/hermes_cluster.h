@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -292,10 +293,23 @@ class HermesCluster {
 
   /// Physically migrates every vertex whose live placement differs from
   /// `target`, in chunks of options_.migration_chunk. Each chunk runs the
-  /// classic copy -> barrier -> remove epoch against the live directory:
-  /// extract + install + mark-unavailable (all bus traffic) under dir_mu_
-  /// exclusive, then all locks released (the observable barrier window),
-  /// then directory flip + source removal under dir_mu_ exclusive again.
+  /// classic copy -> barrier -> remove epoch against the live directory
+  /// in four fan-outs, each one request per server sent in one
+  /// BusCallMany:
+  ///   1. extract the chunk's snapshots, one request per source;
+  ///   2. install the replicas, one request per target (in parallel: an
+  ///      edge to another target is a half record);
+  ///   3. mark the originals unavailable, one request per source;
+  /// all under dir_mu_ exclusive; then all locks released (the observable
+  /// barrier window); then, under dir_mu_ exclusive again, the directory
+  /// and aux rows flip for the whole chunk before
+  ///   4. the originals are removed, one request per source.
+  /// A failed install or mark unwinds with one batched Mutate per server:
+  /// it re-marks each source's applied prefix (the whole batch if the
+  /// reply was lost) and removes exactly each target's nodes_created. A
+  /// failed remove strands nothing else: every chunk vertex is already
+  /// routed to its target, and the failed one leaves an unavailable copy
+  /// at its source (DESIGN.md §9).
   [[nodiscard]] Result<MigrationStats> MigrateDiffChunked(const PartitionAssignment& target)
       REQUIRES(migration_mu_) EXCLUDES(dir_mu_);
 
@@ -316,10 +330,21 @@ class HermesCluster {
   /// One request per element, all in flight at once; replies in order.
   [[nodiscard]] std::vector<Result<Envelope>> BusCallMany(
       std::vector<std::pair<PartitionId, MessagePayload>> calls) const;
-  /// One store mutation on server `p`, which serializes its execution.
-  /// Callers typically hold dir_mu_ (shared for single-record ops,
-  /// exclusive for migration epochs).
-  [[nodiscard]] Status Mutate(PartitionId p, MutateRequest req) const;
+  /// One request to each server in `requests`, all in flight at once (one
+  /// BusCallMany); the replies unwrapped, by server.
+  template <typename Reply, typename Request>
+  [[nodiscard]] std::map<PartitionId, Result<Reply>> CallEach(
+      const std::map<PartitionId, Request>& requests) const;
+  /// One store mutation on server `p` (a one-entry MutateRequest), which
+  /// serializes its execution. Callers hold dir_mu_ shared.
+  [[nodiscard]] Status Mutate(PartitionId p, MutateRequest::Entry entry) const;
+  /// Applies every server's batch, one MutateRequest per server, all in
+  /// flight at once. Best effort: an entry that fails is logged (under
+  /// `step`) and skipped and the entries after it are resent, so one
+  /// failure strands nothing else. Returns the first failure. The
+  /// migration's remove step and unwind, under dir_mu_ exclusive.
+  [[nodiscard]] Status MutateEach(std::map<PartitionId, MutateRequest> batches,
+                                  const char* step) const;
   /// Total bytes across all store shards: one Health fan-out. Best
   /// effort: a server that fails to answer contributes 0.
   std::size_t StoreBytesLocked() const REQUIRES_SHARED(dir_mu_);

@@ -12,6 +12,8 @@ constexpr std::size_t kMinAdjacencyBytes = 9;  // status (1+4) + count u32
 constexpr std::size_t kMinNodeBytes = 20;      // id + weight + prop count
 constexpr std::size_t kMinEdgeBytes = 26;      // ids + type + flags + count
 constexpr std::size_t kMinRelBytes = 17;       // other + type + flag + count
+constexpr std::size_t kMinSnapshotBytes = 32;  // id + weight + bytes + counts
+constexpr std::size_t kMinMutateEntryBytes = 35;  // op .. flag + value length
 constexpr std::size_t kMinAuxEntryBytes = 16;  // vertex + reads
 constexpr std::size_t kMinDumpNodeBytes = 16;  // id + weight
 constexpr std::size_t kMinDumpRelBytes = 21;   // src + dst + type + ghost
@@ -112,48 +114,60 @@ Result<ProbeReply> ProbeReply::DecodeFrom(WireReader* r) {
 }
 
 void MutateRequest::EncodeTo(WireWriter* w) const {
-  w->PutU8(static_cast<std::uint8_t>(op));
-  w->PutU64(vertex);
-  w->PutU64(other);
-  w->PutU32(type_or_key);
-  w->PutU8(static_cast<std::uint8_t>(node_state));
-  w->PutF64(weight);
-  w->PutBool(other_is_local);
-  w->PutString(value);
+  w->PutU32(static_cast<std::uint32_t>(entries.size()));
+  for (const Entry& e : entries) {
+    w->PutU8(static_cast<std::uint8_t>(e.op));
+    w->PutU64(e.vertex);
+    w->PutU64(e.other);
+    w->PutU32(e.type_or_key);
+    w->PutU8(static_cast<std::uint8_t>(e.node_state));
+    w->PutF64(e.weight);
+    w->PutBool(e.other_is_local);
+    w->PutString(e.value);
+  }
 }
 
 Result<MutateRequest> MutateRequest::DecodeFrom(WireReader* r) {
   MutateRequest m;
-  std::uint8_t op = 0;
-  HERMES_RETURN_NOT_OK(r->ReadU8(&op));
-  if (op > static_cast<std::uint8_t>(Op::kSetEdgeProperty)) {
-    return Status::InvalidArgument("wire: unknown mutate op");
+  std::uint32_t n = 0;
+  HERMES_RETURN_NOT_OK(r->ReadCount(kMinMutateEntryBytes, &n));
+  m.entries.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    Entry e;
+    std::uint8_t op = 0;
+    HERMES_RETURN_NOT_OK(r->ReadU8(&op));
+    if (op > static_cast<std::uint8_t>(Op::kSetEdgeProperty)) {
+      return Status::InvalidArgument("wire: unknown mutate op");
+    }
+    e.op = static_cast<Op>(op);
+    HERMES_RETURN_NOT_OK(r->ReadU64(&e.vertex));
+    HERMES_RETURN_NOT_OK(r->ReadU64(&e.other));
+    HERMES_RETURN_NOT_OK(r->ReadU32(&e.type_or_key));
+    std::uint8_t state = 0;
+    HERMES_RETURN_NOT_OK(r->ReadU8(&state));
+    if (state > static_cast<std::uint8_t>(WireNodeState::kUnavailable)) {
+      return Status::InvalidArgument("wire: unknown node state");
+    }
+    e.node_state = static_cast<WireNodeState>(state);
+    HERMES_RETURN_NOT_OK(r->ReadF64(&e.weight));
+    HERMES_RETURN_NOT_OK(r->ReadBool(&e.other_is_local));
+    HERMES_RETURN_NOT_OK(r->ReadString(&e.value));
+    m.entries.push_back(std::move(e));
   }
-  m.op = static_cast<Op>(op);
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.vertex));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.other));
-  HERMES_RETURN_NOT_OK(r->ReadU32(&m.type_or_key));
-  std::uint8_t state = 0;
-  HERMES_RETURN_NOT_OK(r->ReadU8(&state));
-  if (state > static_cast<std::uint8_t>(WireNodeState::kUnavailable)) {
-    return Status::InvalidArgument("wire: unknown node state");
-  }
-  m.node_state = static_cast<WireNodeState>(state);
-  HERMES_RETURN_NOT_OK(r->ReadF64(&m.weight));
-  HERMES_RETURN_NOT_OK(r->ReadBool(&m.other_is_local));
-  HERMES_RETURN_NOT_OK(r->ReadString(&m.value));
   return m;
 }
 
 void MutateReply::EncodeTo(WireWriter* w) const {
   PutStatus(status, w);
   w->PutU64(record_id);
+  w->PutU64(applied);
 }
 
 Result<MutateReply> MutateReply::DecodeFrom(WireReader* r) {
   MutateReply m;
   HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
   HERMES_RETURN_NOT_OK(r->ReadU64(&m.record_id));
+  HERMES_RETURN_NOT_OK(r->ReadU64(&m.applied));
   return m;
 }
 
@@ -217,46 +231,56 @@ Result<InstallChunkReply> InstallChunkReply::DecodeFrom(WireReader* r) {
   return m;
 }
 
-void ExtractRequest::EncodeTo(WireWriter* w) const { w->PutU64(vertex); }
+void ExtractRequest::EncodeTo(WireWriter* w) const { w->PutVertices(vertices); }
 
 Result<ExtractRequest> ExtractRequest::DecodeFrom(WireReader* r) {
   ExtractRequest m;
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.vertex));
+  HERMES_RETURN_NOT_OK(r->ReadVertices(&m.vertices));
   return m;
 }
 
 void ExtractReply::EncodeTo(WireWriter* w) const {
   PutStatus(status, w);
-  w->PutU64(id);
-  w->PutF64(weight);
-  w->PutU64(wire_bytes);
-  EncodeProperties(properties, w);
-  w->PutU32(static_cast<std::uint32_t>(relationships.size()));
-  for (const Relationship& rel : relationships) {
-    w->PutU64(rel.other);
-    w->PutU32(rel.type);
-    w->PutBool(rel.properties_included);
-    EncodeProperties(rel.properties, w);
+  w->PutU32(static_cast<std::uint32_t>(snapshots.size()));
+  for (const Snapshot& snap : snapshots) {
+    w->PutU64(snap.id);
+    w->PutF64(snap.weight);
+    w->PutU64(snap.wire_bytes);
+    EncodeProperties(snap.properties, w);
+    w->PutU32(static_cast<std::uint32_t>(snap.relationships.size()));
+    for (const Relationship& rel : snap.relationships) {
+      w->PutU64(rel.other);
+      w->PutU32(rel.type);
+      w->PutBool(rel.properties_included);
+      EncodeProperties(rel.properties, w);
+    }
   }
 }
 
 Result<ExtractReply> ExtractReply::DecodeFrom(WireReader* r) {
   ExtractReply m;
   HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.id));
-  HERMES_RETURN_NOT_OK(r->ReadF64(&m.weight));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.wire_bytes));
-  HERMES_RETURN_NOT_OK(DecodeProperties(r, &m.properties));
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinRelBytes, &n));
-  m.relationships.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Relationship rel;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&rel.other));
-    HERMES_RETURN_NOT_OK(r->ReadU32(&rel.type));
-    HERMES_RETURN_NOT_OK(r->ReadBool(&rel.properties_included));
-    HERMES_RETURN_NOT_OK(DecodeProperties(r, &rel.properties));
-    m.relationships.push_back(std::move(rel));
+  std::uint32_t s = 0;
+  HERMES_RETURN_NOT_OK(r->ReadCount(kMinSnapshotBytes, &s));
+  m.snapshots.reserve(s);
+  for (std::uint32_t i = 0; i < s; ++i) {
+    Snapshot snap;
+    HERMES_RETURN_NOT_OK(r->ReadU64(&snap.id));
+    HERMES_RETURN_NOT_OK(r->ReadF64(&snap.weight));
+    HERMES_RETURN_NOT_OK(r->ReadU64(&snap.wire_bytes));
+    HERMES_RETURN_NOT_OK(DecodeProperties(r, &snap.properties));
+    std::uint32_t n = 0;
+    HERMES_RETURN_NOT_OK(r->ReadCount(kMinRelBytes, &n));
+    snap.relationships.reserve(n);
+    for (std::uint32_t j = 0; j < n; ++j) {
+      Relationship rel;
+      HERMES_RETURN_NOT_OK(r->ReadU64(&rel.other));
+      HERMES_RETURN_NOT_OK(r->ReadU32(&rel.type));
+      HERMES_RETURN_NOT_OK(r->ReadBool(&rel.properties_included));
+      HERMES_RETURN_NOT_OK(DecodeProperties(r, &rel.properties));
+      snap.relationships.push_back(std::move(rel));
+    }
+    m.snapshots.push_back(std::move(snap));
   }
   return m;
 }

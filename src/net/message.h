@@ -1,6 +1,6 @@
 /// Typed request/reply messages for every cluster↔partition-server
 /// boundary operation (DESIGN.md §12): batched neighbor reads, existence
-/// probes, single-record mutations, migration chunk install/extract,
+/// probes, batched record mutations, migration chunk install/extract,
 /// the read-count fold, health, checkpoint, and recovery dumps. Each
 /// payload knows how to encode itself into a WireWriter and decode from a
 /// WireReader with full bounds checking; EncodeFrame/DecodeFrame wrap a
@@ -118,9 +118,11 @@ struct ProbeReply {
   [[nodiscard]] static Result<ProbeReply> DecodeFrom(WireReader* r);
 };
 
-/// Single-record mutation; one op enum instead of eight message types
-/// keeps the frame dispatch table small. Unused fields ride along as
-/// zero.
+/// A list of store mutations, applied in order under the request's one
+/// token and stopped at the first failure; one op enum instead of eight
+/// message types keeps the frame dispatch table small. A single write is
+/// a one-entry request; a migration step sends one request per server
+/// with an entry per vertex. Unused entry fields ride along as zero.
 struct MutateRequest {
   enum class Op : std::uint8_t {
     kCreateNode = 0,
@@ -132,25 +134,32 @@ struct MutateRequest {
     kSetNodeProperty = 6,
     kSetEdgeProperty = 7,
   };
-  Op op = Op::kCreateNode;
-  VertexId vertex = 0;
-  VertexId other = 0;
-  /// Edge type for edge ops, property key for property ops.
-  std::uint32_t type_or_key = 0;
-  WireNodeState node_state = WireNodeState::kAvailable;
-  double weight = 0.0;
-  bool other_is_local = false;
-  std::string value{};
+  struct Entry {
+    Op op = Op::kCreateNode;
+    VertexId vertex = 0;
+    VertexId other = 0;
+    /// Edge type for edge ops, property key for property ops.
+    std::uint32_t type_or_key = 0;
+    WireNodeState node_state = WireNodeState::kAvailable;
+    double weight = 0.0;
+    bool other_is_local = false;
+    std::string value{};
+  };
+  std::vector<Entry> entries;
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<MutateRequest> DecodeFrom(WireReader* r);
 };
 
 struct MutateReply {
+  /// The first failing entry's status, or OK when every entry applied.
   Status status;
-  /// Record id of a newly created edge (kAddEdge); kInvalidRecord
-  /// otherwise.
+  /// Record id the last applied entry produced: a kAddEdge's new edge,
+  /// kInvalidRecord for every other op or when nothing applied.
   RecordId record_id = kInvalidRecord;
+  /// How many entries applied, a prefix of the request's list. The
+  /// cluster's unwind paths undo exactly these.
+  std::uint64_t applied = 0;
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<MutateReply> DecodeFrom(WireReader* r);
@@ -192,10 +201,10 @@ struct InstallChunkReply {
   [[nodiscard]] static Result<InstallChunkReply> DecodeFrom(WireReader* r);
 };
 
-/// Read one vertex's full snapshot off its source server (migration copy
-/// step).
+/// Read the full snapshots of a list of vertices off their source
+/// server (migration copy step: one request per source and chunk).
 struct ExtractRequest {
-  VertexId vertex = 0;
+  std::vector<VertexId> vertices;
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<ExtractRequest> DecodeFrom(WireReader* r);
@@ -208,14 +217,20 @@ struct ExtractReply {
     bool properties_included = false;
     std::vector<WireProperty> properties;
   };
+  struct Snapshot {
+    VertexId id = 0;
+    double weight = 1.0;
+    /// Server-computed NodeSnapshot::WireBytes(), so migration byte
+    /// accounting matches the shared-memory implementation exactly.
+    std::uint64_t wire_bytes = 0;
+    std::vector<WireProperty> properties;
+    std::vector<Relationship> relationships;
+  };
+  /// The first failing vertex's status; the reply then carries no
+  /// snapshot at all.
   Status status;
-  VertexId id = 0;
-  double weight = 1.0;
-  /// Server-computed NodeSnapshot::WireBytes(), so migration byte
-  /// accounting matches the shared-memory implementation exactly.
-  std::uint64_t wire_bytes = 0;
-  std::vector<WireProperty> properties;
-  std::vector<Relationship> relationships;
+  /// Parallel to the request's `vertices` when `status` is OK.
+  std::vector<Snapshot> snapshots;
 
   void EncodeTo(WireWriter* w) const;
   [[nodiscard]] static Result<ExtractReply> DecodeFrom(WireReader* r);

@@ -33,7 +33,11 @@ namespace hermes {
 ///   v3 — NeighborsRequest gained `count_reads`; AuxExchange became the
 ///        read-count fold (empty request, reply lists the folded
 ///        (vertex, reads) pairs) — DESIGN.md §12, read-weight contract.
-inline constexpr std::uint8_t kWireVersion = 3;
+///   v4 — ExtractRequest carries a vertex list and ExtractReply one
+///        snapshot per vertex; MutateRequest carries a list of entries
+///        and MutateReply the count applied, so a migration step is one
+///        request per server (DESIGN.md §12, chunked migration).
+inline constexpr std::uint8_t kWireVersion = 4;
 
 /// Hard ceiling on a single frame (length prefix included). Large enough
 /// for a single-shot recovery dump at test scale; bulk paths (store

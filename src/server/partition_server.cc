@@ -22,11 +22,11 @@ namespace {
 constexpr std::size_t kDefaultDedupWindow = 4096;
 
 // The one conversion from a mutating request to the WAL entries that
-// carry it to the store: a MutateRequest, and each node, edge and
-// property of an install chunk and each entry of a fold. Every entry
+// carry it to the store: each entry of a MutateRequest, each node, edge
+// and property of an install chunk and each entry of a fold. Every entry
 // carries the request's idempotency token.
 
-WalEntry ToWalEntry(const MutateRequest& m, const WalToken& token) {
+WalEntry ToWalEntry(const MutateRequest::Entry& m, const WalToken& token) {
   WalEntry e{.a = m.vertex, .token = token};
   switch (m.op) {
     case MutateRequest::Op::kCreateNode:
@@ -220,7 +220,8 @@ void PartitionServer::HandleFrame(std::string frame) {
         // but the encoded reply died with the crashed process.
         m_duplicates_->Increment();
         m_dedup_hits_->Increment();
-        reply.payload = RecoveredReplyLocked(env->payload);
+        reply.payload =
+            RecoveredReplyLocked(env->payload, {env->src, env->request_id});
       } else {
         if (mutating) RememberLocked(key);
         reply.payload =
@@ -309,17 +310,33 @@ MessagePayload PartitionServer::DispatchLocked(const MessagePayload& request,
 }
 
 MessagePayload PartitionServer::RecoveredReplyLocked(
-    const MessagePayload& request) {
+    const MessagePayload& request, const WalToken& token) {
   // The mutation's effects are already in the recovered store; the reply
-  // is reconstructed from what the apply must have produced. Success is
-  // the only reply ever cached into the WAL path: a mutation that failed
-  // Precheck was never logged, so its token was never recovered.
+  // is reconstructed from what the apply must have produced.
   if (const auto* m = std::get_if<MutateRequest>(&request)) {
+    // Entries apply in order and each applied one is one logged entry
+    // under the token (an entry that failed Precheck was never logged),
+    // so the log holds exactly the applied prefix.
+    std::size_t logged = 0;
+    if (durable_raw_ != nullptr) {
+      const std::vector<WalToken>& tokens = durable_raw_->recovered_tokens();
+      logged = static_cast<std::size_t>(
+          std::count(tokens.begin(), tokens.end(), token));
+    }
     MutateReply reply;
-    reply.status = Status::OK();
-    if (m->op == MutateRequest::Op::kAddEdge) {
-      if (auto rid = store_->FindEdge(m->vertex, m->other); rid.ok()) {
-        reply.record_id = *rid;
+    reply.applied = std::min(logged, m->entries.size());
+    reply.status =
+        reply.applied == m->entries.size()
+            ? Status::OK()
+            : Status::Aborted("server: the recovered log holds " +
+                              std::to_string(reply.applied) + " of " +
+                              std::to_string(m->entries.size()) + " entries");
+    if (reply.applied > 0) {
+      const MutateRequest::Entry& last = m->entries[reply.applied - 1];
+      if (last.op == MutateRequest::Op::kAddEdge) {
+        if (auto rid = store_->FindEdge(last.vertex, last.other); rid.ok()) {
+          reply.record_id = *rid;
+        }
       }
     }
     return reply;
@@ -402,13 +419,21 @@ Result<RecordId> PartitionServer::ApplyLocked(WalEntry entry) {
 
 MutateReply PartitionServer::DoMutate(const MutateRequest& req,
                                       const WalToken& token) {
-  const Result<RecordId> applied = ApplyLocked(ToWalEntry(req, token));
   MutateReply reply;
-  reply.status = applied.status();
-  if (!applied.ok()) return reply;
-  reply.record_id = *applied;
-  // A migrated vertex took its pending reads along in ExtractReply.
-  if (req.op == MutateRequest::Op::kRemoveNode) read_counts_.erase(req.vertex);
+  reply.status = Status::OK();
+  for (const MutateRequest::Entry& entry : req.entries) {
+    const Result<RecordId> applied = ApplyLocked(ToWalEntry(entry, token));
+    if (!applied.ok()) {
+      reply.status = applied.status();
+      return reply;
+    }
+    reply.record_id = *applied;
+    ++reply.applied;
+    // A migrated vertex took its pending reads along in ExtractReply.
+    if (entry.op == MutateRequest::Op::kRemoveNode) {
+      read_counts_.erase(entry.vertex);
+    }
+  }
   return reply;
 }
 
@@ -452,35 +477,41 @@ InstallChunkReply PartitionServer::DoInstall(const InstallChunkRequest& req,
 
 ExtractReply PartitionServer::DoExtract(const ExtractRequest& req) {
   ExtractReply reply;
-  auto snap = store_->ExtractNode(req.vertex);
-  if (!snap.ok()) {
-    reply.status = snap.status();
-    return reply;
-  }
   reply.status = Status::OK();
-  reply.id = snap->id;
-  // The pending reads travel with the vertex: the target installs them
-  // as weight and the source drops them when it removes the record.
-  const auto pending = read_counts_.find(req.vertex);
-  reply.weight = snap->weight + (pending == read_counts_.end()
+  reply.snapshots.reserve(req.vertices.size());
+  for (VertexId v : req.vertices) {
+    auto snap = store_->ExtractNode(v);
+    if (!snap.ok()) {
+      // Extraction is read-only, so one failed vertex fails the request
+      // and its chunk aborts with nothing to unwind.
+      reply.status = snap.status();
+      reply.snapshots.clear();
+      return reply;
+    }
+    ExtractReply::Snapshot& out = reply.snapshots.emplace_back();
+    out.id = snap->id;
+    // The pending reads travel with the vertex: the target installs them
+    // as weight and the source drops them when it removes the record.
+    const auto pending = read_counts_.find(v);
+    out.weight = snap->weight + (pending == read_counts_.end()
                                      ? 0.0
                                      : static_cast<double>(pending->second));
-  reply.wire_bytes = snap->WireBytes();
-  reply.properties.reserve(snap->properties.size());
-  for (const auto& [key, value] : snap->properties) {
-    reply.properties.push_back({key, value});
-  }
-  reply.relationships.reserve(snap->relationships.size());
-  for (const auto& rel : snap->relationships) {
-    ExtractReply::Relationship out;
-    out.other = rel.other;
-    out.type = rel.type;
-    out.properties_included = rel.properties_included;
-    out.properties.reserve(rel.properties.size());
-    for (const auto& [key, value] : rel.properties) {
+    out.wire_bytes = snap->WireBytes();
+    out.properties.reserve(snap->properties.size());
+    for (const auto& [key, value] : snap->properties) {
       out.properties.push_back({key, value});
     }
-    reply.relationships.push_back(std::move(out));
+    out.relationships.reserve(snap->relationships.size());
+    for (const auto& rel : snap->relationships) {
+      ExtractReply::Relationship& out_rel = out.relationships.emplace_back();
+      out_rel.other = rel.other;
+      out_rel.type = rel.type;
+      out_rel.properties_included = rel.properties_included;
+      out_rel.properties.reserve(rel.properties.size());
+      for (const auto& [key, value] : rel.properties) {
+        out_rel.properties.push_back({key, value});
+      }
+    }
   }
   return reply;
 }

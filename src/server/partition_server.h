@@ -115,10 +115,11 @@ class PartitionServer {
   /// Synthesizes the reply for a mutation whose token was recovered from
   /// the WAL: the mutation is applied state, but its encoded reply died
   /// with the crashed process, so the answer is reconstructed from the
-  /// current store (e.g. FindEdge supplies the record id a kAddEdge retry
-  /// expects).
+  /// log and the current store. A Mutate reports as applied only the
+  /// entries the log holds under `token`; FindEdge supplies the record id
+  /// a kAddEdge retry expects.
   [[nodiscard]] MessagePayload RecoveredReplyLocked(
-      const MessagePayload& request) REQUIRES(mu_);
+      const MessagePayload& request, const WalToken& token) REQUIRES(mu_);
 
   /// Records a token, evicting the oldest entry (and its cached reply)
   /// once the window overflows. False when the token was already known.

@@ -12,7 +12,8 @@ honor the audit:allow(blocking, ...) suppression contract:
     early Unlock(), outside any lock scope, or after the RAII guard's
     block closed.
   * REQUIRES(mu_) on a function (declaration or definition) makes the
-    whole body a critical section.
+    whole body a critical section, and a RAII guard inside a lambda body
+    (also one with a trailing return type) opens one.
   * A condvar wait is legal for the mutex it releases but a
     foreign-condvar finding for every other held lock.
   * A condvar NotifyOne/NotifyAll inside any lock scope (RAII guard or
@@ -416,6 +417,32 @@ Status Log::Flush() {
               code == 1 and "log.cc:6:" in out and "log.cc:13:" in out, out)
 
 
+def case_trailing_return_lambda_lock_is_seen():
+    print("case: a guard inside a trailing-return lambda body is a lock scope")
+    # `[&]() -> Status {` opens a block, so the guard inside it is seen
+    # and the blocking call under it is flagged, exactly as in the same
+    # body written `[&]() {`.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        contract(root, blocking={**CONTRACT_FD, "Log": ["Stage"]})
+        write(root, "src/storage/log.h", LOG_CLASS)
+        write(root, "src/storage/log.cc", """\
+Status Log::Stage(int x) {
+  const Status st = [&]() -> Status {
+    MutexLock lock(&mu_);
+    return file_.Append(nullptr, x);
+  }();
+  return st;
+}
+""")
+        code, out = run_audit(root)
+        check("blocking call in a trailing-return lambda exits 1",
+              code == 1, out)
+        check("finding names the call and the lambda's lock",
+              "log.cc:4:" in out and "FdAppender::Append" in out
+              and "mu_" in out, out)
+
+
 def case_reasonless_marker_is_a_finding():
     print("case: a reason-less marker is itself a finding")
     with tempfile.TemporaryDirectory() as tmp:
@@ -497,6 +524,7 @@ def main():
                  case_notify_marker_suppresses,
                  case_markers_suppress_and_are_counted,
                  case_marker_in_lambda_body_applies,
+                 case_trailing_return_lambda_lock_is_seen,
                  case_reasonless_marker_is_a_finding,
                  case_contract_drift_is_flagged,
                  case_exempt_files_are_skipped,

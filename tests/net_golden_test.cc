@@ -75,20 +75,25 @@ MessagePayload GoldenPayload(MsgType type) {
     }
     case MsgType::kMutateRequest: {
       MutateRequest m;
-      m.op = MutateRequest::Op::kAddEdge;
-      m.vertex = 5;
-      m.other = 6;
-      m.type_or_key = 3;
-      m.node_state = WireNodeState::kUnavailable;
-      m.weight = 1.5;
-      m.other_is_local = true;
-      m.value = "prop";
+      m.entries.resize(2);
+      m.entries[0].op = MutateRequest::Op::kAddEdge;
+      m.entries[0].vertex = 5;
+      m.entries[0].other = 6;
+      m.entries[0].type_or_key = 3;
+      m.entries[0].node_state = WireNodeState::kUnavailable;
+      m.entries[0].weight = 1.5;
+      m.entries[0].other_is_local = true;
+      m.entries[0].value = "prop";
+      m.entries[1].op = MutateRequest::Op::kSetNodeState;
+      m.entries[1].vertex = 8;
+      m.entries[1].node_state = WireNodeState::kUnavailable;
       return m;
     }
     case MsgType::kMutateReply: {
       MutateReply m;
       m.status = Status::OK();
       m.record_id = 77;
+      m.applied = 2;
       return m;
     }
     case MsgType::kInstallChunkRequest: {
@@ -115,20 +120,24 @@ MessagePayload GoldenPayload(MsgType type) {
     }
     case MsgType::kExtractRequest: {
       ExtractRequest m;
-      m.vertex = 1234;
+      m.vertices = {1234, 1235};
       return m;
     }
     case MsgType::kExtractReply: {
       ExtractReply m;
       m.status = Status::OK();
-      m.id = 1234;
-      m.weight = 3.25;
-      m.wire_bytes = 999;
-      m.properties = {{4, "val"}};
-      m.relationships.resize(1);
-      m.relationships[0].other = 56;
-      m.relationships[0].type = 2;
-      m.relationships[0].properties_included = false;
+      m.snapshots.resize(2);
+      m.snapshots[0].id = 1234;
+      m.snapshots[0].weight = 3.25;
+      m.snapshots[0].wire_bytes = 999;
+      m.snapshots[0].properties = {{4, "val"}};
+      m.snapshots[0].relationships.resize(1);
+      m.snapshots[0].relationships[0].other = 56;
+      m.snapshots[0].relationships[0].type = 2;
+      m.snapshots[0].relationships[0].properties_included = false;
+      m.snapshots[1].id = 1235;
+      m.snapshots[1].weight = 0.5;
+      m.snapshots[1].wire_bytes = 24;
       return m;
     }
     case MsgType::kAuxExchangeRequest:
@@ -177,7 +186,7 @@ MessagePayload GoldenPayload(MsgType type) {
 struct GoldenCase {
   MsgType type;
   const char* name;
-  /// EncodeFrame() output at kWireVersion == 3, hex-encoded.
+  /// EncodeFrame() output at kWireVersion == 4, hex-encoded.
   const char* hex;
 };
 
@@ -191,66 +200,70 @@ constexpr EndpointId kGoldenDst = 1;
 
 const GoldenCase kGoldenCases[] = {
     {MsgType::kNeighborsRequest, "NeighborsRequest",
-     "3a00000003010201080706050403020104000000010000000300000001000000000000"
-     "000200000000000000efbeadde000000000107000000015389ee88"},
+     "3a00000004010201080706050403020104000000010000000300000001000000000000"
+     "000200000000000000efbeadde0000000001070000000151d5968c"},
     {MsgType::kNeighborsReply, "NeighborsReply",
-     "4700000003020201080706050403020104000000010000000000000000020000000000"
+     "4700000004020201080706050403020104000000010000000000000000020000000000"
      "000000020000000a000000000000000b000000000000000204000000676f6e65000000"
-     "00454e00fe"},
+     "004fff27ea"},
     {MsgType::kProbeRequest, "ProbeRequest",
-     "290000000303020108070605040302010400000001000000022a000000000000002b00"
-     "0000000000008fde22dd"},
+     "290000000403020108070605040302010400000001000000022a000000000000002b00"
+     "00000000000050b710e9"},
     {MsgType::kProbeReply, "ProbeReply",
-     "1e000000030402010807060504030201040000000100000000000000000167294369"},
+     "1e0000000404020108070605040302010400000001000000000000000001415280b1"},
     {MsgType::kMutateRequest, "MutateRequest",
-     "3f00000003050201080706050403020104000000010000000405000000000000000600"
-     "0000000000000300000001000000000000f83f010400000070726f70492d683b"},
+     "6600000004050201080706050403020104000000010000000200000004050000000000"
+     "000006000000000000000300000001000000000000f83f010400000070726f70020800"
+     "000000000000000000000000000000000000010000000000000000000000000052c0d1"
+     "cd"},
     {MsgType::kMutateReply, "MutateReply",
-     "25000000030602010807060504030201040000000100000000000000004d0000000000"
-     "00004cb954ec"},
+     "2d000000040602010807060504030201040000000100000000000000004d0000000000"
+     "000002000000000000005e9c1663"},
     {MsgType::kInstallChunkRequest, "InstallChunkRequest",
-     "6100000003070201080706050403020104000000010000000100000009000000000000"
+     "6100000004070201080706050403020104000000010000000100000009000000000000"
      "000000000000000040010000000100000001000000610100000009000000000000000a"
-     "000000000000000100000000010100000002000000020000006262a2f5a900"},
+     "000000000000000100000000010100000002000000020000006262acb5b26e"},
     {MsgType::kInstallChunkReply, "InstallChunkReply",
-     "2d00000003080201080706050403020104000000010000000000000000010000000000"
-     "0000020000000000000027a0b530"},
+     "2d00000004080201080706050403020104000000010000000000000000010000000000"
+     "00000200000000000000835940c5"},
     {MsgType::kExtractRequest, "ExtractRequest",
-     "200000000309020108070605040302010400000001000000d2040000000000007b872d"
-     "55"},
+     "2c000000040902010807060504030201040000000100000002000000d2040000000000"
+     "00d30400000000000006ca8eba"},
     {MsgType::kExtractReply, "ExtractReply",
-     "59000000030a0201080706050403020104000000010000000000000000d20400000000"
-     "00000000000000000a40e70300000000000001000000040000000300000076616c0100"
-     "00003800000000000000020000000000000000fe3d561d"},
+     "7d000000040a020108070605040302010400000001000000000000000002000000d204"
+     "0000000000000000000000000a40e70300000000000001000000040000000300000076"
+     "616c010000003800000000000000020000000000000000d30400000000000000000000"
+     "0000e03f18000000000000000000000000000000d73194b5"},
     {MsgType::kAuxExchangeRequest, "AuxExchangeRequest",
-     "18000000030b020108070605040302010400000001000000c4759a30"},
+     "18000000040b02010807060504030201040000000100000057d3ded1"},
     {MsgType::kAuxExchangeReply, "AuxExchangeReply",
-     "41000000030c0201080706050403020104000000010000000000000000020000001500"
-     "0000000000000300000000000000160000000000000001000000000000004733520e"},
+     "41000000040c0201080706050403020104000000010000000000000000020000001500"
+     "000000000000030000000000000016000000000000000100000000000000bbd641a4"},
     {MsgType::kHealthRequest, "HealthRequest",
-     "18000000030d020108070605040302010400000001000000d77e46ad"},
+     "18000000040d02010807060504030201040000000100000044d8024c"},
     {MsgType::kHealthReply, "HealthReply",
-     "3d000000030e0201080706050403020104000000010000000000000000001000000000"
-     "00006400000000000000c8000000000000003200000000000000fa48d597"},
+     "3d000000040e0201080706050403020104000000010000000000000000001000000000"
+     "00006400000000000000c8000000000000003200000000000000c67781dc"},
     {MsgType::kCheckpointRequest, "CheckpointRequest",
-     "18000000030f0201080706050403020104000000010000002678f2d9"},
+     "18000000040f020108070605040302010400000001000000b5deb638"},
     {MsgType::kCheckpointReply, "CheckpointReply",
-     "21000000031002010807060504030201040000000100000008040000006469736b2267"
-     "dcae"},
+     "21000000041002010807060504030201040000000100000008040000006469736b9f6e"
+     "ba5c"},
     {MsgType::kDumpRequest, "DumpRequest",
-     "180000000311020108070605040302010400000001000000ba55cd5e"},
+     "18000000041102010807060504030201040000000100000029f389bf"},
     {MsgType::kDumpReply, "DumpReply",
-     "5a00000003120201080706050403020104000000010000000000000000020000000100"
+     "5a00000004120201080706050403020104000000010000000000000000020000000100"
      "000000000000000000000000f03f020000000000000000000000000010400100000001"
-     "0000000000000002000000000000000000000001f381d053"},
+     "000000000000000200000000000000000000000167123e20"},
 };
 
 TEST(NetGoldenTest, WireVersionIsPinned) {
-  // The fixtures below were generated at version 3 (NeighborsRequest
-  // gained count_reads; AuxExchange became the read-count fold); a
-  // version bump must come with regenerated fixtures (see the procedure
-  // in the header comment).
-  EXPECT_EQ(kWireVersion, 3);
+  // The fixtures below were generated at version 4 (Extract carries a
+  // vertex list and one snapshot per vertex; Mutate carries a list of
+  // entries and replies with the count applied); a version bump must
+  // come with regenerated fixtures (see the procedure in the header
+  // comment).
+  EXPECT_EQ(kWireVersion, 4);
 }
 
 /// Decodes a committed hex fixture from an older wire version and checks
@@ -285,6 +298,13 @@ TEST(NetGoldenTest, VersionTwoFrameIsRejected) {
   // v3 bump.
   ExpectOldVersionRejected(
       "18000000020d020108070605040302010400000001000000914521c8");
+}
+
+TEST(NetGoldenTest, VersionThreeFrameIsRejected) {
+  // The v3 HealthRequest fixture, byte for byte as committed before the
+  // v4 bump.
+  ExpectOldVersionRejected(
+      "18000000030d020108070605040302010400000001000000d77e46ad");
 }
 
 TEST(NetGoldenTest, EveryMessageTypeMatchesItsFixture) {

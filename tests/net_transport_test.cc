@@ -46,6 +46,26 @@ std::uint64_t CounterValue(const std::string& name) {
   return it == snap.counters.end() ? 0 : it->second;
 }
 
+MutateRequest MakeCreate(VertexId v, double weight) {
+  return {.entries = {{.op = MutateRequest::Op::kCreateNode,
+                       .vertex = v,
+                       .weight = weight}}};
+}
+
+MutateRequest MakeBump(VertexId v, double delta) {
+  return {.entries = {{.op = MutateRequest::Op::kAddNodeWeight,
+                       .vertex = v,
+                       .weight = delta}}};
+}
+
+/// True when `reply` is an OK ExtractReply holding exactly vertex `v`.
+bool ExtractedExactly(const Result<Envelope>& reply, VertexId v) {
+  if (!reply.ok()) return false;
+  const auto* rep = std::get_if<ExtractReply>(&reply->payload);
+  return rep != nullptr && rep->status.ok() && rep->snapshots.size() == 1 &&
+         rep->snapshots[0].id == v;
+}
+
 /// One partition server (endpoint 0) plus a client bus (endpoint 1),
 /// with the shutdown ordering the cluster guarantees in production:
 /// bus first, then transport (joining dispatchers), then the server.
@@ -76,13 +96,19 @@ struct Rig {
   std::unique_ptr<MessageBus> bus;
 };
 
+double ExtractWeight(Rig* rig, VertexId v) {
+  auto r = rig->Call(ExtractRequest{{v}});
+  EXPECT_OK(r);
+  if (!r.ok()) return -1.0;
+  const auto& rep = std::get<ExtractReply>(r->payload);
+  EXPECT_OK(rep.status);
+  if (rep.snapshots.size() != 1) return -1.0;
+  return rep.snapshots[0].weight;
+}
+
 TEST(NetTransportTest, CallReplyBasic) {
   Rig rig;
-  MutateRequest create;
-  create.op = MutateRequest::Op::kCreateNode;
-  create.vertex = 7;
-  create.weight = 2.0;
-  auto created = rig.Call(create);
+  auto created = rig.Call(MakeCreate(7, 2.0));
   ASSERT_OK(created);
   const auto* mrep = std::get_if<MutateReply>(&created->payload);
   ASSERT_NE(mrep, nullptr);
@@ -112,11 +138,8 @@ TEST(NetTransportTest, ConcurrentCallsMatchRequestToReply) {
   // Seed one node per (thread, i) pair.
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kVerticesPerThread; ++i) {
-      MutateRequest create;
-      create.op = MutateRequest::Op::kCreateNode;
-      create.vertex = static_cast<VertexId>(t * 1000 + i);
-      create.weight = 1.0 + t;
-      auto r = rig.Call(create);
+      auto r = rig.Call(
+          MakeCreate(static_cast<VertexId>(t * 1000 + i), 1.0 + t));
       ASSERT_OK(r);
     }
   }
@@ -128,15 +151,7 @@ TEST(NetTransportTest, ConcurrentCallsMatchRequestToReply) {
     threads.emplace_back([&rig, &mismatches, t] {
       for (int i = 0; i < kVerticesPerThread; ++i) {
         const auto v = static_cast<VertexId>(t * 1000 + i);
-        ExtractRequest req;
-        req.vertex = v;
-        auto r = rig.Call(req);
-        if (!r.ok()) {
-          mismatches.fetch_add(1);
-          continue;
-        }
-        const auto* rep = std::get_if<ExtractReply>(&r->payload);
-        if (rep == nullptr || !rep->status.ok() || rep->id != v) {
+        if (!ExtractedExactly(rig.Call(ExtractRequest{{v}}), v)) {
           mismatches.fetch_add(1);
         }
       }
@@ -189,30 +204,16 @@ TEST(NetTransportTest, DuplicatedFramesAreNotReapplied) {
   const std::uint64_t dedup_before = CounterValue("server.duplicate_requests");
   {
     Rig rig(topt);
-    MutateRequest create;
-    create.op = MutateRequest::Op::kCreateNode;
-    create.vertex = 1;
-    create.weight = 1.0;
-    ASSERT_OK(rig.Call(create));
+    ASSERT_OK(rig.Call(MakeCreate(1, 1.0)));
     constexpr int kBumps = 20;
     for (int i = 0; i < kBumps; ++i) {
-      MutateRequest bump;
-      bump.op = MutateRequest::Op::kAddNodeWeight;
-      bump.vertex = 1;
-      bump.weight = 1.0;
-      auto r = rig.Call(bump);
+      auto r = rig.Call(MakeBump(1, 1.0));
       ASSERT_OK(r);
       ASSERT_OK(std::get<MutateReply>(r->payload).status);
     }
     // The transport manufactured duplicates, the server suppressed every
     // one of them: the weight reflects each bump exactly once.
-    ExtractRequest req;
-    req.vertex = 1;
-    auto r = rig.Call(req);
-    ASSERT_OK(r);
-    const auto& rep = std::get<ExtractReply>(r->payload);
-    ASSERT_OK(rep.status);
-    EXPECT_DOUBLE_EQ(rep.weight, 1.0 + kBumps);
+    EXPECT_DOUBLE_EQ(ExtractWeight(&rig, 1), 1.0 + kBumps);
   }
   EXPECT_GT(CounterValue("msg.duplicated"), dup_before);
   EXPECT_GT(CounterValue("server.duplicate_requests"), dedup_before);
@@ -224,11 +225,7 @@ TEST(NetTransportTest, ReorderedFramesStillMatchReplies) {
   topt.fault_seed = 1;
   Rig rig(topt);
   for (int i = 0; i < 30; ++i) {
-    MutateRequest create;
-    create.op = MutateRequest::Op::kCreateNode;
-    create.vertex = static_cast<VertexId>(i);
-    create.weight = 1.0;
-    ASSERT_OK(rig.Call(create));
+    ASSERT_OK(rig.Call(MakeCreate(static_cast<VertexId>(i), 1.0)));
   }
   std::vector<std::thread> threads;
   std::atomic<int> mismatches{0};
@@ -236,15 +233,7 @@ TEST(NetTransportTest, ReorderedFramesStillMatchReplies) {
     threads.emplace_back([&rig, &mismatches, t] {
       for (int i = 0; i < 10; ++i) {
         const auto v = static_cast<VertexId>(t * 10 + i);
-        ExtractRequest req;
-        req.vertex = v;
-        auto r = rig.Call(req);
-        if (!r.ok()) {
-          mismatches.fetch_add(1);
-          continue;
-        }
-        const auto* rep = std::get_if<ExtractReply>(&r->payload);
-        if (rep == nullptr || !rep->status.ok() || rep->id != v) {
+        if (!ExtractedExactly(rig.Call(ExtractRequest{{v}}), v)) {
           mismatches.fetch_add(1);
         }
       }
@@ -415,33 +404,6 @@ void AwaitCounterAbove(const std::string& name, std::uint64_t prev) {
   EXPECT_GT(CounterValue(name), prev) << name;
 }
 
-MutateRequest MakeCreate(VertexId v, double weight) {
-  MutateRequest m;
-  m.op = MutateRequest::Op::kCreateNode;
-  m.vertex = v;
-  m.weight = weight;
-  return m;
-}
-
-MutateRequest MakeBump(VertexId v, double delta) {
-  MutateRequest m;
-  m.op = MutateRequest::Op::kAddNodeWeight;
-  m.vertex = v;
-  m.weight = delta;
-  return m;
-}
-
-double ExtractWeight(Rig* rig, VertexId v) {
-  ExtractRequest req;
-  req.vertex = v;
-  auto r = rig->Call(req);
-  EXPECT_OK(r);
-  if (!r.ok()) return -1.0;
-  const auto& rep = std::get<ExtractReply>(r->payload);
-  EXPECT_OK(rep.status);
-  return rep.weight;
-}
-
 // The bus endpoint is inline, so a duplicated reply runs the bus's
 // handler twice on the server's thread, usually before the caller has
 // claimed the first delivery. The second must be counted stale and
@@ -460,14 +422,11 @@ TEST(NetTransportTest, EveryDuplicateReachesTheBusAsOneStaleReply) {
       auto created = rig.Call(MakeCreate(v, 1.0 + v));
       ASSERT_OK(created);
       ASSERT_OK(std::get<MutateReply>(created->payload).status);
-      ExtractRequest req;
-      req.vertex = v;
-      auto extracted = rig.Call(req);
-      ASSERT_OK(extracted);
-      const auto& rep = std::get<ExtractReply>(extracted->payload);
-      ASSERT_OK(rep.status);
-      EXPECT_EQ(rep.id, v);  // each call gets its own reply
-      EXPECT_DOUBLE_EQ(rep.weight, 1.0 + v);
+      auto extracted = rig.Call(ExtractRequest{{v}});
+      ASSERT_TRUE(ExtractedExactly(extracted, v));  // its own reply
+      EXPECT_DOUBLE_EQ(
+          std::get<ExtractReply>(extracted->payload).snapshots[0].weight,
+          1.0 + v);
     }
   }  // shutdown joins the server's thread: every duplicate was delivered
   const std::uint64_t duplicated =
@@ -532,6 +491,47 @@ TEST(NetTransportRetryTest, ExhaustedRetriesStillApplyExactlyOnce) {
   auto weight = rig.server->store_for_test()->NodeWeight(9);
   ASSERT_OK(weight);
   EXPECT_DOUBLE_EQ(*weight, 1.5);
+}
+
+// A batched Mutate is one token: a lost reply is answered from the dedup
+// cache, so neither a batch that applied in full nor one that stopped at
+// a failing entry runs again, and the replayed reply reports the same
+// applied prefix.
+TEST(NetTransportRetryTest, BatchedMutateLostReplyIsReplayedNotReapplied) {
+  InProcTransport::Options topt;
+  topt.drop_every_n = 2;  // with fault_seed 1: every first reply to the
+  topt.drop_dst = 1;      // bus is lost, every retried one delivered
+  topt.fault_seed = 1;
+  MessageBus::Options bopt;
+  bopt.call_timeout_us = 50'000;
+  bopt.retry_backoff_us = 500;
+  const std::uint64_t dedup_before = CounterValue("msg.dedup_hits");
+  Rig rig(topt, bopt);
+
+  MutateRequest batch = MakeCreate(1, 2.0);
+  batch.entries.push_back(MakeBump(1, 0.5).entries[0]);
+  batch.entries.push_back(MakeBump(1, 0.25).entries[0]);
+  auto whole = rig.Call(batch);
+  ASSERT_OK(whole);
+  const auto& applied_all = std::get<MutateReply>(whole->payload);
+  ASSERT_OK(applied_all.status);
+  EXPECT_EQ(applied_all.applied, 3u);
+
+  // Stops at the remove of a missing node: the bump before it lands,
+  // the one after it never runs.
+  MutateRequest stops = MakeBump(1, 1.0);
+  stops.entries.push_back(
+      {.op = MutateRequest::Op::kRemoveNode, .vertex = 9});
+  stops.entries.push_back(MakeBump(1, 100.0).entries[0]);
+  auto partial = rig.Call(stops);
+  ASSERT_OK(partial);
+  const auto& applied_prefix = std::get<MutateReply>(partial->payload);
+  EXPECT_TRUE(applied_prefix.status.IsNotFound())
+      << applied_prefix.status.ToString();
+  EXPECT_EQ(applied_prefix.applied, 1u);
+
+  EXPECT_DOUBLE_EQ(ExtractWeight(&rig, 1), 3.75);
+  EXPECT_GE(CounterValue("msg.dedup_hits"), dedup_before + 2);
 }
 
 /// `n` partition servers (endpoints 0..n-1, each seeded with node id ==
@@ -655,13 +655,12 @@ TEST(NetTransportRetryTest, DedupWindowFromOptionsSurvivesOverflowOfOldDefault) 
   // The straggling resend of token 2, byte-identical. Pre-fix the window
   // had evicted it and the bump re-applied.
   send(2, MakeBump(1, 1.0));
-  ExtractRequest ex;
-  ex.vertex = 1;
-  send(4 + kFlood, ex);
+  send(4 + kFlood, ExtractRequest{{1}});
   const Envelope extracted = wait_for(4 + kFlood);
   const auto& rep = std::get<ExtractReply>(extracted.payload);
   ASSERT_OK(rep.status);
-  EXPECT_DOUBLE_EQ(rep.weight, 2.0);  // one create + exactly one bump
+  ASSERT_EQ(rep.snapshots.size(), 1u);
+  EXPECT_DOUBLE_EQ(rep.snapshots[0].weight, 2.0);  // one create + one bump
   EXPECT_GT(CounterValue("msg.dedup_hits"), dedup_before);
   transport.Shutdown();
 }
@@ -714,16 +713,84 @@ TEST(NetTransportRecoveryTest, RecoveredTokenAnsweredAfterCrashBetweenApplyAndRe
   ASSERT_OK(r);
   ASSERT_OK(std::get<MutateReply>(r->payload).status);
   Envelope ex;
-  ExtractRequest ex_req;
-  ex_req.vertex = 1;
-  ex.payload = ex_req;
+  ex.payload = ExtractRequest{{1}};
   auto extracted = bus.Call(0, std::move(ex));
-  ASSERT_OK(extracted);
-  const auto& rep = std::get<ExtractReply>(extracted->payload);
-  ASSERT_OK(rep.status);
-  EXPECT_DOUBLE_EQ(rep.weight, 2.5);  // applied once, across the crash
+  ASSERT_TRUE(ExtractedExactly(extracted, 1));
+  // Applied once, across the crash.
+  EXPECT_DOUBLE_EQ(
+      std::get<ExtractReply>(extracted->payload).snapshots[0].weight, 2.5);
   bus.Shutdown();
   transport.Shutdown();
+}
+
+// A batched Mutate whose reply died with the process: the reopened
+// server answers the retry from the log, reporting as applied only the
+// entries logged under its token. A batch that applied in full answers
+// OK (with the record id of its last entry's edge); one that stopped at
+// a failing entry reports that prefix and an error, and the entries
+// after it stay unapplied.
+TEST(NetTransportRecoveryTest, RecoveredBatchReportsOnlyTheLoggedEntries) {
+  const std::string dir = FreshDir("net_recovered_batch");
+  PartitionServer::Options sopt;
+  sopt.durability_dir = dir;
+  MutateRequest whole = MakeCreate(1, 2.0);
+  whole.entries.push_back(MakeCreate(2, 1.0).entries[0]);
+  whole.entries.push_back({.op = MutateRequest::Op::kAddEdge,
+                           .vertex = 1,
+                           .other = 2,
+                           .other_is_local = true});
+  MutateRequest stops = MakeBump(1, 0.5);
+  stops.entries.push_back(
+      {.op = MutateRequest::Op::kRemoveNode, .vertex = 9});
+  stops.entries.push_back(MakeBump(2, 1.0).entries[0]);
+  {
+    InProcTransport::Options topt;
+    topt.drop_every_n = 1;  // every reply to the bus vanishes
+    topt.drop_dst = 1;
+    MessageBus::Options bopt;
+    bopt.call_timeout_us = 50'000;
+    bopt.max_attempts = 1;
+    const std::uint64_t dropped_before = CounterValue("msg.dropped");
+    Rig rig(topt, bopt, sopt);
+    EXPECT_FALSE(rig.Call(whole).ok());  // token 1
+    EXPECT_FALSE(rig.Call(stops).ok());  // token 2
+    // Both replies were dropped after the server applied and logged.
+    AwaitCounterAbove("msg.dropped", dropped_before + 1);
+  }  // "crash": no checkpoint; the WAL keeps the entries and tokens
+
+  InProcTransport transport({});
+  auto reopened = PartitionServer::Open(0, 0, &transport, std::move(sopt));
+  ASSERT_OK(reopened);
+  auto server = std::move(*reopened);
+  EXPECT_EQ(server->max_recovered_token_id(), 2u);
+  MessageBus::Options bopt;
+  bopt.first_request_id = 1;  // the client retries its two tokens
+  MessageBus bus(&transport, 1, bopt);
+  ASSERT_OK(bus.Start());
+  auto call = [&bus](MessagePayload payload) {
+    Envelope env;
+    env.payload = std::move(payload);
+    return bus.Call(0, std::move(env));
+  };
+  auto first = call(whole);
+  ASSERT_OK(first);
+  const auto& full = std::get<MutateReply>(first->payload);
+  ASSERT_OK(full.status);
+  EXPECT_EQ(full.applied, 3u);
+  const auto edge = server->store_for_test()->FindEdge(1, 2);
+  ASSERT_OK(edge);
+  EXPECT_EQ(full.record_id, *edge);
+  auto second = call(stops);
+  ASSERT_OK(second);
+  const auto& prefix = std::get<MutateReply>(second->payload);
+  EXPECT_FALSE(prefix.status.ok());
+  EXPECT_EQ(prefix.applied, 1u);
+
+  bus.Shutdown();
+  transport.Shutdown();
+  // Nothing applied twice, and the entry after the failure never ran.
+  EXPECT_DOUBLE_EQ(*server->store_for_test()->NodeWeight(1), 2.5);
+  EXPECT_DOUBLE_EQ(*server->store_for_test()->NodeWeight(2), 1.0);
 }
 
 TEST(NetTransportFaultTest, TransientSendErrorIsHealedByRetry) {

@@ -102,20 +102,24 @@ MessagePayload RandomPayload(MsgType type, Rng* rng) {
     }
     case MsgType::kMutateRequest: {
       MutateRequest m;
-      m.op = static_cast<MutateRequest::Op>(rng->Uniform(8));
-      m.vertex = rng->Next();
-      m.other = rng->Next();
-      m.type_or_key = static_cast<std::uint32_t>(rng->Next());
-      m.node_state = static_cast<WireNodeState>(rng->Uniform(2));
-      m.weight = RandomF64(rng);
-      m.other_is_local = rng->Uniform(2) == 1;
-      m.value = RandomString(rng, 32);
+      m.entries.resize(rng->Uniform(5));
+      for (auto& e : m.entries) {
+        e.op = static_cast<MutateRequest::Op>(rng->Uniform(8));
+        e.vertex = rng->Next();
+        e.other = rng->Next();
+        e.type_or_key = static_cast<std::uint32_t>(rng->Next());
+        e.node_state = static_cast<WireNodeState>(rng->Uniform(2));
+        e.weight = RandomF64(rng);
+        e.other_is_local = rng->Uniform(2) == 1;
+        e.value = RandomString(rng, 32);
+      }
       return m;
     }
     case MsgType::kMutateReply: {
       MutateReply m;
       m.status = RandomStatus(rng);
       m.record_id = rng->Next();
+      m.applied = rng->Next();
       return m;
     }
     case MsgType::kInstallChunkRequest: {
@@ -146,22 +150,26 @@ MessagePayload RandomPayload(MsgType type, Rng* rng) {
     }
     case MsgType::kExtractRequest: {
       ExtractRequest m;
-      m.vertex = rng->Next();
+      m.vertices.resize(rng->Uniform(8));
+      for (auto& v : m.vertices) v = rng->Next();
       return m;
     }
     case MsgType::kExtractReply: {
       ExtractReply m;
       m.status = RandomStatus(rng);
-      m.id = rng->Next();
-      m.weight = RandomF64(rng);
-      m.wire_bytes = rng->Next();
-      m.properties = RandomProperties(rng);
-      m.relationships.resize(rng->Uniform(4));
-      for (auto& rel : m.relationships) {
-        rel.other = rng->Next();
-        rel.type = static_cast<std::uint32_t>(rng->Next());
-        rel.properties_included = rng->Uniform(2) == 1;
-        rel.properties = RandomProperties(rng);
+      m.snapshots.resize(rng->Uniform(4));
+      for (auto& snap : m.snapshots) {
+        snap.id = rng->Next();
+        snap.weight = RandomF64(rng);
+        snap.wire_bytes = rng->Next();
+        snap.properties = RandomProperties(rng);
+        snap.relationships.resize(rng->Uniform(4));
+        for (auto& rel : snap.relationships) {
+          rel.other = rng->Next();
+          rel.type = static_cast<std::uint32_t>(rng->Next());
+          rel.properties_included = rng->Uniform(2) == 1;
+          rel.properties = RandomProperties(rng);
+        }
       }
       return m;
     }
@@ -299,7 +307,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetWireFuzzTest,
 TEST(NetWireTest, OversizedEncodeRejected) {
   Envelope env;
   MutateRequest big;
-  big.value.assign(kMaxFrameBytes, 'x');
+  big.entries.resize(1);
+  big.entries[0].value.assign(kMaxFrameBytes, 'x');
   env.payload = std::move(big);
   Result<std::string> frame = EncodeFrame(env);
   ASSERT_FALSE(frame.ok());
@@ -345,6 +354,85 @@ TEST(NetWireTest, HostileElementCountRejectedWithoutAllocation) {
   Result<Envelope> decoded = DecodeFrame(frame);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsOutOfRange()) << decoded.status().ToString();
+}
+
+TEST(NetWireTest, HostileBatchCountsRejectedWithoutAllocation) {
+  // Each batched shape claiming 2^32-1 elements in a tiny frame: the
+  // count is checked against the bytes left (35 per Mutate entry, 8 per
+  // Extract vertex, 32 per snapshot) before anything is reserved.
+  WireWriter count_only;
+  count_only.PutU32(0xffffffffu);
+  WireWriter reply;  // OK status, then the snapshot count
+  PutStatus(Status::OK(), &reply);
+  reply.PutU32(0xffffffffu);
+  // A count one past what the bytes hold: two whole entries under 3.
+  WireWriter short_batch;
+  short_batch.PutU32(3);
+  for (int i = 0; i < 2; ++i) {
+    MutateRequest one{.entries = {{.vertex = 7}}};
+    WireWriter entry;
+    one.EncodeTo(&entry);
+    short_batch.PutRaw(entry.bytes().substr(4));
+  }
+  const struct {
+    MsgType type;
+    const WireWriter* payload;
+  } cases[] = {{MsgType::kMutateRequest, &count_only},
+               {MsgType::kExtractRequest, &count_only},
+               {MsgType::kExtractReply, &reply},
+               {MsgType::kMutateRequest, &short_batch}};
+  for (const auto& c : cases) {
+    const std::string frame =
+        CraftFrame(kWireVersion, static_cast<std::uint8_t>(c.type), 0,
+                   c.payload->bytes());
+    Result<Envelope> decoded = DecodeFrame(frame);
+    ASSERT_FALSE(decoded.ok()) << static_cast<int>(c.type);
+    EXPECT_TRUE(decoded.status().IsOutOfRange())
+        << static_cast<int>(c.type) << ": " << decoded.status().ToString();
+  }
+}
+
+TEST(NetWireTest, BatchedMutateAndExtractRoundTripInOrder) {
+  MutateRequest marks;
+  for (VertexId v = 100; v < 164; ++v) {
+    marks.entries.push_back({.op = MutateRequest::Op::kSetNodeState,
+                             .vertex = v,
+                             .node_state = WireNodeState::kUnavailable});
+  }
+  ExtractReply extracted;
+  extracted.status = Status::OK();
+  for (VertexId v = 100; v < 164; ++v) {
+    ExtractReply::Snapshot& snap = extracted.snapshots.emplace_back();
+    snap.id = v;
+    snap.weight = 1.0 + static_cast<double>(v);
+    snap.relationships.push_back({v + 1, 0, false, {}});
+  }
+  for (MessagePayload payload : {MessagePayload(marks),
+                                 MessagePayload(extracted)}) {
+    Envelope env;
+    env.payload = std::move(payload);
+    Result<std::string> frame = EncodeFrame(env);
+    ASSERT_OK(frame);
+    Result<Envelope> decoded = DecodeFrame(*frame);
+    ASSERT_OK(decoded);
+    if (const auto* m = std::get_if<MutateRequest>(&decoded->payload)) {
+      ASSERT_EQ(m->entries.size(), 64u);
+      for (std::size_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(m->entries[i].vertex, 100 + i);
+        EXPECT_EQ(m->entries[i].op, MutateRequest::Op::kSetNodeState);
+        EXPECT_EQ(m->entries[i].node_state, WireNodeState::kUnavailable);
+      }
+    } else {
+      const auto& r = std::get<ExtractReply>(decoded->payload);
+      ASSERT_EQ(r.snapshots.size(), 64u);
+      for (std::size_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(r.snapshots[i].id, 100 + i);
+        EXPECT_EQ(r.snapshots[i].weight, 101.0 + static_cast<double>(i));
+        ASSERT_EQ(r.snapshots[i].relationships.size(), 1u);
+        EXPECT_EQ(r.snapshots[i].relationships[0].other, 101 + i);
+      }
+    }
+  }
 }
 
 /// Appends `v` one byte at a time: the per-element reference the block

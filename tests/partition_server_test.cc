@@ -1,12 +1,13 @@
 // In-memory and durable partition servers agree (DESIGN.md §12): the
-// same request stream — single-record mutations, install chunks, counted
-// reads and read-count folds, including requests the store rejects — is
-// sent to one server of each kind, and every reply and the final store
-// contents must match. Both kinds apply a mutation through one path
-// (PartitionServer::ApplyLocked); the durable one prechecks the entry and
-// logs it first, so this pins that the precheck still mirrors the store's
-// rejection rules. The durable server is then reopened from its
-// directory: replaying its log must rebuild the same store.
+// same request stream — one-entry and batched mutations, install
+// chunks, counted reads and read-count folds, including requests the
+// store rejects — is sent to one server of each kind, and every reply
+// and the final store contents must match. Both kinds apply a mutation
+// through one path (PartitionServer::ApplyLocked); the durable one
+// prechecks the entry and logs it first, so this pins that the precheck
+// still mirrors the store's rejection rules. The durable server is then
+// reopened from its directory: replaying its log must rebuild the same
+// store.
 
 #include <cstddef>
 #include <filesystem>
@@ -30,6 +31,10 @@ namespace hermes {
 namespace {
 
 using Op = MutateRequest::Op;
+
+MutateRequest One(MutateRequest::Entry entry) {
+  return {.entries = {std::move(entry)}};
+}
 
 std::string FreshDir(const char* name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -85,6 +90,7 @@ void ExpectSameReply(const MessagePayload& memory,
   EXPECT_EQ(CodeOf(memory), CodeOf(durable));
   if (const auto* m = std::get_if<MutateReply>(&memory)) {
     EXPECT_EQ(m->record_id, std::get<MutateReply>(durable).record_id);
+    EXPECT_EQ(m->applied, std::get<MutateReply>(durable).applied);
   } else if (const auto* m = std::get_if<InstallChunkReply>(&memory)) {
     const auto& d = std::get<InstallChunkReply>(durable);
     EXPECT_EQ(m->nodes_created, d.nodes_created);
@@ -145,89 +151,112 @@ std::vector<Step> RequestStream() {
   InstallChunkRequest clash;
   clash.nodes = {{6, 1.0, {}}, {1, 1.0, {}}, {7, 1.0, {}}};  // 1 exists
   return {
-      {MutateRequest{.op = Op::kCreateNode, .vertex = 1, .weight = 1.0}, kOk},
-      {MutateRequest{.op = Op::kCreateNode, .vertex = 2, .weight = 2.0}, kOk},
-      {MutateRequest{.op = Op::kCreateNode, .vertex = 3, .weight = 1.0}, kOk},
-      {MutateRequest{.op = Op::kCreateNode, .vertex = 1, .weight = 1.0},
+      {One({.op = Op::kCreateNode, .vertex = 1, .weight = 1.0}), kOk},
+      {One({.op = Op::kCreateNode, .vertex = 2, .weight = 2.0}), kOk},
+      {One({.op = Op::kCreateNode, .vertex = 3, .weight = 1.0}), kOk},
+      {One({.op = Op::kCreateNode, .vertex = 1, .weight = 1.0}),
        StatusCode::kAlreadyExists},
+      // A batch applies in order and stops at its first failure: the
+      // bump lands, 9 does not exist, and the last entry never runs.
       {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 1, .other = 2, .other_is_local = true},
+           .entries = {{.op = Op::kAddNodeWeight, .vertex = 1, .weight = 0.5},
+                       {.op = Op::kRemoveNode, .vertex = 9},
+                       {.op = Op::kAddNodeWeight, .vertex = 2, .weight = 1.0}}},
+       StatusCode::kNotFound},
+      {One({.op = Op::kAddEdge,
+            .vertex = 1,
+            .other = 2,
+            .other_is_local = true}),
        kOk},
       // Duplicate edge, from either endpoint.
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 1, .other = 2, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 1,
+            .other = 2,
+            .other_is_local = true}),
        StatusCode::kAlreadyExists},
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 2, .other = 1, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 2,
+            .other = 1,
+            .other_is_local = true}),
        StatusCode::kAlreadyExists},
       // Self-loop.
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 3, .other = 3, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 3,
+            .other = 3,
+            .other_is_local = true}),
        StatusCode::kInvalidArgument},
       // Missing nodes, as the writer and as the claimed-local other end.
-      {MutateRequest{.op = Op::kAddEdge, .vertex = 9, .other = 1},
+      {One({.op = Op::kAddEdge, .vertex = 9, .other = 1}),
        StatusCode::kNotFound},
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 1, .other = 9, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 1,
+            .other = 9,
+            .other_is_local = true}),
        StatusCode::kNotFound},
-      {MutateRequest{.op = Op::kAddNodeWeight, .vertex = 9, .weight = 1.0},
+      {One({.op = Op::kAddNodeWeight, .vertex = 9, .weight = 1.0}),
        StatusCode::kNotFound},
-      {MutateRequest{.op = Op::kRemoveNode, .vertex = 9},
+      {One({.op = Op::kRemoveNode, .vertex = 9}),
        StatusCode::kNotFound},
-      {MutateRequest{.op = Op::kSetNodeState,
+      {One({.op = Op::kSetNodeState,
                      .vertex = 9,
-                     .node_state = WireNodeState::kUnavailable},
+                     .node_state = WireNodeState::kUnavailable}),
        StatusCode::kNotFound},
-      {MutateRequest{.op = Op::kSetNodeProperty,
+      {One({.op = Op::kSetNodeProperty,
                      .vertex = 9,
                      .type_or_key = 2,
-                     .value = "x"},
+                     .value = "x"}),
        StatusCode::kNotFound},
-      {MutateRequest{.op = Op::kRemoveEdge, .vertex = 1, .other = 3},
+      {One({.op = Op::kRemoveEdge, .vertex = 1, .other = 3}),
        StatusCode::kNotFound},
       // Half records: 3 owns the copy of {3, 7}, and {3, 0} is the ghost.
-      {MutateRequest{.op = Op::kAddEdge, .vertex = 3, .other = 7}, kOk},
-      {MutateRequest{.op = Op::kAddEdge, .vertex = 3, .other = 0}, kOk},
-      {MutateRequest{.op = Op::kSetEdgeProperty,
+      {One({.op = Op::kAddEdge, .vertex = 3, .other = 7}), kOk},
+      {One({.op = Op::kAddEdge, .vertex = 3, .other = 0}), kOk},
+      {One({.op = Op::kSetEdgeProperty,
                      .vertex = 3,
                      .other = 0,
                      .type_or_key = 1,
-                     .value = "x"},
+                     .value = "x"}),
        StatusCode::kInvalidArgument},
-      {MutateRequest{.op = Op::kSetEdgeProperty,
+      {One({.op = Op::kSetEdgeProperty,
                      .vertex = 3,
                      .other = 7,
                      .type_or_key = 1,
-                     .value = "w"},
+                     .value = "w"}),
        kOk},
-      {MutateRequest{.op = Op::kSetEdgeProperty,
+      {One({.op = Op::kSetEdgeProperty,
                      .vertex = 4,
                      .other = 5,
                      .type_or_key = 1,
-                     .value = "w"},
+                     .value = "w"}),
        StatusCode::kNotFound},
-      {MutateRequest{.op = Op::kSetNodeProperty,
+      {One({.op = Op::kSetNodeProperty,
                      .vertex = 1,
                      .type_or_key = 2,
-                     .value = "alice"},
+                     .value = "alice"}),
        kOk},
       // Writes to an unavailable (mid-migration) endpoint, either end.
-      {MutateRequest{.op = Op::kSetNodeState,
+      {One({.op = Op::kSetNodeState,
                      .vertex = 2,
-                     .node_state = WireNodeState::kUnavailable},
+                     .node_state = WireNodeState::kUnavailable}),
        kOk},
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 2, .other = 3, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 2,
+            .other = 3,
+            .other_is_local = true}),
        StatusCode::kUnavailable},
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 3, .other = 2, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 3,
+            .other = 2,
+            .other_is_local = true}),
        StatusCode::kUnavailable},
-      {MutateRequest{.op = Op::kSetNodeState,
+      {One({.op = Op::kSetNodeState,
                      .vertex = 2,
-                     .node_state = WireNodeState::kAvailable},
+                     .node_state = WireNodeState::kAvailable}),
        kOk},
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 2, .other = 3, .other_is_local = true},
+      {One({.op = Op::kAddEdge,
+            .vertex = 2,
+            .other = 3,
+            .other_is_local = true}),
        kOk},
       {chunk, kOk},
       {clash, StatusCode::kAlreadyExists},
@@ -235,15 +264,17 @@ std::vector<Step> RequestStream() {
       {NeighborsRequest{.vertices = {1, 3, 2}, .count_reads = true}, kOk},
       {NeighborsRequest{.vertices = {1}, .count_reads = true}, kOk},
       {AuxExchangeRequest{}, kOk},
-      {MutateRequest{.op = Op::kRemoveEdge, .vertex = 1, .other = 2}, kOk},
+      {One({.op = Op::kRemoveEdge, .vertex = 1, .other = 2}), kOk},
       // Removing 3 degrades {2, 3} to 2's half record; re-creating 3 and
       // adding the edge from it upgrades that record back to a full one.
-      {MutateRequest{.op = Op::kRemoveNode, .vertex = 3}, kOk},
-      {MutateRequest{.op = Op::kAddEdge, .vertex = 2, .other = 3},
+      {One({.op = Op::kRemoveNode, .vertex = 3}), kOk},
+      {One({.op = Op::kAddEdge, .vertex = 2, .other = 3}),
        StatusCode::kAlreadyExists},
-      {MutateRequest{.op = Op::kCreateNode, .vertex = 3, .weight = 1.0}, kOk},
-      {MutateRequest{
-           .op = Op::kAddEdge, .vertex = 3, .other = 2, .other_is_local = true},
+      {One({.op = Op::kCreateNode, .vertex = 3, .weight = 1.0}), kOk},
+      {One({.op = Op::kAddEdge,
+            .vertex = 3,
+            .other = 2,
+            .other_is_local = true}),
        kOk},
       {AuxExchangeRequest{}, kOk},
   };

@@ -6,7 +6,8 @@ Builds throwaway fixture repos in a temp directory and asserts that both
 audit passes flag known-bad trees, stay quiet on known-good ones, and
 honor the audit:allow suppression contract:
 
-  * Pass A must flag a statement-level discarded Status call, an
+  * Pass A must flag a statement-level discarded Status call (also
+    inside a lambda body with a trailing return type), an
     assigned-but-only-formatted status (the logged-and-ignored pattern),
     a bare (void) cast, and a Status-returning declaration without
     [[nodiscard]] — and accept a call site that branches on the status.
@@ -89,6 +90,28 @@ def case_discarded_return_is_flagged():
         check("discard exits 1", code == 1, out)
         check("finding is kind [discard]", "[discard]" in out, out)
         check("finding names Flush", "Flush()" in out, out)
+
+
+def case_trailing_return_lambda_body_is_audited():
+    print("case: a lambda body with a trailing return type is audited")
+    # `[&]() -> Status {` opens a block like `[&]() {` does: the discard
+    # inside it is a statement of its own, not part of the initializer.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write(root, "src/common/api.h", API_HEADER)
+        write(root, "src/common/use.cc", """\
+void F() {
+  const Status st = [&]() -> Status {
+    Flush();
+    return Status::OK();
+  }();
+  if (!st.ok()) return;
+}
+""")
+        code, out = run_audit(root)
+        check("discard in a trailing-return lambda exits 1", code == 1, out)
+        check("finding points into the lambda body",
+              "use.cc:3:" in out and "[discard]" in out, out)
 
 
 def case_swallowed_assignment_is_flagged():
@@ -248,6 +271,7 @@ def case_repo_itself_is_clean():
 def main():
     for case in (case_clean_tree_passes,
                  case_discarded_return_is_flagged,
+                 case_trailing_return_lambda_body_is_audited,
                  case_swallowed_assignment_is_flagged,
                  case_bare_void_cast_is_flagged,
                  case_missing_nodiscard_is_flagged,

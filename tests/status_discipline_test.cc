@@ -14,11 +14,26 @@
 //     while the directory still routed to the source — Validate()
 //     stayed false forever.
 //
+// The chunked migration sends each step as one request per server, so
+// two more pin what a failure partway through such a batch leaves:
+//
+//  3. A failed remove: the remove step flipped and removed one vertex
+//     at a time and returned at the first failed remove, so every later
+//     vertex of the chunk stayed unavailable at a source the directory
+//     still routed to. The directory now flips for the whole chunk
+//     first, and every chunk vertex stays readable.
+//
+//  4. A mark that fails partway through its source's batch: the unwind
+//     re-marks exactly the applied prefix and removes the replicas, and
+//     Validate() holds.
+//
 // Failpoints compile to no-ops under the default preset, so these skip
 // there and run under asan-ubsan / tsan (HERMES_FAILPOINTS).
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +138,112 @@ TEST_F(StatusDisciplineTest, MidChunkMigrationWalFailureUnwindsCleanly) {
   auto retry = cluster.RunLightweightRepartition();
   ASSERT_OK(retry);
   EXPECT_GT(retry->vertices_moved, 0u);
+  EXPECT_TRUE(cluster.Validate());
+}
+
+TEST_F(StatusDisciplineTest, FailedRemoveLeavesEveryChunkVertexReadable) {
+  Graph g = SmallSocial(9);
+  const auto initial = HashPartitioner(1).Partition(g, 4);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (initial.PartitionOf(v) == 0) g.AddVertexWeight(v, 2.0);
+  }
+  HermesCluster::Options opt;
+  opt.durability_dir = FreshDir("status_discipline_failed_remove");
+  opt.repartitioner.k_fraction = 0.05;
+  // The remove step is the first thing after the barrier that appends:
+  // armed there, the second remove of the first chunk fails.
+  std::vector<VertexId> first_chunk;
+  opt.migration_barrier_hook =
+      [&first_chunk](const std::vector<VertexId>& chunk) {
+    if (!first_chunk.empty()) return;
+    first_chunk = chunk;
+    FailpointConfig cfg;
+    cfg.policy = FailpointConfig::Policy::kNthHit;
+    cfg.n = 2;
+    FailpointRegistry::Global().Arm("wal.append.io_error", cfg);
+  };
+  HermesCluster cluster(std::move(g), initial, opt);
+
+  auto stats = cluster.RunLightweightRepartition();
+  FailpointRegistry::Global().Reset();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsIOError()) << stats.status().ToString();
+  ASSERT_EQ(first_chunk.size(), opt.migration_chunk);
+
+  // Pre-fix: 62 of the 64 answered Unavailable — still routed to a
+  // source that had marked them unavailable and never removed them.
+  std::size_t left_at_source = 0;
+  for (VertexId v : first_chunk) {
+    EXPECT_OK(cluster.ExecuteRead(v, 0)) << "vertex " << v;
+    const PartitionId home = cluster.assignment().PartitionOf(v);
+    EXPECT_TRUE(cluster.store(home)->HasNode(v)) << "vertex " << v;
+    for (PartitionId p = 0; p < cluster.num_servers(); ++p) {
+      if (p == home || !cluster.store(p)->NodeExists(v)) continue;
+      // The one failed remove leaves its source copy, unavailable and
+      // routed to by nothing (a Recover roll-forward case, ROADMAP).
+      EXPECT_FALSE(cluster.store(p)->HasNode(v)) << "vertex " << v;
+      ++left_at_source;
+    }
+  }
+  EXPECT_EQ(left_at_source, 1u);
+}
+
+TEST_F(StatusDisciplineTest, MarkFailingPartwayUnwindsExactlyItsPrefix) {
+  // Ten vertices of partition 0 move to partition 1 in one chunk, so the
+  // copy step is one install and one mark batch of ten, and its WAL
+  // appends come in a fixed order: the install's, then one per mark.
+  const Graph g = SmallSocial(9);
+  const auto initial = HashPartitioner(1).Partition(g, 2);
+  PartitionAssignment target = initial;
+  std::vector<VertexId> movers;
+  for (VertexId v = 0; v < g.NumVertices() && movers.size() < 10; ++v) {
+    if (initial.PartitionOf(v) != 0) continue;
+    target.Assign(v, 1);
+    movers.push_back(v);
+  }
+  auto appends = [] {
+    return FailpointRegistry::Global().Evaluations("wal.append.io_error");
+  };
+
+  // A clean run on a twin cluster counts the install's appends.
+  std::uint64_t install_appends = 0;
+  {
+    HermesCluster::Options opt;
+    opt.durability_dir = FreshDir("status_discipline_mark_probe");
+    std::uint64_t at_barrier = 0;
+    opt.migration_barrier_hook = [&](const std::vector<VertexId>&) {
+      at_barrier = appends();
+    };
+    HermesCluster twin(g, initial, opt);
+    const std::uint64_t before = appends();
+    ASSERT_OK(twin.MigrateToAssignment(target));
+    install_appends = at_barrier - before - movers.size();
+  }
+
+  HermesCluster::Options opt;
+  opt.durability_dir = FreshDir("status_discipline_mark_partway");
+  HermesCluster cluster(g, initial, opt);
+  FailpointConfig cfg;
+  cfg.policy = FailpointConfig::Policy::kNthHit;
+  cfg.n = install_appends + 4;  // the fourth mark fails
+  const std::uint64_t before = appends();
+  FailpointRegistry::Global().Arm("wal.append.io_error", cfg);
+  auto stats = cluster.MigrateToAssignment(target);
+  FailpointRegistry::Global().Reset();
+  ASSERT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsIOError()) << stats.status().ToString();
+  // The install, three marks and the failed fourth, then the unwind:
+  // three re-marks (the applied prefix, not the batch) and one remove
+  // per replica.
+  EXPECT_EQ(appends() - before, install_appends + 4 + 3 + movers.size());
+  EXPECT_TRUE(cluster.Validate());
+  for (VertexId v : movers) {
+    EXPECT_EQ(cluster.assignment().PartitionOf(v), 0u);
+    EXPECT_OK(cluster.ExecuteRead(v, 0)) << "vertex " << v;
+  }
+
+  // The unwind restored the pre-chunk state, so a retry succeeds.
+  ASSERT_OK(cluster.MigrateToAssignment(target));
   EXPECT_TRUE(cluster.Validate());
 }
 

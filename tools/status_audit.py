@@ -99,6 +99,10 @@ DECL_STMT_RE = re.compile(
 TYPE_OPEN_RE = re.compile(
     r"^(?:template\s*<[^{]*>\s*)?(class|struct|union|enum)\b")
 NAMESPACE_OPEN_RE = re.compile(r"^(?:inline\s+)?namespace\b")
+# A lambda or function head with a trailing return type, as in
+# `[&]() -> Status` or `auto F() const -> Result<int>`.
+TRAILING_RETURN_RE = re.compile(
+    r"\)\s*(?:(?:mutable|noexcept|const)\s*)*->\s*[\w:][\w:<>,*&\s]*$")
 
 LOCK_ANNOTATIONS_RE = re.compile(
     r"\b(EXCLUDES|REQUIRES|REQUIRES_SHARED|ACQUIRE|ACQUIRE_SHARED|RELEASE|"
@@ -302,6 +306,8 @@ def classify_opener(text):
     if last_word and last_word.group(1) in BLOCK_TAIL_KEYWORDS:
         return "block"
     if text.endswith("->") or text.endswith(">"):  # trailing return type
+        return "block"
+    if TRAILING_RETURN_RE.search(text):
         return "block"
     return None
 
