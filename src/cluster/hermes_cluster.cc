@@ -260,13 +260,14 @@ Result<std::unique_ptr<HermesCluster>> HermesCluster::Recover(
   std::unique_ptr<HermesCluster> cluster(
       new HermesCluster(num_partitions, std::move(options)));
   HERMES_RETURN_NOT_OK(cluster->InitServers());
+  std::map<PartitionId, DumpRequest> dump_requests;
+  for (PartitionId p = 0; p < num_partitions; ++p) dump_requests[p] = {};
   std::vector<DumpReply> dumps;
   dumps.reserve(num_partitions);
-  for (PartitionId p = 0; p < num_partitions; ++p) {
-    HERMES_ASSIGN_OR_RETURN(DumpReply dump,
-                            cluster->Call<DumpReply>(p, DumpRequest{}));
-    HERMES_RETURN_NOT_OK(dump.status);
-    dumps.push_back(std::move(dump));
+  for (auto& [p, dump] : cluster->CallEach<DumpReply>(dump_requests)) {
+    HERMES_RETURN_NOT_OK(dump.status());
+    HERMES_RETURN_NOT_OK(dump->status);
+    dumps.push_back(std::move(*dump));
   }
 
   // Rebuild the graph view and directory from the recovered records:
@@ -329,16 +330,20 @@ Status HermesCluster::Checkpoint() {
   }
   // Fold first, so the snapshots hold every read counted so far.
   HERMES_RETURN_NOT_OK(FoldReadCountsLocked());
-  for (PartitionId p = 0; p < num_servers(); ++p) {
-    // audit:allow(blocking, checkpoint is the documented quiesce point: the
-    // exclusive directory hold is what makes the per-partition snapshots
-    // mutually consistent, and the dispatch thread serving this call takes
-    // only its own server mutex — never a cluster lock)
-    HERMES_ASSIGN_OR_RETURN(CheckpointReply reply,
-                            Call<CheckpointReply>(p, CheckpointRequest{}));
-    HERMES_RETURN_NOT_OK(reply.status);
+  // One fan-out: each server writes and syncs its snapshot while the
+  // others do, and every server is asked even when one fails.
+  std::map<PartitionId, CheckpointRequest> requests;
+  for (PartitionId p = 0; p < num_servers(); ++p) requests[p] = {};
+  Status first_error;
+  // audit:allow(blocking, checkpoint is the documented quiesce point: the
+  // exclusive directory hold is what makes the per-partition snapshots
+  // mutually consistent, and the dispatch thread serving this call takes
+  // only its own server mutex — never a cluster lock)
+  for (auto& [p, reply] : CallEach<CheckpointReply>(requests)) {
+    const Status st = reply.ok() ? reply->status : reply.status();
+    if (!st.ok() && first_error.ok()) first_error = st;
   }
-  return Status::OK();
+  return first_error;
 }
 
 Result<HermesCluster::TraversalRun> HermesCluster::ExecuteRead(VertexId start,

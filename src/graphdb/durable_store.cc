@@ -188,73 +188,47 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
   }
   if (covered_lsn != nullptr) *covered_lsn = covered;
 
+  // The body decodes into the two dumps it was encoded from, and
+  // GraphStore::Restore rebuilds the store from them in one pass. A body
+  // that decodes but does not restore (nodes out of id order or
+  // repeated, a self-loop, a relationship linked to no chain or to a
+  // missing node, two relationships on one chain link) is as corrupt as
+  // one that fails its checksum: IOError, so Open never mistakes it for
+  // a missing snapshot.
   std::uint64_t node_count = 0;
   HERMES_RETURN_NOT_OK(ReadRecordCount(&in, kNodeBytes, &node_count));
-  // Non-available states are applied only after the relationship section:
-  // AddEdge rejects unavailable endpoints (mid-migration write guard), so
-  // restoring a node's kUnavailable state first would make its own edges
-  // unloadable.
-  std::vector<std::pair<VertexId, NodeState>> deferred_states;
-  for (std::uint64_t i = 0; i < node_count; ++i) {
-    std::uint64_t id = 0;
-    double weight = 0.0;
+  std::vector<GraphStore::NodeDump> nodes(node_count);
+  for (GraphStore::NodeDump& n : nodes) {
     std::uint32_t state = 0;
-    Properties props;
-    if (!in.ReadU64(&id).ok() || !in.ReadF64(&weight).ok() ||
-        !in.ReadU32(&state).ok() || !ReadProperties(&in, &props).ok()) {
+    if (!in.ReadU64(&n.id).ok() || !in.ReadF64(&n.weight).ok() ||
+        !in.ReadU32(&state).ok() || !ReadProperties(&in, &n.properties).ok()) {
       return Status::IOError("truncated snapshot (nodes)");
     }
-    HERMES_RETURN_NOT_OK(store->CreateNode(id, weight));
-    if (static_cast<NodeState>(state) != NodeState::kAvailable) {
-      deferred_states.emplace_back(id, static_cast<NodeState>(state));
-    }
-    for (const auto& [key, value] : props) {
-      HERMES_RETURN_NOT_OK(store->SetNodeProperty(id, key, value));
-    }
+    n.state = static_cast<NodeState>(state);
   }
 
   std::uint64_t rel_count = 0;
   HERMES_RETURN_NOT_OK(ReadRecordCount(&in, kRelBytes, &rel_count));
-  for (std::uint64_t i = 0; i < rel_count; ++i) {
-    std::uint64_t src = 0;
-    std::uint64_t dst = 0;
-    std::uint32_t type = 0;
+  std::vector<GraphStore::RelationshipDump> rels(rel_count);
+  for (GraphStore::RelationshipDump& r : rels) {
     std::uint32_t flags = 0;
-    Properties props;
-    if (!in.ReadU64(&src).ok() || !in.ReadU64(&dst).ok() ||
-        !in.ReadU32(&type).ok() || !in.ReadU32(&flags).ok() ||
-        !ReadProperties(&in, &props).ok()) {
+    if (!in.ReadU64(&r.src).ok() || !in.ReadU64(&r.dst).ok() ||
+        !in.ReadU32(&r.type).ok() || !in.ReadU32(&flags).ok() ||
+        !ReadProperties(&in, &r.properties).ok()) {
       return Status::IOError("truncated snapshot (relationships)");
     }
-    // flags: bit0 ghost, bit1 linked into src's chain, bit2 into dst's.
-    // Full records are linked into both; half records into exactly the
-    // one recorded here (the other endpoint may well exist locally — see
-    // WriteSnapshot). AddEdge recomputes the ghost bit for half records
-    // from the same id rule that produced the dumped value.
-    const bool src_linked = (flags & 2u) != 0;
-    const bool dst_linked = (flags & 4u) != 0;
-    Result<RecordId> added = Status::Internal("unset");
-    if (src_linked && dst_linked) {
-      added = store->AddEdge(src, dst, type, /*other_is_local=*/true);
-    } else if (src_linked) {
-      added = store->AddEdge(src, dst, type, /*other_is_local=*/false);
-    } else if (dst_linked) {
-      added = store->AddEdge(dst, src, type, /*other_is_local=*/false);
-    } else {
-      return Status::IOError("snapshot relationship linked to no chain");
-    }
-    HERMES_RETURN_NOT_OK(added.status());
-    for (const auto& [key, value] : props) {
-      const Status st = store->SetEdgeProperty(src_linked ? src : dst,
-                                               src_linked ? dst : src, key,
-                                               value);
-      if (!st.ok() && !st.IsInvalidArgument()) return st;  // ghost: no props
-    }
-  }
-  for (const auto& [id, state] : deferred_states) {
-    HERMES_RETURN_NOT_OK(store->SetNodeState(id, state));
+    // flags: bit0 ghost, bit1 linked into src's chain, bit2 into dst's
+    // (see EncodeSnapshot). Restore recomputes the ghost bit from the
+    // same id rule that produced the dumped value.
+    r.ghost = (flags & 1u) != 0;
+    r.src_linked = (flags & 2u) != 0;
+    r.dst_linked = (flags & 4u) != 0;
   }
   if (!in.AtEnd()) return Status::IOError("snapshot length mismatch");
+  if (const Status st = store->Restore(nodes, rels); !st.ok()) {
+    return Status::IOError("snapshot " + path +
+                           " does not restore: " + st.ToString());
+  }
   return Status::OK();
 }
 

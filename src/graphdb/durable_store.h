@@ -175,7 +175,9 @@ class DurableGraphStore {
   // contains; Open() skips replaying entries at or below it, which is
   // what makes a crash between the snapshot rename and the WAL
   // truncation safe (replaying the stale log in full would double-apply
-  // non-idempotent entries such as kAddNodeWeight).
+  // non-idempotent entries such as kAddNodeWeight). LoadSnapshot fills an
+  // empty `store` through GraphStore::Restore; it returns NotFound only
+  // when there is no file, and IOError for a file that does not load.
   [[nodiscard]] static Status WriteSnapshot(const GraphStore& store, const std::string& path,
                               std::uint64_t covered_lsn = 0);
   [[nodiscard]] static Status LoadSnapshot(const std::string& path, GraphStore* store,

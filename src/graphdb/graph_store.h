@@ -137,6 +137,8 @@ class GraphStore {
     double weight;
     NodeState state;
     std::vector<std::pair<std::uint32_t, std::string>> properties;
+
+    friend bool operator==(const NodeDump&, const NodeDump&) = default;
   };
   struct RelationshipDump {
     VertexId src;
@@ -151,15 +153,35 @@ class GraphStore {
     bool src_linked;
     bool dst_linked;
     std::vector<std::pair<std::uint32_t, std::string>> properties;
+
+    friend bool operator==(const RelationshipDump&,
+                           const RelationshipDump&) = default;
   };
 
   /// Every node record with its property chain, in id order.
   std::vector<NodeDump> DumpNodes() const;
 
   /// Every relationship record (full and half/ghost alike), in record-id
-  /// order. Whether a record was full or half is recoverable from which
-  /// endpoints exist locally; the ghost flag is also carried explicitly.
+  /// order, with the chains it is linked into: read from the record's
+  /// own chain pointers, plus one node lookup for a side that is the
+  /// only link of its chain or is not linked at all.
   std::vector<RelationshipDump> DumpRelationships() const;
+
+  /// Rebuilds an empty store from DumpNodes() and DumpRelationships()
+  /// output, in one pass over the records: the inverse of the dumps, and
+  /// what loading a snapshot does. Relationship ids are minted in dump
+  /// order and each record is prepended to exactly the chains its
+  /// linkage names, so chains come out as replaying the records through
+  /// AddEdge would build them; property chains keep their dump order.
+  /// The ghost flag is recomputed from the id rule and a ghost record's
+  /// properties are dropped. Rejected, before any record is stored: a
+  /// non-empty store (InvalidArgument), a duplicate node id
+  /// (AlreadyExists), nodes out of id order, a relationship linked to no
+  /// chain and a self-loop (InvalidArgument), a linked endpoint that is
+  /// not in `nodes` (NotFound), and two links with one (owner, other end)
+  /// key (AlreadyExists). No store dumps any of these.
+  [[nodiscard]] Status Restore(const std::vector<NodeDump>& nodes,
+                               const std::vector<RelationshipDump>& rels);
 
  private:
   // Chain-side helpers: a record participates in the chain of `node` via
@@ -174,7 +196,9 @@ class GraphStore {
     return r.src == node ? r.src_next : r.dst_next;
   }
 
-  void LinkIntoChain(VertexId node, RecordId rel_id, RelationshipRecord* rec);
+  /// Prepends `rec` to the chain of `node`, whose record is `n`.
+  void LinkIntoChain(VertexId node, NodeRecord* n, RecordId rel_id,
+                     RelationshipRecord* rec);
   void UnlinkFromChain(VertexId node, RecordId rel_id,
                        RelationshipRecord* rec);
 
@@ -197,10 +221,11 @@ class GraphStore {
   RecordStore<PropertyRecord> props_;
   DynamicStore dynamic_;
   /// (chain owner, other end) -> the record linked into the owner's chain,
-  /// one entry per chain link. Only LinkIntoChain and UnlinkFromChain
-  /// change it. AddEdge's duplicate check keeps a chain to one record per
-  /// other end, so the key is unique even when a removed and re-created
-  /// node leaves two records for one endpoint pair, each in one chain.
+  /// one entry per chain link. Only LinkIntoChain, UnlinkFromChain and
+  /// Restore change it. AddEdge's duplicate check keeps a chain to one
+  /// record per other end, so the key is unique even when a removed and
+  /// re-created node leaves two records for one endpoint pair, each in
+  /// one chain.
   BPlusTree<std::pair<VertexId, VertexId>, RecordId> links_;
   IdGenerator rel_ids_;
   IdGenerator prop_ids_;

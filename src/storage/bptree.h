@@ -52,6 +52,22 @@ class BPlusTree {
     return InsertImpl(key, std::move(value), /*overwrite=*/true);
   }
 
+  /// Inserts a key greater than every key in the tree, as a restore from
+  /// a sorted dump does: it walks the rightmost children to the last
+  /// leaf with no key search, and only a full leaf takes Insert's path to
+  /// split. Leaves fill exactly as under Insert. Returns false, leaving
+  /// the tree unchanged, when `key` is not greater than every key.
+  bool Append(const Key& key, Value value) {
+    Node* leaf = root_.get();
+    while (!leaf->leaf) leaf = leaf->children.back().get();
+    if (!leaf->keys.empty() && !(leaf->keys.back() < key)) return false;
+    if (leaf->keys.size() == kMaxKeys) return Insert(key, std::move(value));
+    leaf->keys.push_back(key);
+    leaf->values.push_back(std::move(value));
+    ++size_;
+    return true;
+  }
+
   const Value* Find(const Key& key) const {
     const Node* leaf = DescendToLeaf(key);
     const std::size_t i = LowerBound(leaf->keys, key);

@@ -24,6 +24,15 @@ class RecordStore {
     return Status::OK();
   }
 
+  /// Creates a record under an id greater than every id in the store,
+  /// with no index search (BPlusTree::Append); fails otherwise.
+  [[nodiscard]] Status Append(RecordId id, Record record) {
+    if (!tree_.Append(id, std::move(record))) {
+      return Status::InvalidArgument("record id not above every stored id");
+    }
+    return Status::OK();
+  }
+
   /// Copy of the record.
   [[nodiscard]] Result<Record> Get(RecordId id) const {
     const Record* r = tree_.Find(id);

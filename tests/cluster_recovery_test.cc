@@ -10,6 +10,7 @@
 #include "test_util.h"
 
 #include "cluster/hermes_cluster.h"
+#include "common/failpoint.h"
 #include "graphdb/graph_store.h"
 #include "gen/social_graph.h"
 #include "partition/hash_partitioner.h"
@@ -178,6 +179,53 @@ TEST(ClusterRecoveryTest, CheckpointTruncatesAllLogs) {
     ASSERT_OK(tail);
     EXPECT_TRUE(tail->empty()) << "partition " << p;
   }
+}
+
+// Checkpoint asks every server in one fan-out. A snapshot write that
+// fails on one of them is the checkpoint's status; that server keeps its
+// previous snapshot and its whole log, so recovery still sees every write.
+TEST(ClusterRecoveryTest, FailedSnapshotOnOneServerFailsOnlyTheCheckpoint) {
+  if (!kFailpointsEnabled) {
+    GTEST_SKIP() << "needs a HERMES_FAILPOINTS build";
+  }
+  const std::string dir = FreshDir("hermes_cluster_ckpt_fail");
+  Graph g = SmallSocial(13);
+  const auto asg = HashPartitioner(1).Partition(g, 4);
+  std::size_t edges = 0;
+  {
+    HermesCluster::Options opt;
+    opt.durability_dir = dir;
+    HermesCluster cluster(std::move(g), asg, opt);
+    ASSERT_OK(cluster.Checkpoint());
+    TraceOptions topt;
+    topt.num_requests = 200;
+    topt.write_fraction = 0.5;
+    RunWorkload(&cluster,
+                GenerateTrace(cluster.graph(), cluster.assignment(), topt));
+
+    const char* site = "snapshot.write.io_error";
+    FailpointRegistry& failpoints = FailpointRegistry::Global();
+    FailpointConfig first_snapshot;  // fires on the first evaluation
+    failpoints.Arm(site, first_snapshot);
+    const std::uint64_t evaluated = failpoints.Evaluations(site);
+    const std::uint64_t fired_before = failpoints.FiredCount(site);
+    const Status st = cluster.Checkpoint();
+    const std::uint64_t asked = failpoints.Evaluations(site) - evaluated;
+    const std::uint64_t fired = failpoints.FiredCount(site) - fired_before;
+    failpoints.Reset();
+    EXPECT_TRUE(st.IsIOError()) << st.ToString();
+    EXPECT_EQ(fired, 1u);
+    EXPECT_EQ(asked, 4u);  // the servers after the failed one were asked
+    edges = cluster.graph().NumEdges();
+    ASSERT_TRUE(cluster.Validate());
+    // Crash.
+  }
+  HermesCluster::Options opt;
+  opt.durability_dir = dir;
+  auto recovered = HermesCluster::Recover(4, opt);
+  ASSERT_OK(recovered);
+  EXPECT_EQ((*recovered)->graph().NumEdges(), edges);
+  EXPECT_TRUE((*recovered)->Validate());
 }
 
 TEST(ClusterRecoveryTest, RemovedNodeRecoversAsTombstoneNotPhantom) {

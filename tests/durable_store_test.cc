@@ -3,13 +3,16 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "canonical_state.h"
 #include "test_util.h"
 
+#include "common/crc32.h"
 #include "graphdb/durable_store.h"
+#include "net/wire.h"
 
 namespace hermes {
 namespace {
@@ -439,6 +442,150 @@ TEST(DurableStoreTest, LargeSnapshotRoundTripsExactly) {
   EXPECT_TRUE(after.NodeExists(kBase + 20));
   const auto got = Canonicalize(after);
   EXPECT_TRUE(got == want) << DiffStates(got, want);
+}
+
+// Loading restores the dumps a snapshot was written from, in their
+// order: rewriting a loaded snapshot gives the file back byte for byte.
+// Multi-property chains pin the order (setting each property in dump
+// order would prepend it and reverse the chain), and the store holds
+// every record shape: full and half records, a ghost, two half records
+// for one endpoint pair (a removed and re-created node) and an
+// unavailable node.
+TEST(DurableStoreTest, RewritingALoadedSnapshotIsByteIdentical) {
+  GraphStore store(1);
+  for (VertexId v = 1; v <= 6; ++v) {
+    ASSERT_OK(store.CreateNode(v, static_cast<double>(v) / 2));
+    for (std::uint32_t key = 0; key < 3; ++key) {
+      ASSERT_OK(store.SetNodeProperty(v, key, std::to_string(v * 10 + key)));
+    }
+  }
+  ASSERT_OK(store.AddEdge(1, 2, 1, true));
+  ASSERT_OK(store.SetEdgeProperty(1, 2, 0, "a"));
+  ASSERT_OK(store.SetEdgeProperty(1, 2, 1, std::string(40, 'b')));
+  ASSERT_OK(store.AddEdge(2, 3, 2, true));
+  ASSERT_OK(store.AddEdge(3, 4, 0, true));
+  ASSERT_OK(store.AddEdge(4, 900, 3, false));  // real half
+  ASSERT_OK(store.SetEdgeProperty(4, 900, 2, "c"));
+  ASSERT_OK(store.AddEdge(5, 0, 3, false));  // ghost half
+  ASSERT_OK(store.RemoveNode(3));  // 2 and 4 keep half records toward 3
+  ASSERT_OK(store.CreateNode(3));
+  ASSERT_OK(store.AddEdge(3, 4, 0, false));  // a second half for {3, 4}
+  ASSERT_OK(store.AddEdge(3, 2, 0, true));   // upgrades 2's half to full
+  ASSERT_OK(store.SetNodeState(6, NodeState::kUnavailable));
+  ASSERT_TRUE(store.CheckChains());
+
+  const std::string dir = FreshDir("hermes_snapshot_rewrite");
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(store, dir + "/first.bin", 17));
+  GraphStore loaded(1);
+  std::uint64_t covered = 0;
+  ASSERT_OK(DurableGraphStore::LoadSnapshot(dir + "/first.bin", &loaded,
+                                            &covered));
+  EXPECT_EQ(covered, 17u);
+  EXPECT_TRUE(loaded.CheckChains());
+  EXPECT_TRUE(loaded.DumpNodes() == store.DumpNodes());
+  EXPECT_TRUE(loaded.DumpRelationships() == store.DumpRelationships());
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(loaded, dir + "/second.bin",
+                                             covered));
+  EXPECT_TRUE(ReadBytes(dir + "/second.bin") == ReadBytes(dir + "/first.bin"));
+}
+
+// --- Snapshot bodies that decode but do not restore ------------------------
+//
+// Each body below is well framed (header, length and CRC are right), so
+// only GraphStore::Restore can reject it. A rejected body is a corrupt
+// snapshot: LoadSnapshot and Open both fail with IOError, never NotFound,
+// which Open would take for "no snapshot yet".
+
+struct HandRel {
+  VertexId src;
+  VertexId dst;
+  std::uint32_t flags;  // bit1: linked into src's chain, bit2: dst's
+};
+
+// Writes `dir`/snapshot.bin holding `nodes` (weight 1, available, no
+// properties) and `rels` (type 0, no properties).
+void WriteHandBuiltSnapshot(const std::string& dir,
+                            const std::vector<VertexId>& nodes,
+                            const std::vector<HandRel>& rels) {
+  WireWriter body;
+  body.PutU64(nodes.size());
+  for (VertexId id : nodes) {
+    body.PutU64(id);
+    body.PutF64(1.0);
+    body.PutU32(0);  // state
+    body.PutU32(0);  // property count
+  }
+  body.PutU64(rels.size());
+  for (const HandRel& r : rels) {
+    body.PutU64(r.src);
+    body.PutU64(r.dst);
+    body.PutU32(0);  // type
+    body.PutU32(r.flags);
+    body.PutU32(0);  // property count
+  }
+  WireWriter file;
+  file.PutU64(0x4845524d45533034ULL);  // "HERMES04"
+  file.PutU32(0);                      // partition
+  file.PutU32(Crc32(body.bytes().data(), body.bytes().size()));
+  file.PutU64(body.bytes().size());
+  file.PutU64(0);  // covered LSN
+  file.PutRaw(body.bytes());
+  WriteBytes(dir + "/snapshot.bin", file.bytes());
+}
+
+constexpr std::uint32_t kSrcLinked = 2;
+constexpr std::uint32_t kDstLinked = 4;
+
+TEST(DurableStoreTest, HandBuiltSnapshotLoads) {
+  const std::string dir = FreshDir("hermes_hand_ok");
+  WriteHandBuiltSnapshot(dir, {1, 2},
+                         {{1, 2, kSrcLinked | kDstLinked}, {2, 7, kSrcLinked}});
+  auto db = DurableGraphStore::Open(0, dir);
+  ASSERT_OK(db);
+  EXPECT_EQ((*db)->store().NumRelationships(), 2u);
+  EXPECT_EQ(*(*db)->store().Neighbors(2), (std::vector<VertexId>{1, 7}));
+  EXPECT_TRUE((*db)->store().CheckChains());
+}
+
+TEST(DurableStoreTest, SnapshotSelfLoopIsRejected) {
+  const std::string dir = FreshDir("hermes_hand_self_loop");
+  WriteHandBuiltSnapshot(dir, {1}, {{1, 1, kSrcLinked}});
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, SnapshotRelationshipLinkedToNoChainIsRejected) {
+  const std::string dir = FreshDir("hermes_hand_unlinked");
+  WriteHandBuiltSnapshot(dir, {1, 2}, {{1, 2, 0}});
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, SnapshotHalfRecordOfMissingNodeIsRejected) {
+  const std::string dir = FreshDir("hermes_hand_half_missing");
+  WriteHandBuiltSnapshot(dir, {1}, {{2, 5, kSrcLinked}});
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, SnapshotFullRecordWithMissingOtherNodeIsRejected) {
+  const std::string dir = FreshDir("hermes_hand_full_missing");
+  WriteHandBuiltSnapshot(dir, {1}, {{1, 2, kSrcLinked | kDstLinked}});
+  ExpectSnapshotRejected(dir);
+}
+
+TEST(DurableStoreTest, SnapshotDuplicateNodeIdIsRejected) {
+  const std::string dir = FreshDir("hermes_hand_dup_node");
+  WriteHandBuiltSnapshot(dir, {1, 1}, {});
+  ExpectSnapshotRejected(dir);
+}
+
+// A half record in 2's chain and a full record for the same pair both
+// claim the link (2, 1). Replaying them through AddEdge used to accept
+// this body: the full record's AddEdge found 2's half record and merged
+// the two into one, so the store held fewer records than the snapshot.
+TEST(DurableStoreTest, SnapshotDuplicateChainLinkIsRejected) {
+  const std::string dir = FreshDir("hermes_hand_dup_link");
+  WriteHandBuiltSnapshot(dir, {1, 2},
+                         {{1, 2, kDstLinked}, {1, 2, kSrcLinked | kDstLinked}});
+  ExpectSnapshotRejected(dir);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Property-based stress test for the GraphStore: a long random sequence
-// of node/edge/property operations (including ghost halves and full
-// records) is mirrored into a trivially correct reference model; store
-// contents, edge lookups and chain invariants must match throughout, and
-// a snapshot round trip must reproduce the final state.
+// of node/edge/property operations (including ghost halves, full
+// records, two half records for one endpoint pair and unavailable nodes)
+// is mirrored into a trivially correct reference model; store contents,
+// edge lookups and chain invariants must match throughout, Restore of
+// the store's own dumps must rebuild it after every operation, and a
+// snapshot round trip must reproduce the final state.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,10 +30,21 @@ constexpr VertexId kRemoteBase = 1000;  // ids >= 1000 are "remote"
 constexpr VertexId kRemoteSpace = 20;
 
 struct Reference {
-  // node id -> weight; adjacency as sorted sets.
+  // node id -> weight; adjacency (the other ends in each node's chain)
+  // as sorted sets.
   std::map<VertexId, double> nodes;
   std::map<VertexId, std::set<VertexId>> adjacency;
   std::map<std::pair<VertexId, VertexId>, std::string> edge_prop;
+  // Endpoint pairs (lower id first) whose record is linked into both
+  // chains. Any other link is a half record, even when both ends list
+  // each other: a removed and re-created node can leave one half record
+  // in each chain.
+  std::set<std::pair<VertexId, VertexId>> full;
+  std::set<VertexId> unavailable;
+
+  bool Available(VertexId v) const {
+    return nodes.count(v) != 0 && unavailable.count(v) == 0;
+  }
 
   static std::pair<VertexId, VertexId> Key(VertexId a, VertexId b) {
     return {std::min(a, b), std::max(a, b)};
@@ -39,9 +52,8 @@ struct Reference {
 };
 
 // FindEdge(v, w) and EdgeIsGhost(v, w) for every pair the ops can touch.
-// An edge is in v's chain exactly when the model's adjacency says so. It
-// is full when w is a local node that lists v too; a half record is the
-// ghost when its local end is the higher id.
+// An edge is in v's chain exactly when the model's adjacency says so. A
+// half record is the ghost when its local end is the higher id.
 void ExpectLookupsMatch(const GraphStore& store, const Reference& ref) {
   std::vector<VertexId> others;
   for (VertexId w = 0; w < kLocalSpace; ++w) others.push_back(w);
@@ -55,9 +67,7 @@ void ExpectLookupsMatch(const GraphStore& store, const Reference& ref) {
       ASSERT_EQ(store.FindEdge(v, w).ok(), linked) << v << "->" << w;
       ASSERT_EQ(ghost.ok(), linked) << v << "->" << w;
       if (!linked) continue;
-      const auto back = ref.adjacency.find(w);
-      const bool full = ref.nodes.count(w) != 0 &&
-                        back != ref.adjacency.end() && back->second.count(v);
+      const bool full = ref.full.count(Reference::Key(v, w)) != 0;
       EXPECT_EQ(*ghost, !full && v > w) << v << "->" << w;
     }
   }
@@ -83,15 +93,85 @@ void ExpectNeighborsMatchChains(const GraphStore& store) {
   }
 }
 
+// Restore of the store's own dumps rebuilds it: the same dumps, links
+// and adjacency, and each chain in the order replaying the dumped
+// records through AddEdge gives it, newest first. That is the original
+// chain order unless a half record was upgraded into a full one, which
+// links an older record at the head of a chain.
+void ExpectRestoreRebuilds(const GraphStore& store) {
+  const std::vector<GraphStore::NodeDump> nodes = store.DumpNodes();
+  const std::vector<GraphStore::RelationshipDump> rels =
+      store.DumpRelationships();
+  GraphStore restored(store.partition_id());
+  ASSERT_OK(restored.Restore(nodes, rels));
+  ASSERT_TRUE(restored.CheckChains());
+  ASSERT_TRUE(restored.DumpNodes() == nodes);
+  ASSERT_TRUE(restored.DumpRelationships() == rels);
+
+  std::map<VertexId, std::vector<VertexId>> replayed_chains;
+  for (const auto& r : rels) {
+    if (r.src_linked) {
+      auto& chain = replayed_chains[r.src];
+      chain.insert(chain.begin(), r.dst);
+    }
+    if (r.dst_linked) {
+      auto& chain = replayed_chains[r.dst];
+      chain.insert(chain.begin(), r.src);
+    }
+  }
+  for (const auto& n : nodes) {
+    const Result<std::vector<VertexId>> want = store.Neighbors(n.id);
+    const Result<std::vector<VertexId>> got = restored.Neighbors(n.id);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString());
+    if (want.ok()) ASSERT_EQ(*got, *want) << "vertex " << n.id;
+
+    const Result<NodeSnapshot> original = store.ExtractNode(n.id);
+    const Result<NodeSnapshot> rebuilt = restored.ExtractNode(n.id);
+    ASSERT_OK(original);
+    ASSERT_OK(rebuilt);
+    std::map<VertexId, const NodeSnapshot::Relationship*> by_other;
+    for (const auto& rel : original->relationships) by_other[rel.other] = &rel;
+    std::vector<VertexId> order;
+    for (const auto& rel : rebuilt->relationships) {
+      order.push_back(rel.other);
+      ASSERT_EQ(by_other.count(rel.other), 1u) << n.id << "->" << rel.other;
+      const NodeSnapshot::Relationship& was = *by_other.at(rel.other);
+      ASSERT_EQ(rel.type, was.type);
+      ASSERT_EQ(rel.properties_included, was.properties_included);
+      ASSERT_EQ(rel.properties, was.properties);
+    }
+    ASSERT_EQ(order, replayed_chains[n.id]) << "vertex " << n.id;
+    ASSERT_EQ(order.size(), original->relationships.size());
+  }
+}
+
 class GraphStoreFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
   GraphStore store(0);
   Reference ref;
   Rng rng(GetParam());
+  // Mostly, the edge ops answer a half record: they pick a b whose
+  // chain holds a half record toward a (left by a's removal and
+  // re-creation, or added while b saw a as remote). A full AddEdge then
+  // upgrades b's record, and a half AddEdge makes a second half record
+  // for the pair.
+  auto pick_other = [&](VertexId a) {
+    std::vector<VertexId> halves_toward_a;
+    for (const auto& [w, adjacent] : ref.adjacency) {
+      if (w != a && adjacent.count(a) &&
+          !ref.full.count(Reference::Key(a, w))) {
+        halves_toward_a.push_back(w);
+      }
+    }
+    if (halves_toward_a.empty() || rng.Uniform(4) == 0) {
+      return rng.Uniform(kLocalSpace);
+    }
+    return halves_toward_a[rng.Uniform(halves_toward_a.size())];
+  };
 
   for (int step = 0; step < 3000; ++step) {
-    switch (rng.Uniform(7)) {
+    switch (rng.Uniform(9)) {
       case 0: {  // create node
         const VertexId v = rng.Uniform(kLocalSpace);
         const double w = 1.0 + static_cast<double>(rng.Uniform(5));
@@ -106,27 +186,33 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
       }
       case 1: {  // add local-local edge
         const VertexId a = rng.Uniform(kLocalSpace);
-        const VertexId b = rng.Uniform(kLocalSpace);
+        const VertexId b = pick_other(a);
         auto st = store.AddEdge(a, b, 0, /*other_is_local=*/true);
-        const bool can = a != b && ref.nodes.count(a) && ref.nodes.count(b) &&
+        const bool can = a != b && ref.Available(a) && ref.Available(b) &&
                          !ref.adjacency[a].count(b);
         if (can) {
+          // New, or b's half record toward a upgraded to full.
           ASSERT_OK(st);
           ref.adjacency[a].insert(b);
           ref.adjacency[b].insert(a);
+          ref.full.insert(Reference::Key(a, b));
         } else {
           ASSERT_FALSE(st.ok());
         }
         break;
       }
-      case 2: {  // add half edge to a remote id
+      case 2: {  // add a half edge, mostly to a remote id
         const VertexId a = rng.Uniform(kLocalSpace);
-        const VertexId b = kRemoteBase + rng.Uniform(kRemoteSpace);
+        // Or a local b that a sees as remote.
+        const VertexId b = rng.Uniform(2) == 0
+                               ? pick_other(a)
+                               : kRemoteBase + rng.Uniform(kRemoteSpace);
         auto st = store.AddEdge(a, b, 0, /*other_is_local=*/false);
-        const bool can = ref.nodes.count(a) && !ref.adjacency[a].count(b);
+        const bool can =
+            a != b && ref.Available(a) && !ref.adjacency[a].count(b);
         if (can) {
           ASSERT_OK(st);
-          ref.adjacency[a].insert(b);  // one-sided: b is remote
+          ref.adjacency[a].insert(b);  // one-sided: a half record
         } else {
           ASSERT_FALSE(st.ok());
         }
@@ -143,7 +229,9 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
         const VertexId b = *it;
         ASSERT_OK(store.RemoveEdge(a, b));
         ref.adjacency[a].erase(b);
-        if (b < kRemoteBase) ref.adjacency[b].erase(a);
+        if (ref.full.erase(Reference::Key(a, b)) != 0) {
+          ref.adjacency[b].erase(a);
+        }
         ref.edge_prop.erase(Reference::Key(a, b));
         break;
       }
@@ -155,16 +243,19 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
           break;
         }
         ASSERT_OK(st);
-        // Local neighbors keep a half record toward v (degrade), remote
-        // halves disappear. Mirror: v keeps appearing in local neighbors'
-        // adjacency (they now see v as remote).
+        // A full record degrades to the neighbour's half record (the
+        // neighbour's set still holds v, which it now sees as remote);
+        // v's half records disappear.
         ref.nodes.erase(v);
+        ref.unavailable.erase(v);
         for (VertexId nbr : ref.adjacency[v]) {
-          // local neighbor keeps edge; nothing to change in ref.adjacency
-          // (nbr's set still holds v). Remote ids have no ref entry.
-          (void)nbr;
+          ref.full.erase(Reference::Key(v, nbr));
         }
         ref.adjacency.erase(v);
+        if (rng.Uniform(2) == 0) {  // re-created: its neighbours' halves stay
+          ASSERT_OK(store.CreateNode(v, 1.0));
+          ref.nodes[v] = 1.0;
+        }
         break;
       }
       case 5: {  // set edge property on a local-local edge
@@ -194,10 +285,42 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
         }
         break;
       }
+      case 7: {  // node property: chains of up to three records
+        const VertexId v = rng.Uniform(kLocalSpace);
+        const auto key = static_cast<std::uint32_t>(rng.Uniform(3));
+        const Status st =
+            store.SetNodeProperty(v, key, "n" + std::to_string(step));
+        if (ref.nodes.count(v)) {
+          ASSERT_OK(st);
+        } else {
+          ASSERT_TRUE(st.IsNotFound());
+        }
+        break;
+      }
+      case 8: {  // availability (the migration remove step's mark)
+        const VertexId v = rng.Uniform(kLocalSpace);
+        // Marks a quarter of the time, so most nodes stay writable.
+        const bool mark =
+            ref.unavailable.count(v) == 0 && rng.Uniform(4) == 0;
+        const Status st = store.SetNodeState(
+            v, mark ? NodeState::kUnavailable : NodeState::kAvailable);
+        if (!ref.nodes.count(v)) {
+          ASSERT_TRUE(st.IsNotFound());
+          break;
+        }
+        ASSERT_OK(st);
+        if (mark) {
+          ref.unavailable.insert(v);
+        } else {
+          ref.unavailable.erase(v);
+        }
+        break;
+      }
     }
 
     ASSERT_NO_FATAL_FAILURE(ExpectNeighborsMatchChains(store))
         << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(ExpectRestoreRebuilds(store)) << "step " << step;
     if (step % 250 == 0) {
       ASSERT_TRUE(store.CheckChains()) << "step " << step;
       ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(store, ref))
@@ -212,6 +335,10 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
   for (const auto& [v, weight] : ref.nodes) {
     ASSERT_TRUE(store.NodeExists(v));
     EXPECT_DOUBLE_EQ(*store.NodeWeight(v), weight);
+    if (ref.unavailable.count(v)) {
+      EXPECT_TRUE(store.Neighbors(v).status().IsUnavailable());
+      continue;
+    }
     auto neighbors = store.Neighbors(v);
     ASSERT_OK(neighbors);
     std::vector<VertexId> got = *neighbors;

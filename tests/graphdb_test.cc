@@ -324,6 +324,38 @@ TEST(GraphStoreTest, RecreatedNodeKeepsTwoRecordsForOnePair) {
   std::remove(path.c_str());
 }
 
+// Restore fills only an empty store, takes nodes in id order as the
+// dumps give them, and stores nothing when it rejects its input.
+TEST(GraphStoreTest, RestoreRejectsBeforeStoringAnything) {
+  using Node = GraphStore::NodeDump;
+  using Rel = GraphStore::RelationshipDump;
+  const std::vector<Node> nodes = {{1, 1.0, NodeState::kAvailable, {}},
+                                   {2, 1.0, NodeState::kAvailable, {}}};
+  const std::vector<Rel> full = {{1, 2, 0, false, true, true, {}}};
+
+  GraphStore store(0);
+  ASSERT_OK(store.Restore(nodes, full));
+  EXPECT_TRUE(store.Restore(nodes, full).IsInvalidArgument());  // not empty
+
+  auto rejected = [](const std::vector<Node>& n, const std::vector<Rel>& r) {
+    GraphStore fresh(0);
+    const Status st = fresh.Restore(n, r);
+    EXPECT_EQ(fresh.NumNodes(), 0u);
+    EXPECT_EQ(fresh.NumRelationships(), 0u);
+    EXPECT_TRUE(fresh.CheckChains());
+    return st;
+  };
+  EXPECT_TRUE(rejected({nodes[1], nodes[0]}, {}).IsInvalidArgument());
+  EXPECT_TRUE(rejected({nodes[0], nodes[0]}, {}).IsAlreadyExists());
+  EXPECT_TRUE(rejected(nodes, {{1, 2, 0, false, false, false, {}}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      rejected(nodes, {{1, 1, 0, false, true, false, {}}}).IsInvalidArgument());
+  EXPECT_TRUE(rejected({nodes[0]}, full).IsNotFound());
+  EXPECT_TRUE(rejected(nodes, {{1, 2, 0, false, false, true, {}}, full[0]})
+                  .IsAlreadyExists());
+}
+
 TEST(GraphStoreTest, NodeIdsListsLiveNodes) {
   GraphStore store(0);
   for (VertexId v : {5, 1, 9}) ASSERT_OK(store.CreateNode(v));
