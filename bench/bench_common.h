@@ -6,6 +6,7 @@
 // partitioning + the Section 5.3.1 workload skew), and the BENCH_*.json
 // machine-readable reporter.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -24,13 +25,15 @@
 
 namespace hermes::bench {
 
-/// Parses "--name=value" style flags; returns fallback when absent.
+/// Parses "--name=value" or "--name value" flags; returns fallback when
+/// absent.
 inline double FlagDouble(int argc, char** argv, const char* name,
                          double fallback) {
-  const std::string prefix = std::string("--") + name + "=";
+  const std::string flag = std::string("--") + name;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atof(argv[i] + prefix.size());
+    if (argv[i] == flag && i + 1 < argc) return std::atof(argv[i + 1]);
+    if (std::strncmp(argv[i], (flag + "=").c_str(), flag.size() + 1) == 0) {
+      return std::atof(argv[i] + flag.size() + 1);
     }
   }
   return fallback;
@@ -39,6 +42,13 @@ inline double FlagDouble(int argc, char** argv, const char* name,
 inline long FlagInt(int argc, char** argv, const char* name, long fallback) {
   return static_cast<long>(FlagDouble(argc, argv, name,
                                       static_cast<double>(fallback)));
+}
+
+/// --trials N (default 1): how many times a wall-clock bench repeats its
+/// measured sections. Each repeated row is reported through
+/// BenchReport::AddTrial.
+inline long Trials(int argc, char** argv) {
+  return std::max(1L, FlagInt(argc, argv, "trials", 1));
 }
 
 /// The paper's evaluation setup (Section 5.3.1): the graph is initially
@@ -122,9 +132,10 @@ inline std::string JsonNumber(double v) {
 ///                  "histograms": {str: {"count","mean","min","max",
 ///                                       "p50","p99"}} } }
 ///
-/// Every fig*/micro_* binary writes one of these so runs can be diffed
-/// and tracked without scraping stdout; tools/bench_smoke.py validates
-/// the schema in CI.
+/// A row added with AddTrial is written as its median, then `.min` and
+/// `.max` rows. Every fig*/micro_* binary writes one of these so runs
+/// can be diffed and tracked without scraping stdout;
+/// tools/bench_smoke.py validates the schema in CI.
 class BenchReport {
  public:
   explicit BenchReport(std::string name)
@@ -136,7 +147,20 @@ class BenchReport {
   }
   void AddResult(const std::string& label, double value,
                  const std::string& unit = "") {
-    results_.push_back(Row{label, value, unit});
+    results_.push_back(Row{label, value, unit, {}});
+  }
+  /// Adds one trial of a repeated measurement. Write() reports the
+  /// median of the trials as `label`, followed by `<label>.min` and
+  /// `<label>.max` rows.
+  void AddTrial(const std::string& label, double value,
+                const std::string& unit = "") {
+    for (Row& row : results_) {
+      if (row.label == label) {
+        row.trials.push_back(value);
+        return;
+      }
+    }
+    results_.push_back(Row{label, value, unit, {value}});
   }
   void AddSimTime(double us) { sim_time_us_ += us; }
 
@@ -164,14 +188,32 @@ class BenchReport {
           << "\": " << JsonNumber(params_[i].second);
     }
     out << "},\n  \"results\": [";
-    for (std::size_t i = 0; i < results_.size(); ++i) {
-      if (i) out << ", ";
-      out << "{\"label\": \"" << JsonEscape(results_[i].label)
-          << "\", \"value\": " << JsonNumber(results_[i].value)
-          << ", \"unit\": \"" << JsonEscape(results_[i].unit) << "\"}";
+    bool first = true;
+    auto result = [&](const std::string& label, double value,
+                      const std::string& unit) {
+      if (!first) out << ", ";
+      first = false;
+      out << "{\"label\": \"" << JsonEscape(label)
+          << "\", \"value\": " << JsonNumber(value)
+          << ", \"unit\": \"" << JsonEscape(unit) << "\"}";
+    };
+    for (const Row& row : results_) {
+      if (row.trials.empty()) {
+        result(row.label, row.value, row.unit);
+        continue;
+      }
+      std::vector<double> sorted = row.trials;
+      std::sort(sorted.begin(), sorted.end());
+      const std::size_t mid = sorted.size() / 2;
+      result(row.label,
+             sorted.size() % 2 ? sorted[mid]
+                               : (sorted[mid - 1] + sorted[mid]) / 2.0,
+             row.unit);
+      result(row.label + ".min", sorted.front(), row.unit);
+      result(row.label + ".max", sorted.back(), row.unit);
     }
     out << "],\n  \"metrics\": {\n    \"counters\": {";
-    bool first = true;
+    first = true;
     for (const auto& [key, value] : snap.counters) {
       if (!first) out << ", ";
       first = false;
@@ -211,6 +253,7 @@ class BenchReport {
     std::string label;
     double value;
     std::string unit;
+    std::vector<double> trials;  // AddTrial rows; empty for AddResult
   };
   std::string name_;
   std::chrono::steady_clock::time_point start_;

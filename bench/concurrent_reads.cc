@@ -9,7 +9,8 @@
 // The second phase measures read throughput while a chunked live
 // repartition is in flight: it must be nonzero (reads interleave with
 // migration instead of blocking behind it), with chunk-window rejections
-// surfacing as Unavailable rather than stalls.
+// surfacing as Unavailable rather than stalls. --trials N repeats both
+// phases on a fresh cluster and reports each row's median, min and max.
 
 #include <atomic>
 #include <chrono>
@@ -76,38 +77,14 @@ double MeasureThroughput(HermesCluster* cluster, std::size_t threads,
   return static_cast<double>(total) / elapsed_s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const long vertices = FlagInt(argc, argv, "vertices", 2000);
-  const long alpha = FlagInt(argc, argv, "alpha", 8);
-  const double hop_latency_us =
-      FlagDouble(argc, argv, "hop_latency_us", 50.0);
-  const std::chrono::milliseconds window(
-      FlagInt(argc, argv, "window_ms", 250));
-
-  PrintHeader("Concurrent reads vs. the sharded cluster lock",
-              "no figure; CI scaling gate");
-
-  SocialGraphOptions gopt;
-  gopt.num_vertices = static_cast<std::size_t>(vertices);
-  gopt.seed = 71;
-  Graph g = GenerateSocialGraph(gopt);
-  const auto placement =
-      HashPartitioner(1).Partition(g, static_cast<PartitionId>(alpha));
-
-  HermesCluster::Options copt;
-  copt.count_reads_in_weights = false;  // keep reads read-only
-  copt.read_hop_latency_us = hop_latency_us;
-  copt.migration_chunk = 32;
-  HermesCluster cluster(std::move(g), placement, copt);
-
-  BenchReport report("concurrent_reads");
-  report.SetParam("vertices", static_cast<double>(vertices));
-  report.SetParam("alpha", static_cast<double>(alpha));
-  report.SetParam("hop_latency_us", hop_latency_us);
-  report.SetParam("window_ms", static_cast<double>(window.count()));
-
+// One trial: throughput at 1, 2, 4 and 8 reader threads, then reads
+// while a live repartition runs. A fresh cluster each time, so every
+// trial migrates from the same placement.
+void Trial(const Graph& graph, PartitionId alpha,
+           const HermesCluster::Options& copt,
+           std::chrono::milliseconds window, BenchReport* report) {
+  HermesCluster cluster(graph, HashPartitioner(1).Partition(graph, alpha),
+                        copt);
   std::printf("%8s %18s %10s\n", "threads", "reads/sec", "speedup");
   double base = 0.0;
   double last = 0.0;
@@ -117,13 +94,12 @@ int main(int argc, char** argv) {
     last = tput;
     std::printf("%8zu %18.0f %9.2fx\n", threads, tput,
                 base > 0.0 ? tput / base : 0.0);
-    report.AddResult("read_throughput_" + std::to_string(threads) + "t",
+    report->AddTrial("read_throughput_" + std::to_string(threads) + "t",
                      tput, "reads/sec");
   }
-  const double speedup = base > 0.0 ? last / base : 0.0;
-  report.AddResult("speedup_8v1", speedup, "x");
+  report->AddTrial("speedup_8v1", base > 0.0 ? last / base : 0.0, "x");
 
-  // --- Reads concurrent with a live chunked repartition -------------------
+  // --- Reads concurrent with a live chunked repartition ------------------
   std::atomic<bool> stop{false};
   std::vector<LoopResult> during(4);
   std::vector<std::thread> readers;
@@ -160,15 +136,51 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(reads_during),
               static_cast<unsigned long long>(unavailable_during));
 
-  report.AddResult("vertices_migrated",
+  report->AddTrial("vertices_migrated",
                    stats.ok() ? static_cast<double>(stats->vertices_moved)
                               : 0.0,
                    "vertices");
-  report.AddResult("migration_wall_us", mig_us, "us");
-  report.AddResult("reads_during_migration",
+  report->AddTrial("migration_wall_us", mig_us, "us");
+  report->AddTrial("reads_during_migration",
                    static_cast<double>(reads_during), "reads");
-  report.AddResult("unavailable_during_migration",
+  report->AddTrial("unavailable_during_migration",
                    static_cast<double>(unavailable_during), "reads");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const long vertices = FlagInt(argc, argv, "vertices", 2000);
+  const long alpha = FlagInt(argc, argv, "alpha", 8);
+  const double hop_latency_us =
+      FlagDouble(argc, argv, "hop_latency_us", 50.0);
+  const std::chrono::milliseconds window(
+      FlagInt(argc, argv, "window_ms", 250));
+  const long trials = Trials(argc, argv);
+
+  PrintHeader("Concurrent reads vs. the sharded cluster lock",
+              "no figure; CI scaling gate");
+
+  SocialGraphOptions gopt;
+  gopt.num_vertices = static_cast<std::size_t>(vertices);
+  gopt.seed = 71;
+  const Graph g = GenerateSocialGraph(gopt);
+
+  HermesCluster::Options copt;
+  copt.count_reads_in_weights = false;  // keep reads read-only
+  copt.read_hop_latency_us = hop_latency_us;
+  copt.migration_chunk = 32;
+
+  BenchReport report("concurrent_reads");
+  report.SetParam("vertices", static_cast<double>(vertices));
+  report.SetParam("alpha", static_cast<double>(alpha));
+  report.SetParam("hop_latency_us", hop_latency_us);
+  report.SetParam("window_ms", static_cast<double>(window.count()));
+  report.SetParam("trials", static_cast<double>(trials));
+
+  for (long trial = 0; trial < trials; ++trial) {
+    Trial(g, static_cast<PartitionId>(alpha), copt, window, &report);
+  }
   // Lock evidence for the directory: readers hold dir_mu_ *shared*
   // across the simulated network waits by design, so the hold tail is
   // latency-sized — the proof of the locking scheme is that those holds

@@ -7,6 +7,7 @@
 // mode lets concurrent mutators stage under the store lock and share
 // one fsync per commit window, so multi-threaded durable throughput
 // must rise multiplicatively (the CI gate asserts >= 2x at 4 threads).
+// --trials N repeats the sweep and reports each row's median, min and max.
 
 #include <chrono>
 #include <cstdio>
@@ -80,6 +81,7 @@ ModeResult MeasureMode(const std::string& dir, bool group_commit,
 int main(int argc, char** argv) {
   const long ops = FlagInt(argc, argv, "ops", 400);
   const long max_threads = FlagInt(argc, argv, "threads", 4);
+  const long trials = Trials(argc, argv);
 
   PrintHeader("Durable write throughput: group commit vs. per-append fsync",
               "no figure; CI durability-performance gate");
@@ -90,44 +92,45 @@ int main(int argc, char** argv) {
   BenchReport report("write_throughput");
   report.SetParam("ops_per_thread", static_cast<double>(ops));
   report.SetParam("max_threads", static_cast<double>(max_threads));
+  report.SetParam("trials", static_cast<double>(trials));
 
-  std::printf("%8s %20s %20s %10s %22s\n", "threads", "per-append ops/s",
-              "group-commit ops/s", "speedup", "fsyncs (base/group)");
-  double speedup_max_threads = 0.0;
-  for (std::size_t threads = 1;
-       threads <= static_cast<std::size_t>(max_threads); threads *= 2) {
-    const ModeResult base =
-        MeasureMode(dir, /*group_commit=*/false, threads, ops);
-    const ModeResult group =
-        MeasureMode(dir, /*group_commit=*/true, threads, ops);
-    const double speedup =
-        base.ops_per_sec > 0.0 ? group.ops_per_sec / base.ops_per_sec : 0.0;
-    if (threads == static_cast<std::size_t>(max_threads)) {
-      speedup_max_threads = speedup;
+  for (long trial = 0; trial < trials; ++trial) {
+    std::printf("%8s %20s %20s %10s %22s\n", "threads", "per-append ops/s",
+                "group-commit ops/s", "speedup", "fsyncs (base/group)");
+    for (std::size_t threads = 1;
+         threads <= static_cast<std::size_t>(max_threads); threads *= 2) {
+      const ModeResult base =
+          MeasureMode(dir, /*group_commit=*/false, threads, ops);
+      const ModeResult group =
+          MeasureMode(dir, /*group_commit=*/true, threads, ops);
+      const double speedup = base.ops_per_sec > 0.0
+                                 ? group.ops_per_sec / base.ops_per_sec
+                                 : 0.0;
+      std::printf("%8zu %20.0f %20.0f %9.2fx %11llu / %llu\n", threads,
+                  base.ops_per_sec, group.ops_per_sec, speedup,
+                  static_cast<unsigned long long>(base.fsyncs),
+                  static_cast<unsigned long long>(group.fsyncs));
+      const std::string suffix = "_" + std::to_string(threads) + "t";
+      report.AddTrial("durable_ops_per_sec.per_append_fsync" + suffix,
+                      base.ops_per_sec, "ops/sec");
+      report.AddTrial("durable_ops_per_sec.group_commit" + suffix,
+                      group.ops_per_sec, "ops/sec");
+      report.AddTrial("fsyncs.per_append_fsync" + suffix,
+                      static_cast<double>(base.fsyncs), "fsyncs");
+      report.AddTrial("fsyncs.group_commit" + suffix,
+                      static_cast<double>(group.fsyncs), "fsyncs");
+      if (threads == static_cast<std::size_t>(max_threads)) {
+        report.AddTrial("speedup_group_commit_vs_per_append", speedup, "x");
+        std::printf("\ngroup commit at %ld threads: %.2fx the "
+                    "per-append-fsync baseline\n",
+                    max_threads, speedup);
+      }
     }
-    std::printf("%8zu %20.0f %20.0f %9.2fx %11llu / %llu\n", threads,
-                base.ops_per_sec, group.ops_per_sec, speedup,
-                static_cast<unsigned long long>(base.fsyncs),
-                static_cast<unsigned long long>(group.fsyncs));
-    const std::string suffix = "_" + std::to_string(threads) + "t";
-    report.AddResult("durable_ops_per_sec.per_append_fsync" + suffix,
-                     base.ops_per_sec, "ops/sec");
-    report.AddResult("durable_ops_per_sec.group_commit" + suffix,
-                     group.ops_per_sec, "ops/sec");
-    report.AddResult("fsyncs.per_append_fsync" + suffix,
-                     static_cast<double>(base.fsyncs), "fsyncs");
-    report.AddResult("fsyncs.group_commit" + suffix,
-                     static_cast<double>(group.fsyncs), "fsyncs");
   }
-  report.AddResult("speedup_group_commit_vs_per_append",
-                   speedup_max_threads, "x");
   // Runtime evidence for the no-blocking-under-lock contract: with group
   // commit the leader fsyncs outside wal.mu, so the hold-time tail stays
   // microseconds even while fsyncs dominate the wall clock.
   AddLockEvidence(&report, "wal.mu");
-  std::printf("\ngroup commit at %ld threads: %.2fx the per-append-fsync "
-              "baseline\n",
-              max_threads, speedup_max_threads);
   report.Write();
   return 0;
 }

@@ -25,7 +25,9 @@ inline std::uint64_t SteadyNowMicros() {
 /// Lock-free distribution of u64 samples (microseconds, sizes, counts).
 /// Record() is a handful of relaxed atomic operations, so dispatch and
 /// client threads record concurrently without a lock. Count, sum, min and
-/// max are exact; p50/p99 fall on the upper bound of their bucket. Each
+/// max are exact over what was recorded; p50/p99 fall on the upper bound
+/// of their bucket. A sampler that records one value in N passes weight
+/// N, so count and sum estimate the whole population (DESIGN.md §7). Each
 /// power of two is split into four linear sub-buckets (values below 4
 /// get a bucket each), so a bucket's upper bound is under 1.25x its lower
 /// bound and a quantile is at most one sub-bucket above the exact value.
@@ -48,9 +50,11 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void Record(std::uint64_t value) {
-    buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+  /// Records `value` as `weight` samples: the count grows by `weight`
+  /// and the sum by `value * weight`; min and max see `value` once.
+  void Record(std::uint64_t value, std::uint64_t weight = 1) {
+    buckets_[BucketOf(value)].fetch_add(weight, std::memory_order_relaxed);
+    sum_.fetch_add(value * weight, std::memory_order_relaxed);
     std::uint64_t cur = min_.load(std::memory_order_relaxed);
     while (value < cur &&
            !min_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {

@@ -122,6 +122,7 @@ void ResetGraphForTest() {
 #ifdef HERMES_LOCK_PROFILING
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <mutex>  // raw std::mutex: the profiler cannot use the Mutex it instruments
@@ -148,14 +149,34 @@ namespace {
 std::mutex g_profile_mu;
 std::map<std::string, LockStats*>* g_profile_rows = nullptr;
 
-// Per-thread acquire stamps for hold-time measurement. Keyed by mutex
-// address so nested holds (distinct ranks) resolve correctly.
+// Per-thread acquire stamps of the timed holds. Keyed by mutex address
+// so nested holds (distinct ranks) resolve correctly.
 struct HoldStamp {
   const void* mu;
   LockStats* stats;
   std::uint64_t t0_us;
+  std::uint64_t weight;
 };
 thread_local std::vector<HoldStamp> tl_hold_stamps;
+
+std::atomic<int> g_time_every_hold{0};  // live TimeEveryHoldForTest guards
+
+// True for one call in kHoldSampleEvery: the top bits (its best ones) of
+// this thread's next xorshift64* output are zero. A draw, not a stride,
+// so locks taken in a fixed cycle (the bus's four per call) are each
+// sampled. A thread's first draw seeds it from a process-wide counter.
+thread_local std::uint64_t tl_draw = 0;
+std::atomic<std::uint64_t> g_draw_seeds{1};
+bool DrawHold() {
+  std::uint64_t x = tl_draw;
+  if (x == 0) x = g_draw_seeds.fetch_add(1) * 0x9E3779B97F4A7C15ULL;
+  x ^= x >> 12;
+  x ^= x << 25;
+  x ^= x >> 27;
+  tl_draw = x;
+  constexpr int kBits = std::countr_zero(kHoldSampleEvery);
+  return (x * 0x2545F4914F6CDD1DULL) >> (64 - kBits) == 0;
+}
 
 }  // namespace
 
@@ -186,13 +207,17 @@ void ProfileContention(LockStats* s, std::uint64_t wait_us) {
 void ProfileAcquired(LockStats* s, const void* mu) {
   if (s == nullptr) return;
   s->acquisitions.fetch_add(1, std::memory_order_relaxed);
-  tl_hold_stamps.push_back(HoldStamp{mu, s, SteadyNowMicros()});
+  const bool every = g_time_every_hold.load(std::memory_order_relaxed) > 0;
+  if (!DrawHold() && !every) return;
+  tl_hold_stamps.push_back(HoldStamp{mu, s, SteadyNowMicros(),
+                                     every ? 1 : kHoldSampleEvery});
 }
 
 void ProfileReleased(const void* mu) {
+  if (tl_hold_stamps.empty()) return;
   for (auto it = tl_hold_stamps.rbegin(); it != tl_hold_stamps.rend(); ++it) {
     if (it->mu == mu) {
-      it->stats->hold.Record(SteadyNowMicros() - it->t0_us);
+      it->stats->hold.Record(SteadyNowMicros() - it->t0_us, it->weight);
       tl_hold_stamps.erase(std::next(it).base());
       return;
     }
@@ -225,6 +250,14 @@ void ProfileReset() {
     stats->hold.Reset();
     stats->wait.Reset();
   }
+}
+
+TimeEveryHoldForTest::TimeEveryHoldForTest() {
+  g_time_every_hold.fetch_add(1, std::memory_order_relaxed);
+}
+
+TimeEveryHoldForTest::~TimeEveryHoldForTest() {
+  g_time_every_hold.fetch_sub(1, std::memory_order_relaxed);
 }
 
 }  // namespace lock_order

@@ -103,10 +103,13 @@ inline void ResetGraphForTest() {}
 /// Lock contention profiler (DESIGN.md §11). Every named, ranked Mutex
 /// and SharedMutex records, per lock name:
 ///   - an acquisition counter and a contention counter (acquisitions
-///     that had to wait because the lock was already held),
-///   - a hold-time histogram (microseconds between acquire and release),
+///     that had to wait because the lock was already held), both exact,
 ///   - a wait-time histogram (microseconds spent blocked on contended
-///     acquires only, so count(wait_us) == contention).
+///     acquires; every one is timed, so count(wait_us) == contention),
+///   - a hold-time histogram (microseconds between acquire and release)
+///     of one hold in kHoldSampleEvery, picked by a per-thread random
+///     draw and recorded with that weight: its count and sum estimate
+///     all holds, its min/max/quantiles range over the timed ones.
 /// MetricsRegistry::Snapshot() merges these rows in as
 /// lock.<name>.acquisitions / lock.<name>.contention counters and
 /// lock.<name>.hold_us / lock.<name>.wait_us histograms, which is how
@@ -117,6 +120,10 @@ inline void ResetGraphForTest() {}
 /// name table rather than registering through MetricsRegistry, whose
 /// mutex is itself profiled. Compiled out entirely unless
 /// HERMES_LOCK_PROFILING.
+
+/// One hold in this many is timed (a power of two); a constant, not an
+/// option.
+inline constexpr std::uint64_t kHoldSampleEvery = 16;
 
 /// Opaque per-lock-name accumulator; obtained once per Mutex via
 /// ProfileStats and cached in the Mutex's atomic slot.
@@ -132,13 +139,14 @@ LockStats* ProfileStats(std::atomic<LockStats*>* slot, const char* name,
 /// Records one contended acquisition that waited `wait_us`.
 void ProfileContention(LockStats* s, std::uint64_t wait_us);
 
-/// Records a successful acquisition of `mu` and stamps the hold start on
-/// this thread; paired with ProfileReleased(mu).
+/// Counts a successful acquisition of `mu` and, when this thread's draw
+/// picks it, stamps the hold start; paired with ProfileReleased(mu).
 void ProfileAcquired(LockStats* s, const void* mu);
 
 /// Records the hold time for the acquisition stamped by the matching
-/// ProfileAcquired on this thread. A release with no matching stamp
-/// (e.g. a lock handed between threads) is silently dropped.
+/// ProfileAcquired on this thread. Returns at once when the thread has no
+/// open stamp; a release with no matching stamp (an untimed hold, or a
+/// lock handed between threads) is silently dropped.
 void ProfileReleased(const void* mu);
 
 struct LockProfileRow {
@@ -155,6 +163,24 @@ std::vector<LockProfileRow> ProfileSnapshot();
 
 /// Zeroes every registered row (test/bench hook; registration survives).
 void ProfileReset();
+
+/// Test hook: while one is alive, every hold on every thread is timed
+/// and recorded with weight 1, so a test can assert hold_us's exact
+/// count and max. Process-wide because the hold under test may be on
+/// another thread (the WAL's commit leader).
+class TimeEveryHoldForTest {
+ public:
+  TimeEveryHoldForTest();
+  ~TimeEveryHoldForTest();
+  TimeEveryHoldForTest(const TimeEveryHoldForTest&) = delete;
+  TimeEveryHoldForTest& operator=(const TimeEveryHoldForTest&) = delete;
+};
+
+#else  // !HERMES_LOCK_PROFILING
+
+struct TimeEveryHoldForTest {
+  TimeEveryHoldForTest() {}  // user-provided: no unused-variable warning
+};
 
 #endif  // HERMES_LOCK_PROFILING
 

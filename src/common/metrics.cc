@@ -52,7 +52,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     const std::string prefix = "lock." + row.name;
     snap.counters[prefix + ".acquisitions"] = row.acquisitions;
     snap.counters[prefix + ".contention"] = row.contention;
-    snap.histograms[prefix + ".hold_us"] = row.hold;
+    if (row.hold.count > 0) snap.histograms[prefix + ".hold_us"] = row.hold;
     if (row.wait.count > 0) snap.histograms[prefix + ".wait_us"] = row.wait;
   }
 #endif

@@ -162,7 +162,8 @@ class CAPABILITY("mutex") Mutex {
 
 #ifdef HERMES_LOCK_PROFILING
   lock_order::LockStats* ProfileRow() {
-    return lock_order::ProfileStats(&pstats_, name_, rank_);
+    lock_order::LockStats* s = pstats_.load(std::memory_order_acquire);
+    return s != nullptr ? s : lock_order::ProfileStats(&pstats_, name_, rank_);
   }
   std::atomic<lock_order::LockStats*> pstats_{nullptr};
 #endif
@@ -273,7 +274,8 @@ class CAPABILITY("shared_mutex") SharedMutex {
  private:
 #ifdef HERMES_LOCK_PROFILING
   lock_order::LockStats* ProfileRow() {
-    return lock_order::ProfileStats(&pstats_, name_, rank_);
+    lock_order::LockStats* s = pstats_.load(std::memory_order_acquire);
+    return s != nullptr ? s : lock_order::ProfileStats(&pstats_, name_, rank_);
   }
   std::atomic<lock_order::LockStats*> pstats_{nullptr};
 #endif

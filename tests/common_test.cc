@@ -283,6 +283,20 @@ TEST(HistogramTest, TracksMinMaxMean) {
   EXPECT_DOUBLE_EQ(s.mean, 2.0);
 }
 
+// A value recorded with weight w counts as w samples; min and max still
+// see it once. The lock profiler records each timed hold this way.
+TEST(HistogramTest, WeightedRecordScalesCountAndSum) {
+  Histogram h;
+  h.Record(10, 16);
+  h.Record(2);
+  const Histogram::Summary s = h.Summarize();
+  EXPECT_EQ(s.count, 17u);
+  EXPECT_DOUBLE_EQ(s.sum, 162.0);
+  EXPECT_DOUBLE_EQ(s.min, 2.0);
+  EXPECT_DOUBLE_EQ(s.max, 10.0);
+  EXPECT_DOUBLE_EQ(s.p50, 10.0);
+}
+
 TEST(HistogramTest, QuantileIsMonotone) {
   Histogram h;
   for (std::uint64_t i = 1; i <= 1000; ++i) h.Record(i);

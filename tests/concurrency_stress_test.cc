@@ -23,6 +23,7 @@
 #include "graphdb/durable_store.h"
 #include "graphdb/graph_store.h"
 #include "common/failpoint.h"
+#include "common/lock_order.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
@@ -438,6 +439,9 @@ TEST(ConcurrencyStressTest, WalResetDoesNotBlockStagers) {
 // than by the stall (the runtime half of the critical_section_audit
 // contract).
 TEST(ConcurrencyStressTest, WalStalledCommitLeaderDoesNotBlockStagers) {
+  // Time every wal.mu hold, on every thread: a sampled max could miss
+  // the one hold that spans the stall.
+  const lock_order::TimeEveryHoldForTest time_every_hold;
   MetricsRegistry::Global().ResetAll();
   const std::string path = TempFile("cc_wal_stalled_leader.log");
   auto wal = WriteAheadLog::Open(path);

@@ -15,8 +15,12 @@
 
 #include "common/lock_order.h"
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,8 +133,10 @@ TEST(LockOrderTest, CondVarWaitsKeepTheHeldStackBalanced) {
 #ifdef HERMES_LOCK_PROFILING
 // A thread parked in a wait does not hold the mutex: the ~20 ms it spends
 // parked must not show up as hold time, and every return from the wait
-// counts as one acquisition with its own hold.
+// counts as one acquisition with its own hold. The guard times every
+// hold, so the hold count is exact here rather than a weighted sample.
 TEST(LockProfileTest, CondVarWaitIsNotHoldTime) {
+  const lock_order::TimeEveryHoldForTest time_every_hold;
   Mutex mu("test.cv.profiled", 27);
   CondVar cv;
   const auto start = std::chrono::steady_clock::now();
@@ -152,6 +158,94 @@ TEST(LockProfileTest, CondVarWaitIsNotHoldTime) {
   ASSERT_NE(acquisitions, snap.counters.end());
   EXPECT_GE(acquisitions->second, 2u);  // the Lock plus each wait's return
   EXPECT_EQ(hold->second.count, acquisitions->second);
+}
+
+std::uint64_t CounterOrZero(const MetricsSnapshot& snap,
+                            const std::string& key) {
+  const auto it = snap.counters.find(key);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+std::uint64_t HistogramCountOrZero(const MetricsSnapshot& snap,
+                                   const std::string& key) {
+  const auto it = snap.histograms.find(key);
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+// Only hold times are sampled: every acquisition is counted, and every
+// contended wait is timed, under real contention from four threads.
+TEST(LockProfileTest, AcquisitionsAndContentionStayExact) {
+  MetricsRegistry::Global().ResetAll();
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10'000;
+  Mutex mu("test.sample.exact", 27);
+  std::uint64_t shared = 0;  // guarded by mu
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kPerThread; ++i) {
+        MutexLock lock(&mu);
+        for (int spin = 0; spin < 50; ++spin) {
+          shared = shared * 31 + static_cast<std::uint64_t>(spin);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterOrZero(snap, "lock.test.sample.exact.acquisitions"),
+            std::uint64_t{kThreads * kPerThread});
+  const std::uint64_t contention =
+      CounterOrZero(snap, "lock.test.sample.exact.contention");
+  EXPECT_GT(contention, 0u);
+  EXPECT_EQ(HistogramCountOrZero(snap, "lock.test.sample.exact.wait_us"),
+            contention);
+}
+
+// One hold in kHoldSampleEvery is timed with that weight, so the weighted
+// count estimates the acquisitions: ~4096 timed holds put +-10% at about
+// six standard deviations.
+TEST(LockProfileTest, HoldCountIsAnUnbiasedEstimate) {
+  MetricsRegistry::Global().ResetAll();
+  constexpr std::uint64_t kAcquisitions = 64 * 1024;
+  Mutex mu("test.sample.unbiased", 27);
+  for (std::uint64_t i = 0; i < kAcquisitions; ++i) {
+    MutexLock lock(&mu);
+  }
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterOrZero(snap, "lock.test.sample.unbiased.acquisitions"),
+            kAcquisitions);
+  const double held = static_cast<double>(
+      HistogramCountOrZero(snap, "lock.test.sample.unbiased.hold_us"));
+  EXPECT_NEAR(held, static_cast<double>(kAcquisitions), 0.10 * kAcquisitions);
+}
+
+// Four locks taken in a fixed cycle, the shape of the bus's four
+// acquisitions per call: a per-thread stride of 16 would time only one
+// of them, while the random draw samples each.
+TEST(LockProfileTest, InterleavedLocksAreEachSampled) {
+  MetricsRegistry::Global().ResetAll();
+  constexpr std::uint64_t kCycles = 16 * 1024;
+  Mutex a("test.sample.cycle.a", 27);
+  Mutex b("test.sample.cycle.b", 27);
+  Mutex c("test.sample.cycle.c", 27);
+  Mutex d("test.sample.cycle.d", 27);
+  for (std::uint64_t i = 0; i < kCycles; ++i) {
+    for (Mutex* mu : {&a, &b, &c, &d}) {
+      MutexLock lock(mu);
+    }
+  }
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  for (const char* name : {"a", "b", "c", "d"}) {
+    const std::string prefix = std::string("lock.test.sample.cycle.") + name;
+    EXPECT_EQ(CounterOrZero(snap, prefix + ".acquisitions"), kCycles);
+    const double held =
+        static_cast<double>(HistogramCountOrZero(snap, prefix + ".hold_us"));
+    EXPECT_NEAR(held, static_cast<double>(kCycles), 0.15 * kCycles) << name;
+  }
 }
 #endif  // HERMES_LOCK_PROFILING
 
