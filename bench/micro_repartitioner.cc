@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,28 @@ void BM_GraphStoreAddEdgeHub(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_GraphStoreAddEdgeHub)->Arg(1000)->Arg(10000);
+
+// The migration remove step on a hub with N local neighbours: each of
+// its full records degrades to the neighbour's half record. The store is
+// rebuilt, and the previous one freed, outside the timed region.
+void BM_GraphStoreRemoveNode(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  std::optional<GraphStore> store;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.emplace(0);
+    for (VertexId v = 0; v <= n; ++v) HERMES_CHECK_OK(store->CreateNode(v));
+    for (VertexId v = 1; v <= n; ++v) {
+      HERMES_CHECK_OK(store->AddEdge(0, v, 0, /*other_is_local=*/true).status());
+    }
+    state.ResumeTiming();
+    HERMES_CHECK_OK(store->RemoveNode(0));
+    benchmark::DoNotOptimize(store->NumRelationships());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GraphStoreRemoveNode)->Arg(1000)->Arg(10000);
 
 void BM_WalAppend(benchmark::State& state) {
   const std::string path = "/tmp/hermes_bench_wal.log";

@@ -90,10 +90,10 @@ int main() {
   std::printf("  property check: %s\n",
               store.GetNodeProperty(0, 0).ValueOr("<missing>").c_str());
   std::printf("  chain integrity: %s\n",
-              store.CheckChains() ? "OK" : "FAILED");
+              store.CheckLinks() ? "OK" : "FAILED");
   const bool ok = store.NumNodes() == g.NumVertices() &&
                   store.NumRelationships() == edges_before_crash &&
-                  store.CheckChains();
+                  store.CheckLinks();
   std::printf("\n%s\n", ok ? "Recovery complete — no committed write lost."
                            : "RECOVERY MISMATCH");
   return ok ? 0 : 1;

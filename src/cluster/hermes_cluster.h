@@ -197,7 +197,7 @@ class HermesCluster {
   };
 
   /// Executes a `hops`-hop traversal from `start` against the stores
-  /// (walking real relationship chains) and records per-server segments.
+  /// (scanning the stores' real adjacency) and records per-server segments.
   /// Holds dir_mu_ shared for the whole traversal (placement is stable
   /// for one query), so traversals run concurrently with each other and
   /// with writes. Each level's adjacency fetches are batched into one

@@ -98,10 +98,10 @@ std::string EncodeSnapshot(const GraphStore& store,
     w.PutU64(r.src);
     w.PutU64(r.dst);
     w.PutU32(r.type);
-    // Chain linkage must be persisted, not inferred: after a node is
-    // removed and its id re-created, both endpoints of a leftover half
-    // record exist again, and endpoint existence would wrongly
-    // reconstruct it as a full edge.
+    // Linkage must be persisted, not inferred: after a node is removed
+    // and its id re-created, both endpoints of a leftover half record
+    // exist again, and endpoint existence would wrongly reconstruct it
+    // as a full edge. The flag word is the record's own three bits.
     const std::uint32_t flags = (r.ghost ? 1u : 0u) |
                                 (r.src_linked ? 2u : 0u) |
                                 (r.dst_linked ? 4u : 0u);
@@ -191,8 +191,8 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
   // The body decodes into the two dumps it was encoded from, and
   // GraphStore::Restore rebuilds the store from them in one pass. A body
   // that decodes but does not restore (nodes out of id order or
-  // repeated, a self-loop, a relationship linked to no chain or to a
-  // missing node, two relationships on one chain link) is as corrupt as
+  // repeated, a self-loop, a relationship linked on neither side or to
+  // a missing node, two relationships on one link) is as corrupt as
   // one that fails its checksum: IOError, so Open never mistakes it for
   // a missing snapshot.
   std::uint64_t node_count = 0;
@@ -217,8 +217,8 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
         !ReadProperties(&in, &r.properties).ok()) {
       return Status::IOError("truncated snapshot (relationships)");
     }
-    // flags: bit0 ghost, bit1 linked into src's chain, bit2 into dst's
-    // (see EncodeSnapshot). Restore recomputes the ghost bit from the
+    // flags: bit0 ghost, bit1 linked on src's side, bit2 on dst's (see
+    // EncodeSnapshot). Restore recomputes the ghost bit from the
     // same id rule that produced the dumped value.
     r.ghost = (flags & 1u) != 0;
     r.src_linked = (flags & 2u) != 0;
@@ -302,28 +302,27 @@ Status DurableGraphStore::Precheck(const WalEntry& e, const GraphStore& s) {
     case WalOpType::kSetNodeProperty:
       if (!s.NodeExists(e.a)) return Status::NotFound("no such node");
       return Status::OK();
-    case WalOpType::kAddEdge:
+    case WalOpType::kAddEdge: {
       // Mirrors GraphStore::AddEdge's check order exactly (including the
       // mid-migration Unavailable rejections), so that once the entry is
       // logged the store apply cannot fail and the crash-torture model
-      // sees identical statuses.
+      // sees identical statuses. Each endpoint is looked up once.
       if (e.a == e.b) return Status::InvalidArgument("self-loops rejected");
-      if (!s.NodeExists(e.a)) return Status::NotFound("no such node");
-      if (!s.HasNode(e.a)) {
+      const Result<NodeState> a = s.GetNodeState(e.a);
+      if (!a.ok()) return Status::NotFound("no such node");
+      if (*a != NodeState::kAvailable) {
         return Status::Unavailable("node is mid-migration");
       }
-      if (s.FindEdge(e.a, e.b).ok()) {
-        return Status::AlreadyExists("edge exists");
-      }
+      if (s.HasEdge(e.a, e.b)) return Status::AlreadyExists("edge exists");
       if (e.flag != 0) {
-        if (!s.NodeExists(e.b)) {
-          return Status::NotFound("local other endpoint missing");
-        }
-        if (!s.HasNode(e.b)) {
+        const Result<NodeState> b = s.GetNodeState(e.b);
+        if (!b.ok()) return Status::NotFound("local other endpoint missing");
+        if (*b != NodeState::kAvailable) {
           return Status::Unavailable("other endpoint is mid-migration");
         }
       }
       return Status::OK();
+    }
     case WalOpType::kRemoveEdge:
       return s.FindEdge(e.a, e.b).status();
     case WalOpType::kSetEdgeProperty: {

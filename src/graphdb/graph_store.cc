@@ -58,45 +58,17 @@ Result<NodeState> GraphStore::GetNodeState(VertexId id) const {
   return r->state;
 }
 
-// --- Relationship chains -------------------------------------------------------
+// --- Relationships -------------------------------------------------------------
 
-void GraphStore::LinkIntoChain(VertexId node, NodeRecord* n, RecordId rel_id,
-                               RelationshipRecord* rec) {
-  HERMES_CHECK(n != nullptr && n->in_use);
-  HERMES_CHECK(links_.Insert({node, rec->OtherEnd(node)}, rel_id));
-  const RecordId old_head = n->first_rel;
-  NextLink(rec, node) = old_head;
-  PrevLink(rec, node) = kInvalidRecord;
-  if (old_head != kInvalidRecord) {
-    RelationshipRecord* head = rels_.GetMutable(old_head);
-    HERMES_CHECK(head != nullptr);
-    PrevLink(head, node) = rel_id;
-  }
-  n->first_rel = rel_id;
+void GraphStore::Link(VertexId owner, RecordId rel_id,
+                      RelationshipRecord* rec) {
+  HERMES_CHECK(links_.Insert({owner, rec->OtherEnd(owner)}, rel_id));
+  rec->Linked(owner) = true;
 }
 
-void GraphStore::UnlinkFromChain(VertexId node, RecordId rel_id,
-                                 RelationshipRecord* rec) {
-  HERMES_CHECK(links_.Erase({node, rec->OtherEnd(node)}));
-  const RecordId prev = PrevLink(rec, node);
-  const RecordId next = NextLink(rec, node);
-  if (prev != kInvalidRecord) {
-    RelationshipRecord* p = rels_.GetMutable(prev);
-    HERMES_CHECK(p != nullptr);
-    NextLink(p, node) = next;
-  } else {
-    NodeRecord* n = nodes_.GetMutable(node);
-    HERMES_CHECK(n != nullptr);
-    HERMES_CHECK(n->first_rel == rel_id);
-    n->first_rel = next;
-  }
-  if (next != kInvalidRecord) {
-    RelationshipRecord* nx = rels_.GetMutable(next);
-    HERMES_CHECK(nx != nullptr);
-    PrevLink(nx, node) = prev;
-  }
-  NextLink(rec, node) = kInvalidRecord;
-  PrevLink(rec, node) = kInvalidRecord;
+void GraphStore::Unlink(VertexId owner, RelationshipRecord* rec) {
+  HERMES_CHECK(links_.Erase({owner, rec->OtherEnd(owner)}));
+  rec->Linked(owner) = false;
 }
 
 Result<RecordId> GraphStore::AddEdge(VertexId v, VertexId other,
@@ -106,7 +78,7 @@ Result<RecordId> GraphStore::AddEdge(VertexId v, VertexId other,
   // directly; the checks and their order are those of NodeExists,
   // HasNode and FindEdge.
   if (v == other) return Status::InvalidArgument("self-loops not allowed");
-  NodeRecord* n = nodes_.GetMutable(v);
+  const NodeRecord* n = nodes_.GetPtr(v);
   if (n == nullptr || !n->in_use) {
     return Status::NotFound("local endpoint missing");
   }
@@ -124,9 +96,8 @@ Result<RecordId> GraphStore::AddEdge(VertexId v, VertexId other,
   if (links_.Contains({v, other})) {
     return Status::AlreadyExists("edge already present in chain");
   }
-  NodeRecord* m = nullptr;
   if (other_is_local) {
-    m = nodes_.GetMutable(other);
+    const NodeRecord* m = nodes_.GetPtr(other);
     if (m == nullptr || !m->in_use) {
       return Status::NotFound("other endpoint claimed local but missing");
     }
@@ -139,7 +110,7 @@ Result<RecordId> GraphStore::AddEdge(VertexId v, VertexId other,
       const RecordId rel_id = *half;
       RelationshipRecord* rec = rels_.GetMutable(rel_id);
       rec->ghost = false;
-      LinkIntoChain(v, n, rel_id, rec);
+      Link(v, rel_id, rec);
       return rel_id;
     }
   }
@@ -147,30 +118,27 @@ Result<RecordId> GraphStore::AddEdge(VertexId v, VertexId other,
   RelationshipRecord rec;
   rec.in_use = true;
   rec.type = type;
-  // Store the lower endpoint as src so chain-side selection is stable.
+  // Store the lower endpoint as src so the side selection is stable.
   rec.src = std::min(v, other);
   rec.dst = std::max(v, other);
   rec.ghost = other_is_local ? false : HalfEdgeIsGhost(v, other);
 
+  // Linked before it is stored, so nothing is looked up afterwards.
+  // rel_ids_ mints ascending ids, so the record is an append to the
+  // store's last leaf (Section 5.3.3) and cannot collide.
   const RecordId rel_id = rel_ids_.Next();
-  HERMES_RETURN_NOT_OK(rels_.Create(rel_id, rec));
-  RelationshipRecord* stored = rels_.GetMutable(rel_id);
-  LinkIntoChain(v, n, rel_id, stored);
-  if (other_is_local) LinkIntoChain(other, m, rel_id, stored);
+  Link(v, rel_id, &rec);
+  if (other_is_local) Link(other, rel_id, &rec);
+  HERMES_CHECK_OK(rels_.Append(rel_id, rec));
   return rel_id;
 }
 
 Status GraphStore::RemoveEdge(VertexId v, VertexId other) {
   HERMES_ASSIGN_OR_RETURN(RecordId rel_id, FindEdge(v, other));
   RelationshipRecord* rec = rels_.GetMutable(rel_id);
-  UnlinkFromChain(v, rel_id, rec);
-  // Full record: also unlink from the other endpoint's chain.
-  if (NodeExists(other)) {
-    auto still = FindEdge(other, v);
-    if (still.ok() && *still == rel_id) {
-      UnlinkFromChain(other, rel_id, rec);
-    }
-  }
+  Unlink(v, rec);
+  // A full record is linked on the other side too.
+  if (rec->Linked(other)) Unlink(other, rec);
   FreePropertyChain(rec->first_prop);
   return rels_.Delete(rel_id);
 }
@@ -341,39 +309,35 @@ Result<NodeSnapshot> GraphStore::ExtractNode(VertexId v) const {
   snap.weight = n->weight;
   snap.properties = DumpPropertyChain(n->first_prop);
 
-  RecordId id = n->first_rel;
-  while (id != kInvalidRecord) {
-    const RelationshipRecord* rec = rels_.GetPtr(id);
+  for (auto it = links_.LowerBoundIter({v, 0});
+       it != links_.end() && it.key().first == v; ++it) {
+    const RelationshipRecord* rec = rels_.GetPtr(it.value());
     HERMES_CHECK(rec != nullptr);
     NodeSnapshot::Relationship rel;
-    rel.other = rec->OtherEnd(v);
+    rel.other = it.key().second;
     rel.type = rec->type;
     rel.properties_included = !rec->ghost;
     if (!rec->ghost) rel.properties = DumpPropertyChain(rec->first_prop);
     snap.relationships.push_back(std::move(rel));
-    id = GetNext(*rec, v);
   }
   return snap;
 }
 
 Status GraphStore::RemoveNode(VertexId v) {
-  NodeRecord* n = nodes_.GetMutable(v);
+  const NodeRecord* n = nodes_.GetPtr(v);
   if (n == nullptr || !n->in_use) return Status::NotFound("no such node");
 
-  RecordId id = n->first_rel;
-  while (id != kInvalidRecord) {
+  // v's (other end, record) links, collected before Unlink erases them.
+  std::vector<std::pair<VertexId, RecordId>> linked;
+  for (auto it = links_.LowerBoundIter({v, 0});
+       it != links_.end() && it.key().first == v; ++it) {
+    linked.emplace_back(it.key().second, it.value());
+  }
+  for (const auto& [other, id] : linked) {
     RelationshipRecord* rec = rels_.GetMutable(id);
     HERMES_CHECK(rec != nullptr);
-    const RecordId next = GetNext(*rec, v);
-    const VertexId other = rec->OtherEnd(v);
-
-    UnlinkFromChain(v, id, rec);
-    bool shared_with_local_neighbor = false;
-    if (NodeExists(other)) {
-      auto other_side = FindEdge(other, v);
-      shared_with_local_neighbor = other_side.ok() && *other_side == id;
-    }
-    if (shared_with_local_neighbor) {
+    Unlink(v, rec);
+    if (rec->Linked(other)) {
       // Full record degrades to the neighbor's half record. The ghost rule
       // (real copy follows the lower vertex id) decides whether this side
       // keeps the properties.
@@ -386,7 +350,6 @@ Status GraphStore::RemoveNode(VertexId v) {
       FreePropertyChain(rec->first_prop);
       HERMES_RETURN_NOT_OK(rels_.Delete(id));
     }
-    id = next;
   }
 
   FreePropertyChain(n->first_prop);
@@ -409,38 +372,36 @@ std::size_t GraphStore::MemoryBytes() const {
          dynamic_.MemoryBytes() + links_.AllocatedBytes();
 }
 
-bool GraphStore::CheckChains() const {
-  bool ok = true;
-  std::size_t links = 0;
-  nodes_.ForEach([&](RecordId node_id, const NodeRecord& n) {
-    if (!n.in_use) return true;
-    const auto v = static_cast<VertexId>(node_id);
-    RecordId id = n.first_rel;
-    RecordId expected_prev = kInvalidRecord;
-    std::size_t steps = 0;
-    while (id != kInvalidRecord) {
-      const RelationshipRecord* rec = rels_.GetPtr(id);
-      if (rec == nullptr || !(rec->src == v || rec->dst == v)) {
-        ok = false;
-        return false;
-      }
-      const RecordId prev = rec->src == v ? rec->src_prev : rec->dst_prev;
-      const RecordId* indexed = links_.Find({v, rec->OtherEnd(v)});
-      if (prev != expected_prev || indexed == nullptr || *indexed != id) {
-        ok = false;
-        return false;
-      }
-      ++links;
-      expected_prev = id;
-      id = GetNext(*rec, v);
-      if (++steps > rels_.size() + 1) {  // cycle guard
-        ok = false;
-        return false;
-      }
+bool GraphStore::CheckLinks() const {
+  // Every key has its bit, on a record with that owner and other end.
+  for (auto it = links_.begin(); it != links_.end(); ++it) {
+    const auto [owner, other] = it.key();
+    const RelationshipRecord* rec = rels_.GetPtr(it.value());
+    if (rec == nullptr || !rec->in_use ||
+        (rec->src != owner && rec->dst != owner) ||
+        rec->OtherEnd(owner) != other || !rec->Linked(owner)) {
+      return false;
     }
-    return true;
+  }
+  // Every set bit has its key, naming the record, under an existing
+  // owner. Some bit is set; a full record is no ghost, and a half
+  // record's ghost bit follows the id rule.
+  bool ok = true;
+  rels_.ForEach([&](RecordId id, const RelationshipRecord& r) {
+    for (const VertexId owner : {r.src, r.dst}) {
+      if (!r.Linked(owner)) continue;
+      const RecordId* key = links_.Find({owner, r.OtherEnd(owner)});
+      if (key == nullptr || *key != id || !NodeExists(owner)) ok = false;
+    }
+    const bool full = r.src_linked && r.dst_linked;
+    const VertexId local = r.src_linked ? r.src : r.dst;
+    if (!(r.src_linked || r.dst_linked) ||
+        r.ghost != (!full && HalfEdgeIsGhost(local, r.OtherEnd(local)))) {
+      ok = false;
+    }
+    return ok;
   });
-  return ok && links == links_.size();
+  return ok;
 }
 
 std::vector<GraphStore::NodeDump> GraphStore::DumpNodes() const {
@@ -458,26 +419,13 @@ std::vector<GraphStore::NodeDump> GraphStore::DumpNodes() const {
 
 std::vector<GraphStore::RelationshipDump> GraphStore::DumpRelationships()
     const {
-  // Chain membership per endpoint: a record can sit in one chain (half
-  // record) or both (full record), and src/dst ids alone cannot tell —
-  // a removed-then-recreated node leaves its old half records behind.
-  // A side with a prev or next link is in its chain, and so is the head
-  // of a chain; UnlinkFromChain clears both links of the side it drops.
-  auto linked = [this](VertexId node, RecordId prev, RecordId next,
-                       RecordId id) {
-    if (prev != kInvalidRecord || next != kInvalidRecord) return true;
-    const NodeRecord* n = nodes_.GetPtr(node);
-    return n != nullptr && n->in_use && n->first_rel == id;
-  };
   std::vector<RelationshipDump> out;
   out.reserve(rels_.size());
-  rels_.ForEach([&](RecordId id, const RelationshipRecord& r) {
+  rels_.ForEach([&](RecordId, const RelationshipRecord& r) {
     if (r.in_use) {
-      out.push_back(RelationshipDump{
-          r.src, r.dst, r.type, r.ghost,
-          linked(r.src, r.src_prev, r.src_next, id),
-          linked(r.dst, r.dst_prev, r.dst_next, id),
-          DumpPropertyChain(r.first_prop)});
+      out.push_back(RelationshipDump{r.src, r.dst, r.type, r.ghost,
+                                     r.src_linked, r.dst_linked,
+                                     DumpPropertyChain(r.first_prop)});
     }
     return true;
   });
@@ -509,22 +457,19 @@ Status GraphStore::Restore(const std::vector<NodeDump>& nodes,
     return it != slots.end() ? it->second : kNone;
   };
 
-  // Records in dump order, each prepended to the chains it is linked
-  // into; `head` holds each chain's newest record as an index into
-  // `records`.
-  struct Link {
-    std::size_t owner;  // slot of the chain's node
+  // Records in dump order, with one link key per linkage bit.
+  struct LinkKey {
+    std::size_t owner;  // slot of the linked node
     VertexId other;
     RecordId id;
   };
   std::vector<std::pair<RecordId, RelationshipRecord>> records;
   records.reserve(rels.size());
-  std::vector<std::size_t> head(nodes.size(), kNone);
-  std::vector<Link> links;
+  std::vector<LinkKey> links;
   links.reserve(2 * rels.size());
   for (const RelationshipDump& r : rels) {
     if (!r.src_linked && !r.dst_linked) {
-      return Status::InvalidArgument("relationship linked to no chain");
+      return Status::InvalidArgument("relationship linked on neither side");
     }
     if (r.src == r.dst) {
       return Status::InvalidArgument("self-loops not allowed");
@@ -540,32 +485,25 @@ Status GraphStore::Restore(const std::vector<NodeDump>& nodes,
     rec.type = r.type;
     rec.src = std::min(r.src, r.dst);
     rec.dst = std::max(r.src, r.dst);
+    rec.Linked(r.src) = r.src_linked;
+    rec.Linked(r.dst) = r.dst_linked;
     rec.ghost = !(r.src_linked && r.dst_linked) &&
                 (r.src_linked ? HalfEdgeIsGhost(r.src, r.dst)
                               : HalfEdgeIsGhost(r.dst, r.src));
     const RecordId id = rel_ids_.Next();
-    for (const auto& [node, node_slot] :
-         {std::pair{r.src, src_slot}, std::pair{r.dst, dst_slot}}) {
-      if (node_slot == kNone) continue;
-      const std::size_t old_head = head[node_slot];
-      if (old_head != kNone) {
-        NextLink(&rec, node) = records[old_head].first;
-        PrevLink(&records[old_head].second, node) = id;
-      }
-      head[node_slot] = records.size();
-      links.push_back({node_slot, rec.OtherEnd(node), id});
-    }
+    if (r.src_linked) links.push_back({src_slot, r.dst, id});
+    if (r.dst_linked) links.push_back({dst_slot, r.src, id});
     records.emplace_back(id, rec);
   }
 
   // The link index's keys in order: grouped by owner (a counting sort on
   // the slot), each group sorted by other end.
   std::vector<std::size_t> group(nodes.size() + 1, 0);
-  for (const Link& link : links) ++group[link.owner + 1];
+  for (const LinkKey& link : links) ++group[link.owner + 1];
   for (std::size_t i = 1; i < group.size(); ++i) group[i] += group[i - 1];
   std::vector<std::pair<VertexId, RecordId>> keyed(links.size());
   std::vector<std::size_t> fill(group.begin(), group.end() - 1);
-  for (const Link& link : links) {
+  for (const LinkKey& link : links) {
     keyed[fill[link.owner]++] = {link.other, link.id};
   }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -575,7 +513,7 @@ Status GraphStore::Restore(const std::vector<NodeDump>& nodes,
     if (std::adjacent_find(first, last, [](const auto& a, const auto& b) {
           return a.first == b.first;
         }) != last) {
-      return Status::AlreadyExists("two relationships share one chain link");
+      return Status::AlreadyExists("two relationships share one link");
     }
   }
 
@@ -593,7 +531,6 @@ Status GraphStore::Restore(const std::vector<NodeDump>& nodes,
     n.in_use = true;
     n.state = nodes[i].state;
     n.weight = nodes[i].weight;
-    if (head[i] != kNone) n.first_rel = records[head[i]].first;
     restore_properties(nodes[i].properties, &n.first_prop);
     HERMES_CHECK_OK(nodes_.Append(nodes[i].id, n));
   }

@@ -20,16 +20,18 @@
 namespace hermes {
 
 /// One partition's slice of the distributed graph: Neo4j's layered store
-/// model (node store, relationship store with doubly-linked chains,
-/// property store with dynamic blocks) extended with the Hermes
-/// distribution mechanisms — ghost relationships, node availability
-/// states, and snapshot-based migration (Section 4).
+/// model (node store, relationship store, property store with dynamic
+/// blocks) extended with the Hermes distribution mechanisms — ghost
+/// relationships, node availability states, and snapshot-based migration
+/// (Section 4). Where Neo4j threads each node's relationships into a
+/// doubly-linked chain, this store keeps one link index keyed by
+/// (endpoint, other end), so a node's adjacency is one range scan.
 ///
 /// Edge representation. An edge {v, u} is materialized on every partition
 /// that hosts one of its endpoints:
-///   * both endpoints local  -> one full record linked into both chains;
-///   * one endpoint remote   -> a half record linked into the local
-///     endpoint's chain only. The copy co-located with the lower vertex id
+///   * both endpoints local  -> one full record linked on both sides;
+///   * one endpoint remote   -> a half record linked on the local
+///     endpoint's side only. The copy co-located with the lower vertex id
 ///     is the property-bearing one; the other carries the ghost flag and no
 ///     properties. Both sides derive this rule independently, so no
 ///     coordination is needed.
@@ -63,9 +65,10 @@ class GraphStore {
 
   /// Adds the local materialization of edge {v, other}. `other_is_local`
   /// selects full-record vs. ghost/half-record handling; `v` must be local
-  /// and available. A record already in v's chain is AlreadyExists; a
-  /// half record the local `other` holds for the edge is upgraded to a
-  /// full record, and its id returned.
+  /// and available. A record already linked on v's side is AlreadyExists;
+  /// a half record the local `other` holds for the edge is upgraded to a
+  /// full record, and its id returned. A new record is appended to the
+  /// relationship store: its id is above every stored one.
   [[nodiscard]] Result<RecordId> AddEdge(VertexId v, VertexId other, std::uint32_t type,
                            bool other_is_local);
 
@@ -81,9 +84,15 @@ class GraphStore {
 
   [[nodiscard]] Result<std::size_t> DegreeOf(VertexId v) const;
 
-  /// Record id of the edge {v, other} linked into v's chain: one lookup
-  /// in the link index.
+  /// Record id of the edge {v, other} linked on v's side: one lookup in
+  /// the link index.
   [[nodiscard]] Result<RecordId> FindEdge(VertexId v, VertexId other) const;
+
+  /// FindEdge(v, other).ok() without its node lookup: a link's owner
+  /// always exists.
+  bool HasEdge(VertexId v, VertexId other) const {
+    return links_.Contains({v, other});
+  }
 
   /// Whether the local copy of edge {v, other} is a ghost (no properties).
   [[nodiscard]] Result<bool> EdgeIsGhost(VertexId v, VertexId other) const;
@@ -101,7 +110,9 @@ class GraphStore {
 
   // --- Migration -------------------------------------------------------------
 
-  /// Copy-step payload for node v (does not modify the store).
+  /// Copy-step payload for node v (does not modify the store): one range
+  /// scan of the link index, so relationships come in ascending
+  /// other-end order.
   [[nodiscard]] Result<NodeSnapshot> ExtractNode(VertexId v) const;
 
   /// Rebuilds a migrated node locally. `is_local` reports whether a given
@@ -111,9 +122,10 @@ class GraphStore {
   template <typename IsLocalFn>
   [[nodiscard]] Status IngestNodeWith(const NodeSnapshot& snapshot, IsLocalFn is_local);
 
-  /// Remove-step: deletes v and v's chain. Full records shared with a
-  /// still-local neighbor degrade to half records (the neighbor keeps the
-  /// edge; the ghost rule decides whether properties are kept or dropped).
+  /// Remove-step: deletes v and the relationships linked on its side.
+  /// Full records shared with a still-local neighbor degrade to half
+  /// records (the neighbor keeps the edge; the ghost rule decides whether
+  /// properties are kept or dropped).
   [[nodiscard]] Status RemoveNode(VertexId v);
 
   // --- Introspection ----------------------------------------------------------
@@ -123,9 +135,12 @@ class GraphStore {
   std::size_t NumGhostRelationships() const;
   std::size_t MemoryBytes() const;
 
-  /// Validates chain integrity (prev/next symmetry, chain membership) and
-  /// that the link index holds exactly the chains' links; used by tests.
-  bool CheckChains() const;
+  /// Validates that the link index and the records' linkage bits agree:
+  /// every set bit has its key, naming that record, under an existing
+  /// owner; every key has its bit; no record is linked on neither side;
+  /// a full record is no ghost and a half record's ghost bit follows the
+  /// id rule. Used by tests.
+  bool CheckLinks() const;
 
   /// All local node ids (in id order).
   std::vector<VertexId> NodeIds() const;
@@ -145,11 +160,11 @@ class GraphStore {
     VertexId dst;
     std::uint32_t type;
     bool ghost;
-    // Which endpoint chains the record is linked into. Both for a full
-    // record; exactly one for a half record (remote endpoint, or a local
-    // endpoint that was removed and possibly re-created since). Node
-    // existence alone cannot recover this distinction, so snapshots must
-    // carry it explicitly.
+    // The record's linkage bits: both for a full record; exactly one for
+    // a half record (remote endpoint, or a local endpoint that was
+    // removed and possibly re-created since). Node existence alone
+    // cannot recover this distinction, so snapshots must carry it
+    // explicitly.
     bool src_linked;
     bool dst_linked;
     std::vector<std::pair<std::uint32_t, std::string>> properties;
@@ -162,45 +177,30 @@ class GraphStore {
   std::vector<NodeDump> DumpNodes() const;
 
   /// Every relationship record (full and half/ghost alike), in record-id
-  /// order, with the chains it is linked into: read from the record's
-  /// own chain pointers, plus one node lookup for a side that is the
-  /// only link of its chain or is not linked at all.
+  /// order, with its linkage bits: one pass over the relationship store.
   std::vector<RelationshipDump> DumpRelationships() const;
 
   /// Rebuilds an empty store from DumpNodes() and DumpRelationships()
   /// output, in one pass over the records: the inverse of the dumps, and
   /// what loading a snapshot does. Relationship ids are minted in dump
-  /// order and each record is prepended to exactly the chains its
-  /// linkage names, so chains come out as replaying the records through
-  /// AddEdge would build them; property chains keep their dump order.
-  /// The ghost flag is recomputed from the id rule and a ghost record's
-  /// properties are dropped. Rejected, before any record is stored: a
-  /// non-empty store (InvalidArgument), a duplicate node id
-  /// (AlreadyExists), nodes out of id order, a relationship linked to no
-  /// chain and a self-loop (InvalidArgument), a linked endpoint that is
-  /// not in `nodes` (NotFound), and two links with one (owner, other end)
-  /// key (AlreadyExists). No store dumps any of these.
+  /// order, each record keeps its linkage bits and gets a link key per
+  /// set bit; property chains keep their dump order. The ghost flag is
+  /// recomputed from the id rule and a ghost record's properties are
+  /// dropped. Rejected, before any record is stored: a non-empty store
+  /// (InvalidArgument), a duplicate node id (AlreadyExists), nodes out of
+  /// id order, a relationship linked on neither side and a self-loop
+  /// (InvalidArgument), a linked endpoint that is not in `nodes`
+  /// (NotFound), and two links with one (owner, other end) key
+  /// (AlreadyExists). No store dumps any of these.
   [[nodiscard]] Status Restore(const std::vector<NodeDump>& nodes,
                                const std::vector<RelationshipDump>& rels);
 
  private:
-  // Chain-side helpers: a record participates in the chain of `node` via
-  // its src_* links when node == src, else its dst_* links.
-  RecordId& NextLink(RelationshipRecord* r, VertexId node) const {
-    return r->src == node ? r->src_next : r->dst_next;
-  }
-  RecordId& PrevLink(RelationshipRecord* r, VertexId node) const {
-    return r->src == node ? r->src_prev : r->dst_prev;
-  }
-  RecordId GetNext(const RelationshipRecord& r, VertexId node) const {
-    return r.src == node ? r.src_next : r.dst_next;
-  }
-
-  /// Prepends `rec` to the chain of `node`, whose record is `n`.
-  void LinkIntoChain(VertexId node, NodeRecord* n, RecordId rel_id,
-                     RelationshipRecord* rec);
-  void UnlinkFromChain(VertexId node, RecordId rel_id,
-                       RelationshipRecord* rec);
+  /// Links record `rel_id` on `owner`'s side: inserts the owner's link
+  /// key and sets the record's bit. Link and Unlink are the only writers
+  /// of both outside Restore.
+  void Link(VertexId owner, RecordId rel_id, RelationshipRecord* rec);
+  void Unlink(VertexId owner, RelationshipRecord* rec);
 
   /// Whether the local copy of a half edge {local, remote} is the ghost.
   static bool HalfEdgeIsGhost(VertexId local, VertexId remote) {
@@ -220,12 +220,12 @@ class GraphStore {
   RecordStore<RelationshipRecord> rels_;
   RecordStore<PropertyRecord> props_;
   DynamicStore dynamic_;
-  /// (chain owner, other end) -> the record linked into the owner's chain,
-  /// one entry per chain link. Only LinkIntoChain, UnlinkFromChain and
-  /// Restore change it. AddEdge's duplicate check keeps a chain to one
-  /// record per other end, so the key is unique even when a removed and
-  /// re-created node leaves two records for one endpoint pair, each in
-  /// one chain.
+  /// (owner, other end) -> the record linked on the owner's side, one
+  /// entry per set linkage bit: the store's only adjacency structure.
+  /// Only Link, Unlink and Restore change it. AddEdge's duplicate check
+  /// keeps an owner to one record per other end, so the key is unique
+  /// even when a removed and re-created node leaves two records for one
+  /// endpoint pair, each linked on one side.
   BPlusTree<std::pair<VertexId, VertexId>, RecordId> links_;
   IdGenerator rel_ids_;
   IdGenerator prop_ids_;

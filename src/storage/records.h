@@ -11,7 +11,10 @@ namespace hermes {
 /// (Section 4): node store, relationship store, property store. Keeping
 /// node and relationship records fixed-size preserves Neo4j's O(1) record
 /// addressing; Hermes swaps the offset computation for a B+Tree lookup
-/// because IDs stop being contiguous once data migrates.
+/// because IDs stop being contiguous once data migrates. Adjacency is not
+/// in the records: each GraphStore indexes its relationships by
+/// (endpoint, other end) instead of threading Neo4j's doubly-linked
+/// chains through them.
 
 /// Availability of a node during the two-step physical migration: marked
 /// records enter kUnavailable in the remove step, and queries treat them
@@ -24,8 +27,6 @@ enum class NodeState : std::uint8_t {
 struct NodeRecord {
   bool in_use = false;
   NodeState state = NodeState::kAvailable;
-  /// Head of this node's relationship chain (doubly-linked list model).
-  RecordId first_rel = kInvalidRecord;
   /// Head of this node's property chain.
   RecordId first_prop = kInvalidRecord;
   /// Popularity weight (read-request count) — the repartitioner's vertex
@@ -39,20 +40,28 @@ struct RelationshipRecord {
   /// endpoint lives on a remote partition: they carry no properties but
   /// make adjacency lists fully local (Section 4).
   bool ghost = false;
+  /// Which endpoints' adjacency the record belongs to: both for a full
+  /// record, exactly one for a half record (a remote endpoint, or a local
+  /// one removed and possibly re-created since). Each set bit has its
+  /// (endpoint, other end) key in the store's link index.
+  bool src_linked = false;
+  bool dst_linked = false;
   std::uint32_t type = 0;
   VertexId src = kInvalidVertex;
   VertexId dst = kInvalidVertex;
-  /// Chain links inside src's relationship list.
-  RecordId src_prev = kInvalidRecord;
-  RecordId src_next = kInvalidRecord;
-  /// Chain links inside dst's relationship list.
-  RecordId dst_prev = kInvalidRecord;
-  RecordId dst_next = kInvalidRecord;
   RecordId first_prop = kInvalidRecord;
 
   /// The other endpoint, given one of them.
   VertexId OtherEnd(VertexId self) const { return self == src ? dst : src; }
+  /// Whether the record is linked on `self`'s side.
+  bool& Linked(VertexId self) { return self == src ? src_linked : dst_linked; }
+  bool Linked(VertexId self) const {
+    return self == src ? src_linked : dst_linked;
+  }
 };
+
+static_assert(sizeof(NodeRecord) == 24);
+static_assert(sizeof(RelationshipRecord) == 32);
 
 struct PropertyRecord {
   bool in_use = false;

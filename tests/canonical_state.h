@@ -12,7 +12,7 @@
 
 #include "graphdb/graph_store.h"
 
-/// Canonical state: a record-id- and chain-order-insensitive image of a
+/// Canonical state: a record-id- and order-insensitive image of a
 /// GraphStore (property chains prepend, so dump order is not stable
 /// across a snapshot round-trip). The crash-torture harness and the
 /// snapshot round-trip tests compare stores through it.
@@ -23,7 +23,7 @@ namespace hermes::test {
 using Props = std::vector<std::pair<std::uint32_t, std::string>>;
 using CanonicalNodes =
     std::map<VertexId, std::tuple<double, int, Props>>;
-// The chain-linkage bits matter: a half record left by RemoveNode and a
+// The linkage bits matter: a half record left by RemoveNode and a
 // full edge look identical by endpoints alone but answer Neighbors()
 // differently on the unlinked side.
 using CanonicalRels =

@@ -427,8 +427,8 @@ TEST(HermesClusterTest, RepartitionMovesHotLoadAndKeepsStoresValid) {
   EXPECT_GT(stats->vertices_moved, 0u);
   EXPECT_LT(stats->imbalance_after, stats->imbalance_before);
   EXPECT_TRUE(cluster.Validate());
-  EXPECT_TRUE(cluster.store(0)->CheckChains());
-  EXPECT_TRUE(cluster.store(1)->CheckChains());
+  EXPECT_TRUE(cluster.store(0)->CheckLinks());
+  EXPECT_TRUE(cluster.store(1)->CheckLinks());
 }
 
 TEST(HermesClusterTest, MigrateToAssignmentAppliesOfflinePartitioning) {

@@ -351,7 +351,7 @@ void RunTortureSeed(std::uint64_t seed) {
     ASSERT_OK(reopened)
         << context << "\nrecovery failed: " << reopened.status().ToString();
     db = std::move(*reopened);
-    ASSERT_TRUE(db->store().CheckChains()) << context;
+    ASSERT_TRUE(db->store().CheckLinks()) << context;
 
     // Prefix-consistency: recovered state == model after the first k
     // accepted ops, for some k in [synced_floor, accepted.size()].

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,7 +50,7 @@ void ExpectSmallContent(const GraphStore& store,
   auto neigh = store.Neighbors(2);
   ASSERT_OK(neigh);
   EXPECT_EQ(neigh->size(), 2u);  // node 1 and remote 99
-  EXPECT_TRUE(store.CheckChains());
+  EXPECT_TRUE(store.CheckLinks());
 }
 
 TEST(DurableStoreTest, RecoversFromWalOnly) {
@@ -121,7 +122,7 @@ TEST(DurableStoreTest, DeletesSurviveRecovery) {
   const GraphStore& store = (*db)->store();
   EXPECT_FALSE(store.NodeExists(3));
   EXPECT_TRUE(store.FindEdge(1, 2).status().IsNotFound());
-  EXPECT_TRUE(store.CheckChains());
+  EXPECT_TRUE(store.CheckLinks());
 }
 
 TEST(DurableStoreTest, GhostFlagsSurviveSnapshotRoundTrip) {
@@ -141,7 +142,7 @@ TEST(DurableStoreTest, GhostFlagsSurviveSnapshotRoundTrip) {
   EXPECT_FALSE(*restored.EdgeIsGhost(10, 500));
   EXPECT_TRUE(*restored.EdgeIsGhost(20, 3));
   EXPECT_EQ(restored.NumRelationships(), store.NumRelationships());
-  EXPECT_TRUE(restored.CheckChains());
+  EXPECT_TRUE(restored.CheckLinks());
   std::remove(path.c_str());
 }
 
@@ -334,7 +335,7 @@ TEST(DurableStoreTest, RepeatedCheckpointsStayConsistent) {
   ASSERT_OK(reopened);
   EXPECT_EQ((*reopened)->store().NumNodes(), 50u);
   EXPECT_EQ((*reopened)->store().NumRelationships(), 49u);
-  EXPECT_TRUE((*reopened)->store().CheckChains());
+  EXPECT_TRUE((*reopened)->store().CheckLinks());
 }
 
 // --- Snapshot integrity --------------------------------------------------
@@ -420,7 +421,7 @@ TEST(DurableStoreTest, LargeSnapshotRoundTripsExactly) {
     ASSERT_OK((*db)->AddEdge(v, 100000 + v, 3, /*other_is_local=*/false));
     ASSERT_OK((*db)->AddEdge(v, v % kBase, 4, /*other_is_local=*/false));
   }
-  // Removing a node leaves half records in its neighbours' chains.
+  // Removing a node leaves its neighbours' half records behind.
   ASSERT_OK((*db)->RemoveNode(kBase + 10));
   ASSERT_OK((*db)->SetNodeState(kBase + 20, NodeState::kUnavailable));
   const GraphStore& before = (*db)->store();
@@ -437,7 +438,7 @@ TEST(DurableStoreTest, LargeSnapshotRoundTripsExactly) {
   auto reopened = DurableGraphStore::Open(0, dir);
   ASSERT_OK(reopened);
   const GraphStore& after = (*reopened)->store();
-  EXPECT_TRUE(after.CheckChains());
+  EXPECT_TRUE(after.CheckLinks());
   EXPECT_FALSE(after.HasNode(kBase + 20));
   EXPECT_TRUE(after.NodeExists(kBase + 20));
   const auto got = Canonicalize(after);
@@ -472,7 +473,7 @@ TEST(DurableStoreTest, RewritingALoadedSnapshotIsByteIdentical) {
   ASSERT_OK(store.AddEdge(3, 4, 0, false));  // a second half for {3, 4}
   ASSERT_OK(store.AddEdge(3, 2, 0, true));   // upgrades 2's half to full
   ASSERT_OK(store.SetNodeState(6, NodeState::kUnavailable));
-  ASSERT_TRUE(store.CheckChains());
+  ASSERT_TRUE(store.CheckLinks());
 
   const std::string dir = FreshDir("hermes_snapshot_rewrite");
   ASSERT_OK(DurableGraphStore::WriteSnapshot(store, dir + "/first.bin", 17));
@@ -481,12 +482,86 @@ TEST(DurableStoreTest, RewritingALoadedSnapshotIsByteIdentical) {
   ASSERT_OK(DurableGraphStore::LoadSnapshot(dir + "/first.bin", &loaded,
                                             &covered));
   EXPECT_EQ(covered, 17u);
-  EXPECT_TRUE(loaded.CheckChains());
+  EXPECT_TRUE(loaded.CheckLinks());
   EXPECT_TRUE(loaded.DumpNodes() == store.DumpNodes());
   EXPECT_TRUE(loaded.DumpRelationships() == store.DumpRelationships());
   ASSERT_OK(DurableGraphStore::WriteSnapshot(loaded, dir + "/second.bin",
                                              covered));
   EXPECT_TRUE(ReadBytes(dir + "/second.bin") == ReadBytes(dir + "/first.bin"));
+}
+
+// The snapshot that the store wrote for the operations of
+// RewritingALoadedSnapshotIsByteIdentical, with covered LSN 17, while
+// relationship records still carried Neo4j-style chain pointers. Record
+// order, the flag word's linkage and ghost bits and every property's
+// order are in these bytes, so the store must still write them for the
+// same operations and load them back.
+constexpr char kChainStoreSnapshotHex[] =
+    "343053454d52454801000000284fd63d20020000000000001100000000000000"
+    "06000000000000000100000000000000000000000000e03f0000000003000000"
+    "0200000002000000313201000000020000003131000000000200000031300200"
+    "000000000000000000000000f03f000000000300000002000000020000003232"
+    "0100000002000000323100000000020000003230030000000000000000000000"
+    "0000f03f00000000000000000400000000000000000000000000004000000000"
+    "0300000002000000020000003432010000000200000034310000000002000000"
+    "3430050000000000000000000000000004400000000003000000020000000200"
+    "0000353201000000020000003531000000000200000035300600000000000000"
+    "0000000000000840010000000300000002000000020000003632010000000200"
+    "0000363100000000020000003630060000000000000001000000000000000200"
+    "0000000000000100000006000000020000000100000028000000626262626262"
+    "6262626262626262626262626262626262626262626262626262626262626262"
+    "6262000000000100000061020000000000000003000000000000000200000006"
+    "0000000000000003000000000000000400000000000000000000000500000000"
+    "0000000400000000000000840300000000000003000000020000000100000002"
+    "0000000100000063000000000000000005000000000000000300000005000000"
+    "0000000003000000000000000400000000000000000000000200000000000000";
+
+std::string HexDecode(std::string_view hex) {
+  auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
+  }
+  return bytes;
+}
+
+TEST(DurableStoreTest, ChainStoreSnapshotBytesStillWrittenAndLoaded) {
+  GraphStore store(1);
+  for (VertexId v = 1; v <= 6; ++v) {
+    ASSERT_OK(store.CreateNode(v, static_cast<double>(v) / 2));
+    for (std::uint32_t key = 0; key < 3; ++key) {
+      ASSERT_OK(store.SetNodeProperty(v, key, std::to_string(v * 10 + key)));
+    }
+  }
+  ASSERT_OK(store.AddEdge(1, 2, 1, true));
+  ASSERT_OK(store.SetEdgeProperty(1, 2, 0, "a"));
+  ASSERT_OK(store.SetEdgeProperty(1, 2, 1, std::string(40, 'b')));
+  ASSERT_OK(store.AddEdge(2, 3, 2, true));
+  ASSERT_OK(store.AddEdge(3, 4, 0, true));
+  ASSERT_OK(store.AddEdge(4, 900, 3, false));  // real half
+  ASSERT_OK(store.SetEdgeProperty(4, 900, 2, "c"));
+  ASSERT_OK(store.AddEdge(5, 0, 3, false));  // ghost half
+  ASSERT_OK(store.RemoveNode(3));  // 2 and 4 keep half records toward 3
+  ASSERT_OK(store.CreateNode(3));
+  ASSERT_OK(store.AddEdge(3, 4, 0, false));  // a second half for {3, 4}
+  ASSERT_OK(store.AddEdge(3, 2, 0, true));   // upgrades 2's half to full
+  ASSERT_OK(store.SetNodeState(6, NodeState::kUnavailable));
+
+  const std::string pinned = HexDecode(kChainStoreSnapshotHex);
+  const std::string dir = FreshDir("hermes_snapshot_pinned");
+  ASSERT_OK(DurableGraphStore::WriteSnapshot(store, dir + "/written.bin", 17));
+  EXPECT_TRUE(ReadBytes(dir + "/written.bin") == pinned);
+
+  WriteBytes(dir + "/pinned.bin", pinned);
+  GraphStore loaded(1);
+  std::uint64_t covered = 0;
+  ASSERT_OK(DurableGraphStore::LoadSnapshot(dir + "/pinned.bin", &loaded,
+                                            &covered));
+  EXPECT_EQ(covered, 17u);
+  EXPECT_TRUE(loaded.CheckLinks());
+  EXPECT_TRUE(loaded.DumpNodes() == store.DumpNodes());
+  EXPECT_TRUE(loaded.DumpRelationships() == store.DumpRelationships());
 }
 
 // --- Snapshot bodies that decode but do not restore ------------------------
@@ -499,7 +574,7 @@ TEST(DurableStoreTest, RewritingALoadedSnapshotIsByteIdentical) {
 struct HandRel {
   VertexId src;
   VertexId dst;
-  std::uint32_t flags;  // bit1: linked into src's chain, bit2: dst's
+  std::uint32_t flags;  // bit1: linked on src's side, bit2: dst's
 };
 
 // Writes `dir`/snapshot.bin holding `nodes` (weight 1, available, no
@@ -544,7 +619,7 @@ TEST(DurableStoreTest, HandBuiltSnapshotLoads) {
   ASSERT_OK(db);
   EXPECT_EQ((*db)->store().NumRelationships(), 2u);
   EXPECT_EQ(*(*db)->store().Neighbors(2), (std::vector<VertexId>{1, 7}));
-  EXPECT_TRUE((*db)->store().CheckChains());
+  EXPECT_TRUE((*db)->store().CheckLinks());
 }
 
 TEST(DurableStoreTest, SnapshotSelfLoopIsRejected) {
@@ -577,8 +652,8 @@ TEST(DurableStoreTest, SnapshotDuplicateNodeIdIsRejected) {
   ExpectSnapshotRejected(dir);
 }
 
-// A half record in 2's chain and a full record for the same pair both
-// claim the link (2, 1). Replaying them through AddEdge used to accept
+// A half record linked on 2's side and a full record for the same pair
+// both claim the link (2, 1). Replaying them through AddEdge used to accept
 // this body: the full record's AddEdge found 2's half record and merged
 // the two into one, so the store held fewer records than the snapshot.
 TEST(DurableStoreTest, SnapshotDuplicateChainLinkIsRejected) {

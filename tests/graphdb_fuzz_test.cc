@@ -2,7 +2,7 @@
 // of node/edge/property operations (including ghost halves, full
 // records, two half records for one endpoint pair and unavailable nodes)
 // is mirrored into a trivially correct reference model; store contents,
-// edge lookups and chain invariants must match throughout, Restore of
+// edge lookups and link invariants must match throughout, Restore of
 // the store's own dumps must rebuild it after every operation, and a
 // snapshot round trip must reproduce the final state.
 
@@ -30,15 +30,15 @@ constexpr VertexId kRemoteBase = 1000;  // ids >= 1000 are "remote"
 constexpr VertexId kRemoteSpace = 20;
 
 struct Reference {
-  // node id -> weight; adjacency (the other ends in each node's chain)
-  // as sorted sets.
+  // node id -> weight; adjacency (the other ends linked on each node's
+  // side) as sorted sets.
   std::map<VertexId, double> nodes;
   std::map<VertexId, std::set<VertexId>> adjacency;
   std::map<std::pair<VertexId, VertexId>, std::string> edge_prop;
-  // Endpoint pairs (lower id first) whose record is linked into both
-  // chains. Any other link is a half record, even when both ends list
+  // Endpoint pairs (lower id first) whose record is linked on both
+  // sides. Any other link is a half record, even when both ends list
   // each other: a removed and re-created node can leave one half record
-  // in each chain.
+  // linked on each side.
   std::set<std::pair<VertexId, VertexId>> full;
   std::set<VertexId> unavailable;
 
@@ -52,8 +52,8 @@ struct Reference {
 };
 
 // FindEdge(v, w) and EdgeIsGhost(v, w) for every pair the ops can touch.
-// An edge is in v's chain exactly when the model's adjacency says so. A
-// half record is the ghost when its local end is the higher id.
+// An edge is linked on v's side exactly when the model's adjacency says
+// so. A half record is the ghost when its local end is the higher id.
 void ExpectLookupsMatch(const GraphStore& store, const Reference& ref) {
   std::vector<VertexId> others;
   for (VertexId w = 0; w < kLocalSpace; ++w) others.push_back(w);
@@ -74,8 +74,8 @@ void ExpectLookupsMatch(const GraphStore& store, const Reference& ref) {
 }
 
 // Neighbors is one scan of the link index: strictly ascending, and the
-// same ids as the other ends of the node's chain (ExtractNode walks it).
-void ExpectNeighborsMatchChains(const GraphStore& store) {
+// same ids as the other ends of the node's relationships (ExtractNode).
+void ExpectNeighborsMatchLinks(const GraphStore& store) {
   for (VertexId v : store.NodeIds()) {
     if (!store.HasNode(v)) continue;
     const Result<std::vector<VertexId>> neighbors = store.Neighbors(v);
@@ -86,38 +86,31 @@ void ExpectNeighborsMatchChains(const GraphStore& store) {
                                  std::greater_equal<VertexId>()),
               neighbors->end())
         << "vertex " << v << ": neighbours not strictly ascending";
-    std::vector<VertexId> chain;
-    for (const auto& rel : snapshot->relationships) chain.push_back(rel.other);
-    std::sort(chain.begin(), chain.end());
-    ASSERT_EQ(*neighbors, chain) << "vertex " << v;
+    std::vector<VertexId> others;
+    for (const auto& rel : snapshot->relationships) others.push_back(rel.other);
+    std::sort(others.begin(), others.end());
+    ASSERT_EQ(*neighbors, others) << "vertex " << v;
   }
 }
 
 // Restore of the store's own dumps rebuilds it: the same dumps, links
-// and adjacency, and each chain in the order replaying the dumped
-// records through AddEdge gives it, newest first. That is the original
-// chain order unless a half record was upgraded into a full one, which
-// links an older record at the head of a chain.
+// and adjacency. Each node's ExtractNode relationships equal the
+// original's element for element, come in strictly ascending other-end
+// order, and are exactly the links the dump's linkage bits name for it.
 void ExpectRestoreRebuilds(const GraphStore& store) {
   const std::vector<GraphStore::NodeDump> nodes = store.DumpNodes();
   const std::vector<GraphStore::RelationshipDump> rels =
       store.DumpRelationships();
   GraphStore restored(store.partition_id());
   ASSERT_OK(restored.Restore(nodes, rels));
-  ASSERT_TRUE(restored.CheckChains());
+  ASSERT_TRUE(restored.CheckLinks());
   ASSERT_TRUE(restored.DumpNodes() == nodes);
   ASSERT_TRUE(restored.DumpRelationships() == rels);
 
-  std::map<VertexId, std::vector<VertexId>> replayed_chains;
+  std::map<VertexId, std::set<VertexId>> dumped_links;
   for (const auto& r : rels) {
-    if (r.src_linked) {
-      auto& chain = replayed_chains[r.src];
-      chain.insert(chain.begin(), r.dst);
-    }
-    if (r.dst_linked) {
-      auto& chain = replayed_chains[r.dst];
-      chain.insert(chain.begin(), r.src);
-    }
+    if (r.src_linked) dumped_links[r.src].insert(r.dst);
+    if (r.dst_linked) dumped_links[r.dst].insert(r.src);
   }
   for (const auto& n : nodes) {
     const Result<std::vector<VertexId>> want = store.Neighbors(n.id);
@@ -129,19 +122,26 @@ void ExpectRestoreRebuilds(const GraphStore& store) {
     const Result<NodeSnapshot> rebuilt = restored.ExtractNode(n.id);
     ASSERT_OK(original);
     ASSERT_OK(rebuilt);
-    std::map<VertexId, const NodeSnapshot::Relationship*> by_other;
-    for (const auto& rel : original->relationships) by_other[rel.other] = &rel;
+    ASSERT_EQ(rebuilt->relationships.size(), original->relationships.size())
+        << "vertex " << n.id;
     std::vector<VertexId> order;
-    for (const auto& rel : rebuilt->relationships) {
+    for (std::size_t i = 0; i < rebuilt->relationships.size(); ++i) {
+      const NodeSnapshot::Relationship& rel = rebuilt->relationships[i];
+      const NodeSnapshot::Relationship& was = original->relationships[i];
       order.push_back(rel.other);
-      ASSERT_EQ(by_other.count(rel.other), 1u) << n.id << "->" << rel.other;
-      const NodeSnapshot::Relationship& was = *by_other.at(rel.other);
-      ASSERT_EQ(rel.type, was.type);
-      ASSERT_EQ(rel.properties_included, was.properties_included);
-      ASSERT_EQ(rel.properties, was.properties);
+      ASSERT_EQ(rel.other, was.other) << "vertex " << n.id << " index " << i;
+      ASSERT_EQ(rel.type, was.type) << n.id << "->" << rel.other;
+      ASSERT_EQ(rel.properties_included, was.properties_included)
+          << n.id << "->" << rel.other;
+      ASSERT_EQ(rel.properties, was.properties) << n.id << "->" << rel.other;
     }
-    ASSERT_EQ(order, replayed_chains[n.id]) << "vertex " << n.id;
-    ASSERT_EQ(order.size(), original->relationships.size());
+    ASSERT_EQ(std::adjacent_find(order.begin(), order.end(),
+                                 std::greater_equal<VertexId>()),
+              order.end())
+        << "vertex " << n.id << ": relationships not strictly ascending";
+    const std::set<VertexId>& linked = dumped_links[n.id];
+    ASSERT_EQ(order, std::vector<VertexId>(linked.begin(), linked.end()))
+        << "vertex " << n.id;
   }
 }
 
@@ -151,11 +151,10 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
   GraphStore store(0);
   Reference ref;
   Rng rng(GetParam());
-  // Mostly, the edge ops answer a half record: they pick a b whose
-  // chain holds a half record toward a (left by a's removal and
-  // re-creation, or added while b saw a as remote). A full AddEdge then
-  // upgrades b's record, and a half AddEdge makes a second half record
-  // for the pair.
+  // Mostly, the edge ops answer a half record: they pick a b that holds
+  // a half record toward a (left by a's removal and re-creation, or
+  // added while b saw a as remote). A full AddEdge then upgrades b's
+  // record, and a half AddEdge makes a second half record for the pair.
   auto pick_other = [&](VertexId a) {
     std::vector<VertexId> halves_toward_a;
     for (const auto& [w, adjacent] : ref.adjacency) {
@@ -285,7 +284,7 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
         }
         break;
       }
-      case 7: {  // node property: chains of up to three records
+      case 7: {  // node property: property chains of up to three records
         const VertexId v = rng.Uniform(kLocalSpace);
         const auto key = static_cast<std::uint32_t>(rng.Uniform(3));
         const Status st =
@@ -318,18 +317,18 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
       }
     }
 
-    ASSERT_NO_FATAL_FAILURE(ExpectNeighborsMatchChains(store))
+    ASSERT_NO_FATAL_FAILURE(ExpectNeighborsMatchLinks(store))
         << "step " << step;
     ASSERT_NO_FATAL_FAILURE(ExpectRestoreRebuilds(store)) << "step " << step;
     if (step % 250 == 0) {
-      ASSERT_TRUE(store.CheckChains()) << "step " << step;
+      ASSERT_TRUE(store.CheckLinks()) << "step " << step;
       ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(store, ref))
           << "step " << step;
     }
   }
 
   // Final full cross-check.
-  ASSERT_TRUE(store.CheckChains());
+  ASSERT_TRUE(store.CheckLinks());
   ASSERT_NO_FATAL_FAILURE(ExpectLookupsMatch(store, ref));
   ASSERT_EQ(store.NumNodes(), ref.nodes.size());
   for (const auto& [v, weight] : ref.nodes) {
@@ -358,14 +357,14 @@ TEST_P(GraphStoreFuzzTest, MatchesReferenceModel) {
     if (got.ok()) EXPECT_EQ(*got, value);
   }
 
-  // The snapshot rebuilds the chains, and with them the link index.
+  // The snapshot rebuilds the records' linkage bits and the link index.
   const std::string path = ::testing::TempDir() + "/hermes_fuzz_" +
                            std::to_string(GetParam()) + ".snap";
   ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path));
   GraphStore restored(0);
   ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored));
   std::remove(path.c_str());
-  ASSERT_TRUE(restored.CheckChains());
+  ASSERT_TRUE(restored.CheckLinks());
   EXPECT_EQ(test::DiffStates(test::Canonicalize(restored),
                              test::Canonicalize(store)),
             "");
@@ -458,13 +457,13 @@ TEST_P(PropertyRecycleFuzzTest, DynamicPropertiesAndIdRecyclingMatchModel) {
       }
     }
     if (step % 500 == 0) {
-      ASSERT_TRUE(store.CheckChains()) << "step " << step;
+      ASSERT_TRUE(store.CheckLinks()) << "step " << step;
     }
   }
 
   // Full cross-check, including the bulk-export path the snapshot writer
   // relies on.
-  ASSERT_TRUE(store.CheckChains());
+  ASSERT_TRUE(store.CheckLinks());
   const auto dump = store.DumpNodes();
   ASSERT_EQ(dump.size(), weights.size());
   for (const auto& nd : dump) {

@@ -55,7 +55,7 @@ TEST(GraphStoreTest, LocalEdgeVisibleFromBothChains) {
   EXPECT_EQ(SortedNeighbors(store, 2), std::vector<VertexId>{1});
   EXPECT_EQ(store.NumRelationships(), 1u);  // single shared record
   EXPECT_FALSE(*store.EdgeIsGhost(1, 2));
-  EXPECT_TRUE(store.CheckChains());
+  EXPECT_TRUE(store.CheckLinks());
 }
 
 TEST(GraphStoreTest, HalfEdgeGhostRule) {
@@ -106,7 +106,7 @@ TEST(GraphStoreTest, RemoveEdgeFixesChains) {
   ASSERT_OK(store.RemoveEdge(1, 3));
   EXPECT_EQ(SortedNeighbors(store, 1), (std::vector<VertexId>{2, 4}));
   EXPECT_TRUE(SortedNeighbors(store, 3).empty());
-  EXPECT_TRUE(store.CheckChains());
+  EXPECT_TRUE(store.CheckLinks());
   EXPECT_TRUE(store.RemoveEdge(1, 3).IsNotFound());
 }
 
@@ -116,12 +116,12 @@ TEST(GraphStoreTest, ChainSurvivesMiddleAndHeadRemoval) {
   for (VertexId v = 1; v < 6; ++v) {
     ASSERT_OK(store.AddEdge(0, v, 0, true));
   }
-  // Chain head is the most recently added (5); remove head, middle, tail.
+  // Remove the newest (5), a middle (3) and the oldest (1) relationship.
   ASSERT_OK(store.RemoveEdge(0, 5));
   ASSERT_OK(store.RemoveEdge(0, 3));
   ASSERT_OK(store.RemoveEdge(0, 1));
   EXPECT_EQ(SortedNeighbors(store, 0), (std::vector<VertexId>{2, 4}));
-  EXPECT_TRUE(store.CheckChains());
+  EXPECT_TRUE(store.CheckLinks());
 }
 
 TEST(GraphStoreTest, NodeProperties) {
@@ -214,8 +214,8 @@ TEST(GraphStoreTest, MigrationExtractIngestAcrossStores) {
   // Store b holds the ghost half for node 2.
   EXPECT_EQ(SortedNeighbors(b, 2), std::vector<VertexId>{1});
   EXPECT_TRUE(*b.EdgeIsGhost(2, 1));
-  EXPECT_TRUE(a.CheckChains());
-  EXPECT_TRUE(b.CheckChains());
+  EXPECT_TRUE(a.CheckLinks());
+  EXPECT_TRUE(b.CheckLinks());
 }
 
 TEST(GraphStoreTest, IngestMergesWithExistingHalfRecord) {
@@ -234,12 +234,12 @@ TEST(GraphStoreTest, IngestMergesWithExistingHalfRecord) {
   snap.relationships.push_back(rel);
   ASSERT_OK(b.IngestNodeWith(snap, [](VertexId) { return true; }));
 
-  // Single full record now serves both chains, properties preserved.
+  // Single full record now serves both endpoints, properties preserved.
   EXPECT_EQ(b.NumRelationships(), 1u);
   EXPECT_FALSE(*b.EdgeIsGhost(1, 2));
   EXPECT_FALSE(*b.EdgeIsGhost(2, 1));
   EXPECT_EQ(*b.GetEdgeProperty(2, 1, 0), "kept");
-  EXPECT_TRUE(b.CheckChains());
+  EXPECT_TRUE(b.CheckLinks());
 }
 
 TEST(GraphStoreTest, RemoveNodeDeletesHalfRecords) {
@@ -291,7 +291,7 @@ std::vector<std::tuple<VertexId, VertexId, bool, bool, bool>> Linkage(
 TEST(GraphStoreTest, RecreatedNodeKeepsTwoRecordsForOnePair) {
   // x is removed while its full record with y degrades to y's half. The
   // re-created x adds the edge with y as remote, so the pair {x, y} has
-  // two records, each linked into exactly one chain.
+  // two records, each linked on exactly one side.
   constexpr VertexId x = 1;
   constexpr VertexId y = 2;
   GraphStore store(0);
@@ -302,7 +302,7 @@ TEST(GraphStoreTest, RecreatedNodeKeepsTwoRecordsForOnePair) {
   ASSERT_OK(store.CreateNode(x));
   ASSERT_OK(store.AddEdge(x, y, 0, /*other_is_local=*/false));
 
-  EXPECT_TRUE(store.CheckChains());
+  EXPECT_TRUE(store.CheckLinks());
   ASSERT_OK(store.FindEdge(x, y));
   ASSERT_OK(store.FindEdge(y, x));
   EXPECT_NE(*store.FindEdge(x, y), *store.FindEdge(y, x));
@@ -317,7 +317,7 @@ TEST(GraphStoreTest, RecreatedNodeKeepsTwoRecordsForOnePair) {
   ASSERT_OK(DurableGraphStore::WriteSnapshot(store, path));
   GraphStore restored(0);
   ASSERT_OK(DurableGraphStore::LoadSnapshot(path, &restored));
-  EXPECT_TRUE(restored.CheckChains());
+  EXPECT_TRUE(restored.CheckLinks());
   EXPECT_EQ(Linkage(restored), want);
   EXPECT_EQ(SortedNeighbors(restored, x), std::vector<VertexId>{y});
   EXPECT_EQ(SortedNeighbors(restored, y), std::vector<VertexId>{x});
@@ -342,7 +342,7 @@ TEST(GraphStoreTest, RestoreRejectsBeforeStoringAnything) {
     const Status st = fresh.Restore(n, r);
     EXPECT_EQ(fresh.NumNodes(), 0u);
     EXPECT_EQ(fresh.NumRelationships(), 0u);
-    EXPECT_TRUE(fresh.CheckChains());
+    EXPECT_TRUE(fresh.CheckLinks());
     return st;
   };
   EXPECT_TRUE(rejected({nodes[1], nodes[0]}, {}).IsInvalidArgument());

@@ -183,7 +183,7 @@ TEST(IntegrationTest, GhostDisciplineSurvivesManyEpochs) {
     ASSERT_OK(cluster.RunLightweightRepartition()) << epoch;
     ASSERT_TRUE(cluster.Validate()) << "epoch " << epoch;
     for (PartitionId p = 0; p < 4; ++p) {
-      ASSERT_TRUE(cluster.store(p)->CheckChains()) << "epoch " << epoch;
+      ASSERT_TRUE(cluster.store(p)->CheckLinks()) << "epoch " << epoch;
     }
   }
 }

@@ -157,7 +157,7 @@ TEST(TraversalTest, UnavailableInteriorNodeSkipped) {
   d.max_depth = 2;
   auto r = Traverse(0, d, Provider(store));
   ASSERT_OK(r);
-  // 4 is still reported (its id is in 0's local chain) but not expanded,
+  // 4 is still reported (0 links to it locally) but not expanded,
   // so 5 is unreachable — queries act as if the record is absent.
   EXPECT_EQ(HitNodes(*r), (std::vector<VertexId>{0, 1, 2, 3, 4}));
 }
