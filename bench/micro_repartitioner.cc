@@ -4,8 +4,10 @@
 //   * Theorem 2: auxiliary data is n*alpha counters + alpha weights —
 //     reported as bytes, next to the multilevel partitioner's peak memory
 //     (which scales with edges and coarsening levels, Section 5.3).
-//   * Storage-path costs: B+Tree point ops and relationship-chain
-//     traversal, the building blocks of every query.
+//   * Storage-path costs: B+Tree point ops and link-index reads, the
+//     building blocks of every query.
+//   * Wire codec costs: EncodeFrame/DecodeFrame over the frame shapes
+//     the cluster's traffic sends.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include "gen/social_graph.h"
 #include "graphdb/durable_store.h"
 #include "graphdb/graph_store.h"
+#include "net/message.h"
 #include "partition/aux_data.h"
 #include "partition/hash_partitioner.h"
 #include "partition/lightweight.h"
@@ -233,6 +236,134 @@ void BM_SnapshotRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRoundTrip)->Arg(2000)->Iterations(3);
 
+/// The frame shapes the cluster's traffic sends, one per operation.
+enum class FrameShape {
+  kRead1Request,    // a 1-hop read: NeighborsRequest for one vertex
+  kRead1Reply,      // its NeighborsReply: one 12-id list
+  kRead2Reply,      // a 2-hop level's reply: 40 lists of 60 ids
+  kInsertRequest,   // an insert: one-entry MutateRequest
+  kInsertReply,     // its MutateReply
+  kMigrationChunk,  // ExtractReply: 64 snapshots of 12 relationships
+  kLoadChunk,       // InstallChunkRequest: 8,192 edges
+  kRecoveryDump,    // DumpReply: 2,000 nodes and 20,000 relationships
+};
+
+Envelope MakeFrame(FrameShape shape) {
+  Envelope env;
+  env.request_id = 42;
+  env.src = 8;
+  env.dst = 3;
+  switch (shape) {
+    case FrameShape::kRead1Request:
+      env.payload = NeighborsRequest{.vertices = {7}, .count_reads = true};
+      break;
+    case FrameShape::kRead1Reply:
+    case FrameShape::kRead2Reply: {
+      const bool two_hop = shape == FrameShape::kRead2Reply;
+      NeighborsReply reply;
+      reply.results.resize(two_hop ? 40 : 1);
+      VertexId next = 1000;
+      for (NeighborsReply::Adjacency& adj : reply.results) {
+        for (int i = 0; i < (two_hop ? 60 : 12); ++i) {
+          adj.neighbors.push_back(next++);
+        }
+      }
+      env.payload = std::move(reply);
+      break;
+    }
+    case FrameShape::kInsertRequest:
+      env.payload = MutateRequest{
+          .entries = {{.op = MutateRequest::Op::kAddEdge,
+                       .vertex = 7,
+                       .other = 9,
+                       .other_is_local = true}}};
+      break;
+    case FrameShape::kInsertReply:
+      env.payload = MutateReply{
+          .status = Status::OK(), .record_id = 123, .applied = 1};
+      break;
+    case FrameShape::kMigrationChunk: {
+      ExtractReply reply;
+      for (VertexId v = 0; v < 64; ++v) {
+        ExtractReply::Snapshot& snap = reply.snapshots.emplace_back();
+        snap.id = v;
+        snap.wire_bytes = 250;
+        for (VertexId r = 0; r < 12; ++r) {
+          snap.relationships.push_back({.other = 1000 + v * 12 + r,
+                                        .properties_included = true,
+                                        .properties = {}});
+        }
+      }
+      env.payload = std::move(reply);
+      break;
+    }
+    case FrameShape::kLoadChunk: {
+      InstallChunkRequest chunk;
+      for (VertexId e = 0; e < 8192; ++e) {
+        chunk.edges.push_back({.v = e / 8,
+                               .other = 5000 + e,
+                               .other_is_local = e % 2 == 0,
+                               .properties_included = true,
+                               .properties = {}});
+      }
+      env.payload = std::move(chunk);
+      break;
+    }
+    case FrameShape::kRecoveryDump: {
+      DumpReply dump;
+      for (VertexId v = 0; v < 2000; ++v) dump.nodes.push_back({.id = v});
+      for (VertexId e = 0; e < 20000; ++e) {
+        dump.rels.push_back({.src = e / 10, .dst = e, .ghost = e % 3 == 0});
+      }
+      env.payload = std::move(dump);
+      break;
+    }
+  }
+  return env;
+}
+
+void BM_EncodeFrame(benchmark::State& state, FrameShape shape) {
+  const Envelope env = MakeFrame(shape);
+  std::size_t frame_bytes = 0;
+  for (auto _ : state) {
+    Result<std::string> frame = EncodeFrame(env);
+    HERMES_CHECK_OK(frame.status());
+    frame_bytes = frame->size();
+    benchmark::DoNotOptimize(frame);
+  }
+  state.counters["frame_bytes"] = static_cast<double>(frame_bytes);
+}
+
+void BM_DecodeFrame(benchmark::State& state, FrameShape shape) {
+  const Result<std::string> frame = EncodeFrame(MakeFrame(shape));
+  HERMES_CHECK_OK(frame.status());
+  for (auto _ : state) {
+    Result<Envelope> env = DecodeFrame(*frame);
+    HERMES_CHECK_OK(env.status());
+    benchmark::DoNotOptimize(env);
+  }
+  // The decoded frame re-encodes to the bytes it came from.
+  const Result<Envelope> env = DecodeFrame(*frame);
+  HERMES_CHECK_OK(env.status());
+  const Result<std::string> again = EncodeFrame(*env);
+  HERMES_CHECK_OK(again.status());
+  HERMES_CHECK(*again == *frame);
+  state.counters["frame_bytes"] = static_cast<double>(frame->size());
+}
+
+#define HERMES_CODEC_BENCHMARKS(name, shape)       \
+  BENCHMARK_CAPTURE(BM_EncodeFrame, name, shape);  \
+  BENCHMARK_CAPTURE(BM_DecodeFrame, name, shape)
+HERMES_CODEC_BENCHMARKS(read1_request, FrameShape::kRead1Request);
+HERMES_CODEC_BENCHMARKS(read1_reply, FrameShape::kRead1Reply);
+HERMES_CODEC_BENCHMARKS(read2_reply, FrameShape::kRead2Reply);
+HERMES_CODEC_BENCHMARKS(insert_request, FrameShape::kInsertRequest);
+HERMES_CODEC_BENCHMARKS(insert_reply, FrameShape::kInsertReply);
+HERMES_CODEC_BENCHMARKS(migration_chunk, FrameShape::kMigrationChunk);
+HERMES_CODEC_BENCHMARKS(load_chunk, FrameShape::kLoadChunk);
+HERMES_CODEC_BENCHMARKS(recovery_dump, FrameShape::kRecoveryDump);
+#undef HERMES_CODEC_BENCHMARKS
+
 void BM_MultilevelPartition(benchmark::State& state) {
   Graph g = MakeGraph(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -246,9 +377,6 @@ void BM_FullRepartitionConvergence(benchmark::State& state) {
   const auto initial = HashPartitioner(1).Partition(g, 16);
   RepartitionerOptions opt;
   opt.k_fraction = 0.01;
-  // range(1): scan threads. >1 exercises the run-wide shared pool (one
-  // ThreadPool per Run(), not per stage).
-  opt.num_threads = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
     PartitionAssignment asg = initial;
     AuxiliaryData aux(g, asg);
@@ -256,10 +384,7 @@ void BM_FullRepartitionConvergence(benchmark::State& state) {
     state.counters["iterations"] = static_cast<double>(r.iterations);
   }
 }
-BENCHMARK(BM_FullRepartitionConvergence)
-    ->Args({8000, 1})
-    ->Args({8000, 4})
-    ->Iterations(2);
+BENCHMARK(BM_FullRepartitionConvergence)->Arg(8000)->Iterations(2);
 
 /// Console output plus a row per run for BENCH_micro_repartitioner.json.
 class CollectingReporter : public benchmark::ConsoleReporter {

@@ -64,7 +64,6 @@ inline constexpr int kRankMsgInboxBase = 40;  // msg.inbox.<i> -> 40 + i
 inline constexpr int kRankPartitionBase = 100;   // server.p<i> -> 100 + i
 inline constexpr int kRankDurableStore = 10000;  // DurableGraphStore::mu_
 inline constexpr int kRankWal = 10010;           // WriteAheadLog::mu_
-inline constexpr int kRankThreadPool = 10020;    // ThreadPool::mu_
 inline constexpr int kRankLockManager = 10030;   // LockManager::mu_ (leaf)
 inline constexpr int kRankFailpoint = 10200;     // FailpointRegistry::mu_
 inline constexpr int kRankMetrics = 10210;       // MetricsRegistry::mu_ (leaf)

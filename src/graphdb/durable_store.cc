@@ -74,6 +74,13 @@ void PutProperties(const Properties& props, WireWriter* w) {
   return Status::OK();
 }
 
+/// A node state read back from disk (a snapshot's state word, a
+/// kSetNodeState entry's flag) names a NodeState only up to
+/// kUnavailable; any larger value is corrupt input, not a state.
+bool IsNodeState(std::uint32_t value) {
+  return value <= static_cast<std::uint32_t>(NodeState::kUnavailable);
+}
+
 /// Encodes `store` into one buffer of exactly the snapshot's size.
 std::string EncodeSnapshot(const GraphStore& store,
                            std::uint64_t covered_lsn) {
@@ -204,6 +211,11 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
         !in.ReadU32(&state).ok() || !ReadProperties(&in, &n.properties).ok()) {
       return Status::IOError("truncated snapshot (nodes)");
     }
+    if (!IsNodeState(state)) {
+      return Status::IOError("snapshot " + path + ": node " +
+                             std::to_string(n.id) + " has unknown state " +
+                             std::to_string(state));
+    }
     n.state = static_cast<NodeState>(state);
   }
 
@@ -242,6 +254,9 @@ Status DurableGraphStore::LoadSnapshot(const std::string& path,
       HERMES_RETURN_NOT_OK(store->RemoveNode(e.a));
       return kInvalidRecord;
     case WalOpType::kSetNodeState:
+      if (!IsNodeState(e.flag)) {
+        return Status::InvalidArgument("unknown node state");
+      }
       HERMES_RETURN_NOT_OK(
           store->SetNodeState(e.a, static_cast<NodeState>(e.flag)));
       return kInvalidRecord;
@@ -296,8 +311,12 @@ Status DurableGraphStore::Precheck(const WalEntry& e, const GraphStore& s) {
     case WalOpType::kCreateNode:
       if (s.NodeExists(e.a)) return Status::AlreadyExists("node exists");
       return Status::OK();
-    case WalOpType::kRemoveNode:
     case WalOpType::kSetNodeState:
+      if (!IsNodeState(e.flag)) {
+        return Status::InvalidArgument("unknown node state");
+      }
+      [[fallthrough]];
+    case WalOpType::kRemoveNode:
     case WalOpType::kAddNodeWeight:
     case WalOpType::kSetNodeProperty:
       if (!s.NodeExists(e.a)) return Status::NotFound("no such node");

@@ -8,6 +8,14 @@
 
 namespace hermes {
 
+namespace {
+
+/// Seeds every retry's backoff jitter, mixed with the request id and the
+/// attempt number ("HERS").
+constexpr std::uint64_t kRetryJitterSeed = 0x48455253u;
+
+}  // namespace
+
 MessageBus::MessageBus(Transport* transport, EndpointId self, Options options)
     : transport_(transport),
       self_(self),
@@ -195,8 +203,7 @@ std::uint64_t MessageBus::BackoffUs(std::uint32_t attempt,
                                  ? options_.retry_backoff_us
                                  : options_.retry_backoff_us << (attempt - 1);
   if (base == 0) return 0;
-  Rng jitter(options_.retry_jitter_seed ^ (id * 0x9e3779b97f4a7c15ULL) ^
-             attempt);
+  Rng jitter(kRetryJitterSeed ^ (id * 0x9e3779b97f4a7c15ULL) ^ attempt);
   return base + jitter.Uniform(base);
 }
 

@@ -51,12 +51,10 @@ class MessageBus {
     /// makes retried mutations exactly-once.
     std::uint32_t max_attempts = 3;
     /// Backoff before the 2nd attempt; doubles each further attempt,
-    /// plus a deterministic jitter in [0, backoff) seeded from
-    /// `retry_jitter_seed`, the request id, and the attempt number. The
-    /// wait parks on the reply condvar, so a straggler reply completes
-    /// the call mid-backoff.
+    /// plus a deterministic jitter in [0, backoff) seeded from the
+    /// request id and the attempt number. The wait parks on the reply
+    /// condvar, so a straggler reply completes the call mid-backoff.
     std::uint64_t retry_backoff_us = 1'000;
-    std::uint64_t retry_jitter_seed = 0x48455253u;  // "HERS"
     /// First request id this bus mints. HermesCluster::Recover() sets it
     /// above the highest idempotency token recovered from any WAL, so a
     /// fresh post-recovery call can never collide with a recovered

@@ -1,421 +1,191 @@
 #include "net/message.h"
 
+#include <array>
+#include <type_traits>
+#include <utility>
+
 #include "common/crc32.h"
 
 namespace hermes {
 
 namespace {
 
-/// Minimum encoded sizes, used to bound element counts before reserving.
-constexpr std::size_t kMinPropertyBytes = 8;   // key u32 + length u32
-constexpr std::size_t kMinAdjacencyBytes = 9;  // status (1+4) + count u32
-constexpr std::size_t kMinNodeBytes = 20;      // id + weight + prop count
-constexpr std::size_t kMinEdgeBytes = 26;      // ids + type + flags + count
-constexpr std::size_t kMinRelBytes = 17;       // other + type + flag + count
-constexpr std::size_t kMinSnapshotBytes = 32;  // id + weight + bytes + counts
-constexpr std::size_t kMinMutateEntryBytes = 35;  // op .. flag + value length
-constexpr std::size_t kMinAuxEntryBytes = 16;  // vertex + reads
-constexpr std::size_t kMinDumpNodeBytes = 16;  // id + weight
-constexpr std::size_t kMinDumpRelBytes = 21;   // src + dst + type + ghost
+// The one codec: every wire struct's encoding, decoding and minimum size
+// follow from its HERMES_WIRE_FIELDS list and its fields' C++ types.
 
-void EncodeProperties(const std::vector<WireProperty>& props, WireWriter* w) {
-  w->PutU32(static_cast<std::uint32_t>(props.size()));
-  for (const WireProperty& p : props) {
-    w->PutU32(p.key);
-    w->PutString(p.value);
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+using WireFieldsOf = decltype(std::declval<T&>().WireFields());
+
+/// Largest valid value of a wire enum: its kLastWireValue, or 0 when it
+/// declares none.
+template <typename E>
+constexpr std::uint8_t LastWireValue() {
+  static_assert(sizeof(E) == 1, "a wire enum travels as one byte");
+  if constexpr (requires { E::kLastWireValue; }) {
+    return static_cast<std::uint8_t>(E::kLastWireValue);
+  } else {
+    return 0;
   }
 }
 
-[[nodiscard]] Status DecodeProperties(WireReader* r,
-                                    std::vector<WireProperty>* out) {
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinPropertyBytes, &n));
-  out->reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WireProperty p;
-    HERMES_RETURN_NOT_OK(r->ReadU32(&p.key));
-    HERMES_RETURN_NOT_OK(r->ReadString(&p.value));
-    out->push_back(std::move(p));
-  }
-  return Status::OK();
+template <typename T>
+constexpr std::size_t MinWireBytes();
+
+template <typename... Fields>
+constexpr std::size_t SumMinWireBytes(
+    std::type_identity<std::tuple<Fields...>>) {
+  return (std::size_t{0} + ... + MinWireBytes<std::remove_cvref_t<Fields>>());
 }
+
+/// The fewest bytes a T can encode to: the bound ReadCount checks an
+/// element count of T against before anything is allocated.
+template <typename T>
+constexpr std::size_t MinWireBytes() {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    return 1;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, Status>) {
+    return 1 + 4;  // code + empty message
+  } else if constexpr (std::is_same_v<T, std::string> || kIsVector<T>) {
+    return 4;  // length or count
+  } else {
+    return SumMinWireBytes(std::type_identity<WireFieldsOf<T>>{});
+  }
+}
+
+template <typename T>
+void Put(WireWriter* w, const T& v);
+
+template <typename Fields>
+void PutFields(WireWriter* w, const Fields& fields) {
+  std::apply([w](const auto&... f) { (Put(w, f), ...); }, fields);
+}
+
+template <typename T>
+void Put(WireWriter* w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w->PutBool(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    w->PutU8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+    w->PutU16(v);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w->PutU32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w->PutU64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w->PutF64(v);
+  } else if constexpr (std::is_same_v<T, Status>) {
+    PutStatus(v, w);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w->PutString(v);
+  } else if constexpr (std::is_same_v<T, std::vector<VertexId>>) {
+    w->PutVertices(v);
+  } else if constexpr (kIsVector<T>) {
+    w->PutU32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) Put(w, e);
+  } else {
+    PutFields(w, v.WireFields());
+  }
+}
+
+template <typename T>
+[[nodiscard]] Status Read(WireReader* r, T* out);
+
+/// Reads one field; on failure keeps its status in `*failure` and
+/// returns false, so the field fold below stops there.
+template <typename T>
+bool ReadField(WireReader* r, T* out, Status* failure) {
+  Status st = Read(r, out);
+  if (st.ok()) return true;
+  *failure = std::move(st);
+  return false;
+}
+
+// Read and ReadFields are forced inline, so each struct decodes as one
+// straight-line function instead of a call per field.
+template <typename Fields> [[gnu::always_inline]]
+[[nodiscard]] inline Status ReadFields(WireReader* r, Fields fields) {
+  Status failure;
+  std::apply(
+      [&](auto&... f) { return (ReadField(r, &f, &failure) && ...); }, fields);
+  return failure;
+}
+
+/// Decodes into a default-constructed `*out`. Every count is checked
+/// against the bytes left before anything is reserved.
+template <typename T> [[gnu::always_inline]]
+[[nodiscard]] inline Status Read(WireReader* r, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return r->ReadBool(out);
+  } else if constexpr (std::is_enum_v<T>) {
+    std::uint8_t v = 0;
+    HERMES_RETURN_NOT_OK(r->ReadU8(&v));
+    if (v > LastWireValue<T>()) {
+      return Status::InvalidArgument("wire: enum value out of range");
+    }
+    *out = static_cast<T>(v);
+    return Status::OK();
+  } else if constexpr (std::is_same_v<T, std::uint16_t>) {
+    return r->ReadU16(out);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    return r->ReadU32(out);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return r->ReadU64(out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return r->ReadF64(out);
+  } else if constexpr (std::is_same_v<T, Status>) {
+    return ReadStatus(r, out);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return r->ReadString(out);
+  } else if constexpr (std::is_same_v<T, std::vector<VertexId>>) {
+    return r->ReadVertices(out);
+  } else if constexpr (kIsVector<T>) {
+    std::uint32_t n = 0;
+    HERMES_RETURN_NOT_OK(
+        r->ReadCount(MinWireBytes<typename T::value_type>(), &n));
+    out->reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      HERMES_RETURN_NOT_OK(Read(r, &out->emplace_back()));
+    }
+    return Status::OK();
+  } else {
+    return ReadFields(r, out->WireFields());
+  }
+}
+
+template <std::size_t kIndex>
+[[nodiscard]] Status ReadPayload(WireReader* r, MessagePayload* out) {
+  return Read(r, &out->emplace<kIndex>());
+}
+
+using PayloadReader = Status (*)(WireReader*, MessagePayload*);
+
+template <std::size_t... kIndex>
+constexpr std::array<PayloadReader, sizeof...(kIndex)> PayloadReaders(
+    std::index_sequence<kIndex...>) {
+  return {&ReadPayload<kIndex>...};
+}
+
+/// Indexed by MsgType - 1, the payload's variant index.
+constexpr auto kPayloadReaders = PayloadReaders(
+    std::make_index_sequence<std::variant_size_v<MessagePayload>>());
+
+/// Frame header after the length prefix: version + type, then the
+/// envelope's routing header.
+constexpr std::size_t kFrameHeaderBytes = 1 + 1 + MinWireBytes<Envelope>();
 
 }  // namespace
-
-void NeighborsRequest::EncodeTo(WireWriter* w) const {
-  w->PutVertices(vertices);
-  w->PutBool(has_type);
-  w->PutU32(type);
-  w->PutBool(count_reads);
-}
-
-Result<NeighborsRequest> NeighborsRequest::DecodeFrom(WireReader* r) {
-  NeighborsRequest m;
-  HERMES_RETURN_NOT_OK(r->ReadVertices(&m.vertices));
-  HERMES_RETURN_NOT_OK(r->ReadBool(&m.has_type));
-  HERMES_RETURN_NOT_OK(r->ReadU32(&m.type));
-  HERMES_RETURN_NOT_OK(r->ReadBool(&m.count_reads));
-  return m;
-}
-
-void NeighborsReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU32(static_cast<std::uint32_t>(results.size()));
-  for (const Adjacency& a : results) {
-    PutStatus(a.status, w);
-    w->PutVertices(a.neighbors);
-  }
-}
-
-Result<NeighborsReply> NeighborsReply::DecodeFrom(WireReader* r) {
-  NeighborsReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinAdjacencyBytes, &n));
-  m.results.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Adjacency a;
-    HERMES_RETURN_NOT_OK(ReadStatus(r, &a.status));
-    HERMES_RETURN_NOT_OK(r->ReadVertices(&a.neighbors));
-    m.results.push_back(std::move(a));
-  }
-  return m;
-}
-
-void ProbeRequest::EncodeTo(WireWriter* w) const {
-  w->PutU8(static_cast<std::uint8_t>(mode));
-  w->PutU64(vertex);
-  w->PutU64(other);
-}
-
-Result<ProbeRequest> ProbeRequest::DecodeFrom(WireReader* r) {
-  ProbeRequest m;
-  std::uint8_t mode = 0;
-  HERMES_RETURN_NOT_OK(r->ReadU8(&mode));
-  if (mode > static_cast<std::uint8_t>(Mode::kEdgeIsGhost)) {
-    return Status::InvalidArgument("wire: unknown probe mode");
-  }
-  m.mode = static_cast<Mode>(mode);
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.vertex));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.other));
-  return m;
-}
-
-void ProbeReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutBool(truth);
-}
-
-Result<ProbeReply> ProbeReply::DecodeFrom(WireReader* r) {
-  ProbeReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  HERMES_RETURN_NOT_OK(r->ReadBool(&m.truth));
-  return m;
-}
-
-void MutateRequest::EncodeTo(WireWriter* w) const {
-  w->PutU32(static_cast<std::uint32_t>(entries.size()));
-  for (const Entry& e : entries) {
-    w->PutU8(static_cast<std::uint8_t>(e.op));
-    w->PutU64(e.vertex);
-    w->PutU64(e.other);
-    w->PutU32(e.type_or_key);
-    w->PutU8(static_cast<std::uint8_t>(e.node_state));
-    w->PutF64(e.weight);
-    w->PutBool(e.other_is_local);
-    w->PutString(e.value);
-  }
-}
-
-Result<MutateRequest> MutateRequest::DecodeFrom(WireReader* r) {
-  MutateRequest m;
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinMutateEntryBytes, &n));
-  m.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Entry e;
-    std::uint8_t op = 0;
-    HERMES_RETURN_NOT_OK(r->ReadU8(&op));
-    if (op > static_cast<std::uint8_t>(Op::kSetEdgeProperty)) {
-      return Status::InvalidArgument("wire: unknown mutate op");
-    }
-    e.op = static_cast<Op>(op);
-    HERMES_RETURN_NOT_OK(r->ReadU64(&e.vertex));
-    HERMES_RETURN_NOT_OK(r->ReadU64(&e.other));
-    HERMES_RETURN_NOT_OK(r->ReadU32(&e.type_or_key));
-    std::uint8_t state = 0;
-    HERMES_RETURN_NOT_OK(r->ReadU8(&state));
-    if (state > static_cast<std::uint8_t>(WireNodeState::kUnavailable)) {
-      return Status::InvalidArgument("wire: unknown node state");
-    }
-    e.node_state = static_cast<WireNodeState>(state);
-    HERMES_RETURN_NOT_OK(r->ReadF64(&e.weight));
-    HERMES_RETURN_NOT_OK(r->ReadBool(&e.other_is_local));
-    HERMES_RETURN_NOT_OK(r->ReadString(&e.value));
-    m.entries.push_back(std::move(e));
-  }
-  return m;
-}
-
-void MutateReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU64(record_id);
-  w->PutU64(applied);
-}
-
-Result<MutateReply> MutateReply::DecodeFrom(WireReader* r) {
-  MutateReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.record_id));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.applied));
-  return m;
-}
-
-void InstallChunkRequest::EncodeTo(WireWriter* w) const {
-  w->PutU32(static_cast<std::uint32_t>(nodes.size()));
-  for (const Node& n : nodes) {
-    w->PutU64(n.id);
-    w->PutF64(n.weight);
-    EncodeProperties(n.properties, w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(edges.size()));
-  for (const Edge& e : edges) {
-    w->PutU64(e.v);
-    w->PutU64(e.other);
-    w->PutU32(e.type);
-    w->PutBool(e.other_is_local);
-    w->PutBool(e.properties_included);
-    EncodeProperties(e.properties, w);
-  }
-}
-
-Result<InstallChunkRequest> InstallChunkRequest::DecodeFrom(WireReader* r) {
-  InstallChunkRequest m;
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinNodeBytes, &n));
-  m.nodes.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Node node;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&node.id));
-    HERMES_RETURN_NOT_OK(r->ReadF64(&node.weight));
-    HERMES_RETURN_NOT_OK(DecodeProperties(r, &node.properties));
-    m.nodes.push_back(std::move(node));
-  }
-  std::uint32_t e = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinEdgeBytes, &e));
-  m.edges.reserve(e);
-  for (std::uint32_t i = 0; i < e; ++i) {
-    Edge edge;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&edge.v));
-    HERMES_RETURN_NOT_OK(r->ReadU64(&edge.other));
-    HERMES_RETURN_NOT_OK(r->ReadU32(&edge.type));
-    HERMES_RETURN_NOT_OK(r->ReadBool(&edge.other_is_local));
-    HERMES_RETURN_NOT_OK(r->ReadBool(&edge.properties_included));
-    HERMES_RETURN_NOT_OK(DecodeProperties(r, &edge.properties));
-    m.edges.push_back(std::move(edge));
-  }
-  return m;
-}
-
-void InstallChunkReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU64(nodes_created);
-  w->PutU64(edges_created);
-}
-
-Result<InstallChunkReply> InstallChunkReply::DecodeFrom(WireReader* r) {
-  InstallChunkReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.nodes_created));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.edges_created));
-  return m;
-}
-
-void ExtractRequest::EncodeTo(WireWriter* w) const { w->PutVertices(vertices); }
-
-Result<ExtractRequest> ExtractRequest::DecodeFrom(WireReader* r) {
-  ExtractRequest m;
-  HERMES_RETURN_NOT_OK(r->ReadVertices(&m.vertices));
-  return m;
-}
-
-void ExtractReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU32(static_cast<std::uint32_t>(snapshots.size()));
-  for (const Snapshot& snap : snapshots) {
-    w->PutU64(snap.id);
-    w->PutF64(snap.weight);
-    w->PutU64(snap.wire_bytes);
-    EncodeProperties(snap.properties, w);
-    w->PutU32(static_cast<std::uint32_t>(snap.relationships.size()));
-    for (const Relationship& rel : snap.relationships) {
-      w->PutU64(rel.other);
-      w->PutU32(rel.type);
-      w->PutBool(rel.properties_included);
-      EncodeProperties(rel.properties, w);
-    }
-  }
-}
-
-Result<ExtractReply> ExtractReply::DecodeFrom(WireReader* r) {
-  ExtractReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  std::uint32_t s = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinSnapshotBytes, &s));
-  m.snapshots.reserve(s);
-  for (std::uint32_t i = 0; i < s; ++i) {
-    Snapshot snap;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&snap.id));
-    HERMES_RETURN_NOT_OK(r->ReadF64(&snap.weight));
-    HERMES_RETURN_NOT_OK(r->ReadU64(&snap.wire_bytes));
-    HERMES_RETURN_NOT_OK(DecodeProperties(r, &snap.properties));
-    std::uint32_t n = 0;
-    HERMES_RETURN_NOT_OK(r->ReadCount(kMinRelBytes, &n));
-    snap.relationships.reserve(n);
-    for (std::uint32_t j = 0; j < n; ++j) {
-      Relationship rel;
-      HERMES_RETURN_NOT_OK(r->ReadU64(&rel.other));
-      HERMES_RETURN_NOT_OK(r->ReadU32(&rel.type));
-      HERMES_RETURN_NOT_OK(r->ReadBool(&rel.properties_included));
-      HERMES_RETURN_NOT_OK(DecodeProperties(r, &rel.properties));
-      snap.relationships.push_back(std::move(rel));
-    }
-    m.snapshots.push_back(std::move(snap));
-  }
-  return m;
-}
-
-void AuxExchangeRequest::EncodeTo(WireWriter* w) const { (void)w; }
-
-Result<AuxExchangeRequest> AuxExchangeRequest::DecodeFrom(WireReader* r) {
-  (void)r;
-  return AuxExchangeRequest{};
-}
-
-void AuxExchangeReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU32(static_cast<std::uint32_t>(folded.size()));
-  for (const Entry& e : folded) {
-    w->PutU64(e.vertex);
-    w->PutU64(e.reads);
-  }
-}
-
-Result<AuxExchangeReply> AuxExchangeReply::DecodeFrom(WireReader* r) {
-  AuxExchangeReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinAuxEntryBytes, &n));
-  m.folded.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Entry e;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&e.vertex));
-    HERMES_RETURN_NOT_OK(r->ReadU64(&e.reads));
-    m.folded.push_back(e);
-  }
-  return m;
-}
-
-void HealthRequest::EncodeTo(WireWriter* w) const { (void)w; }
-
-Result<HealthRequest> HealthRequest::DecodeFrom(WireReader* r) {
-  (void)r;
-  return HealthRequest{};
-}
-
-void HealthReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU64(store_bytes);
-  w->PutU64(nodes);
-  w->PutU64(relationships);
-  w->PutU64(ghost_relationships);
-}
-
-Result<HealthReply> HealthReply::DecodeFrom(WireReader* r) {
-  HealthReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.store_bytes));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.nodes));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.relationships));
-  HERMES_RETURN_NOT_OK(r->ReadU64(&m.ghost_relationships));
-  return m;
-}
-
-void CheckpointRequest::EncodeTo(WireWriter* w) const { (void)w; }
-
-Result<CheckpointRequest> CheckpointRequest::DecodeFrom(WireReader* r) {
-  (void)r;
-  return CheckpointRequest{};
-}
-
-void CheckpointReply::EncodeTo(WireWriter* w) const { PutStatus(status, w); }
-
-Result<CheckpointReply> CheckpointReply::DecodeFrom(WireReader* r) {
-  CheckpointReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  return m;
-}
-
-void DumpRequest::EncodeTo(WireWriter* w) const { (void)w; }
-
-Result<DumpRequest> DumpRequest::DecodeFrom(WireReader* r) {
-  (void)r;
-  return DumpRequest{};
-}
-
-void DumpReply::EncodeTo(WireWriter* w) const {
-  PutStatus(status, w);
-  w->PutU32(static_cast<std::uint32_t>(nodes.size()));
-  for (const Node& n : nodes) {
-    w->PutU64(n.id);
-    w->PutF64(n.weight);
-  }
-  w->PutU32(static_cast<std::uint32_t>(rels.size()));
-  for (const Rel& rel : rels) {
-    w->PutU64(rel.src);
-    w->PutU64(rel.dst);
-    w->PutU32(rel.type);
-    w->PutBool(rel.ghost);
-  }
-}
-
-Result<DumpReply> DumpReply::DecodeFrom(WireReader* r) {
-  DumpReply m;
-  HERMES_RETURN_NOT_OK(ReadStatus(r, &m.status));
-  std::uint32_t n = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinDumpNodeBytes, &n));
-  m.nodes.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Node node;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&node.id));
-    HERMES_RETURN_NOT_OK(r->ReadF64(&node.weight));
-    m.nodes.push_back(node);
-  }
-  std::uint32_t e = 0;
-  HERMES_RETURN_NOT_OK(r->ReadCount(kMinDumpRelBytes, &e));
-  m.rels.reserve(e);
-  for (std::uint32_t i = 0; i < e; ++i) {
-    Rel rel;
-    HERMES_RETURN_NOT_OK(r->ReadU64(&rel.src));
-    HERMES_RETURN_NOT_OK(r->ReadU64(&rel.dst));
-    HERMES_RETURN_NOT_OK(r->ReadU32(&rel.type));
-    HERMES_RETURN_NOT_OK(r->ReadBool(&rel.ghost));
-    m.rels.push_back(rel);
-  }
-  return m;
-}
 
 MsgType Envelope::type() const {
   return static_cast<MsgType>(payload.index() + 1);
 }
-
-namespace {
-
-/// Frame header after the length prefix: version + type + attempt +
-/// request_id + src + dst.
-constexpr std::size_t kFrameHeaderBytes = 1 + 1 + 2 + 8 + 4 + 4;
-
-}  // namespace
 
 [[nodiscard]] Result<std::string> EncodeFrame(const Envelope& env) {
   // One buffer: the length prefix is written as a placeholder and patched
@@ -424,11 +194,8 @@ constexpr std::size_t kFrameHeaderBytes = 1 + 1 + 2 + 8 + 4 + 4;
   frame.PutU32(0);
   frame.PutU8(kWireVersion);
   frame.PutU8(static_cast<std::uint8_t>(env.type()));
-  frame.PutU16(env.attempt);
-  frame.PutU64(env.request_id);
-  frame.PutU32(env.src);
-  frame.PutU32(env.dst);
-  std::visit([&frame](const auto& m) { m.EncodeTo(&frame); }, env.payload);
+  PutFields(&frame, env.WireFields());
+  std::visit([&frame](const auto& m) { Put(&frame, m); }, env.payload);
   const std::size_t body_bytes = frame.size() - 4;
   if (4 + body_bytes + 4 > kMaxFrameBytes) {
     return Status::InvalidArgument("wire: frame exceeds kMaxFrameBytes");
@@ -469,39 +236,11 @@ constexpr std::size_t kFrameHeaderBytes = 1 + 1 + 2 + 8 + 4 + 4;
     return Status::InvalidArgument("wire: unsupported frame version");
   }
   HERMES_RETURN_NOT_OK(r.ReadU8(&type));
-  HERMES_RETURN_NOT_OK(r.ReadU16(&env.attempt));
-  HERMES_RETURN_NOT_OK(r.ReadU64(&env.request_id));
-  HERMES_RETURN_NOT_OK(r.ReadU32(&env.src));
-  HERMES_RETURN_NOT_OK(r.ReadU32(&env.dst));
-  switch (static_cast<MsgType>(type)) {
-#define HERMES_DECODE_CASE(MSG)                        \
-  case MsgType::k##MSG: {                              \
-    HERMES_ASSIGN_OR_RETURN(auto m, MSG::DecodeFrom(&r)); \
-    env.payload = std::move(m);                        \
-    break;                                             \
+  HERMES_RETURN_NOT_OK(ReadFields(&r, env.WireFields()));
+  if (type == 0 || type > kPayloadReaders.size()) {
+    return Status::InvalidArgument("wire: unknown message type");
   }
-    HERMES_DECODE_CASE(NeighborsRequest)
-    HERMES_DECODE_CASE(NeighborsReply)
-    HERMES_DECODE_CASE(ProbeRequest)
-    HERMES_DECODE_CASE(ProbeReply)
-    HERMES_DECODE_CASE(MutateRequest)
-    HERMES_DECODE_CASE(MutateReply)
-    HERMES_DECODE_CASE(InstallChunkRequest)
-    HERMES_DECODE_CASE(InstallChunkReply)
-    HERMES_DECODE_CASE(ExtractRequest)
-    HERMES_DECODE_CASE(ExtractReply)
-    HERMES_DECODE_CASE(AuxExchangeRequest)
-    HERMES_DECODE_CASE(AuxExchangeReply)
-    HERMES_DECODE_CASE(HealthRequest)
-    HERMES_DECODE_CASE(HealthReply)
-    HERMES_DECODE_CASE(CheckpointRequest)
-    HERMES_DECODE_CASE(CheckpointReply)
-    HERMES_DECODE_CASE(DumpRequest)
-    HERMES_DECODE_CASE(DumpReply)
-#undef HERMES_DECODE_CASE
-    default:
-      return Status::InvalidArgument("wire: unknown message type");
-  }
+  HERMES_RETURN_NOT_OK(kPayloadReaders[type - 1](&r, &env.payload));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("wire: trailing payload bytes");
   }

@@ -2,11 +2,14 @@
 /// boundary operation (DESIGN.md §12): batched neighbor reads, existence
 /// probes, batched record mutations, migration chunk install/extract,
 /// the read-count fold, health, checkpoint, and recovery dumps. Each
-/// payload knows how to encode itself into a WireWriter and decode from a
-/// WireReader with full bounds checking; EncodeFrame/DecodeFrame wrap a
-/// payload in the versioned, CRC-sealed frame that actually travels:
+/// struct names its fields once, in wire order, with HERMES_WIRE_FIELDS.
+/// The one codec in message.cc derives the encoding, the bounds-checked
+/// decoding and the minimum encoded size that bounds every element count
+/// from that list; each field's C++ type fixes its wire form. Every field
+/// of a wire struct is on the wire. EncodeFrame/DecodeFrame wrap a payload
+/// in the versioned, CRC-sealed frame that actually travels:
 ///
-///   [u32 len][u8 version][u8 type][u16 reserved]
+///   [u32 len][u8 version][u8 type][u16 attempt]
 ///   [u64 request_id][u32 src][u32 dst][payload][u32 crc32]
 ///
 /// `len` counts every byte after the length prefix, and the CRC covers
@@ -18,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -26,12 +30,20 @@
 #include "common/types.h"
 #include "net/wire.h"
 
+/// Names a wire struct's fields once, in wire order: the codec reads and
+/// writes them through WireFields(). Adding a field to the wire is adding
+/// it here (and bumping kWireVersion).
+#define HERMES_WIRE_FIELDS(...)                             \
+  auto WireFields() { return std::tie(__VA_ARGS__); }       \
+  auto WireFields() const { return std::tie(__VA_ARGS__); }
+
 namespace hermes {
 
 /// Logical endpoint on a Transport: partition servers own endpoints
 /// 0..alpha-1, the cluster client owns endpoint alpha.
 using EndpointId = std::uint32_t;
 
+/// A payload's wire type: its index in MessagePayload plus one.
 enum class MsgType : std::uint8_t {
   kNeighborsRequest = 1,
   kNeighborsReply = 2,
@@ -53,17 +65,23 @@ enum class MsgType : std::uint8_t {
   kDumpReply = 18,
 };
 
+// A wire enum travels as one byte. `kLastWireValue` names its largest
+// valid value; the decoder rejects anything above it, and above 0 for an
+// enum that declares none.
+
 /// Node availability as it travels on the wire; values mirror
 /// storage NodeState so the server-side cast is a no-op.
 enum class WireNodeState : std::uint8_t {
   kAvailable = 0,
   kUnavailable = 1,
+  kLastWireValue = kUnavailable,
 };
 
-/// One property as stored on node or relationship chains.
+/// One property of a node or relationship.
 struct WireProperty {
   std::uint32_t key = 0;
   std::string value;
+  HERMES_WIRE_FIELDS(key, value)
 };
 
 /// Batched adjacency fetch: all of one traversal level's vertices that
@@ -76,23 +94,20 @@ struct NeighborsRequest {
   /// read counts (the vertex weight, folded by AuxExchange). Set on the
   /// level-0 request of a traversal, whose only vertex is the start.
   bool count_reads = false;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<NeighborsRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(vertices, has_type, type, count_reads)
 };
 
 struct NeighborsReply {
   struct Adjacency {
     Status status;
     std::vector<VertexId> neighbors;
+    HERMES_WIRE_FIELDS(status, neighbors)
   };
   Status status;
   /// Parallel to the request's `vertices`; a per-vertex status lets one
   /// mid-migration vertex fail without poisoning the batch.
   std::vector<Adjacency> results;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<NeighborsReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, results)
 };
 
 /// Existence/ghost probe against a single server's store.
@@ -101,21 +116,18 @@ struct ProbeRequest {
     kHasNode = 0,     // linked and available
     kNodeExists = 1,  // record present regardless of state
     kEdgeIsGhost = 2, // half-record (vertex, other) is a ghost copy
+    kLastWireValue = kEdgeIsGhost,
   };
   Mode mode = Mode::kHasNode;
   VertexId vertex = 0;
   VertexId other = 0;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<ProbeRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(mode, vertex, other)
 };
 
 struct ProbeReply {
   Status status;
   bool truth = false;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<ProbeReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, truth)
 };
 
 /// A list of store mutations, applied in order under the request's one
@@ -133,6 +145,7 @@ struct MutateRequest {
     kRemoveEdge = 5,
     kSetNodeProperty = 6,
     kSetEdgeProperty = 7,
+    kLastWireValue = kSetEdgeProperty,
   };
   struct Entry {
     Op op = Op::kCreateNode;
@@ -144,11 +157,11 @@ struct MutateRequest {
     double weight = 0.0;
     bool other_is_local = false;
     std::string value{};
+    HERMES_WIRE_FIELDS(op, vertex, other, type_or_key, node_state, weight,
+                       other_is_local, value)
   };
   std::vector<Entry> entries;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<MutateRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(entries)
 };
 
 struct MutateReply {
@@ -160,9 +173,7 @@ struct MutateReply {
   /// How many entries applied, a prefix of the request's list. The
   /// cluster's unwind paths undo exactly these.
   std::uint64_t applied = 0;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<MutateReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, record_id, applied)
 };
 
 /// Bulk install of nodes and relationship halves on one server — the
@@ -174,6 +185,7 @@ struct InstallChunkRequest {
     VertexId id = 0;
     double weight = 1.0;
     std::vector<WireProperty> properties;
+    HERMES_WIRE_FIELDS(id, weight, properties)
   };
   struct Edge {
     VertexId v = 0;
@@ -182,12 +194,12 @@ struct InstallChunkRequest {
     bool other_is_local = false;
     bool properties_included = false;
     std::vector<WireProperty> properties;
+    HERMES_WIRE_FIELDS(v, other, type, other_is_local, properties_included,
+                       properties)
   };
   std::vector<Node> nodes;
   std::vector<Edge> edges;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<InstallChunkRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(nodes, edges)
 };
 
 struct InstallChunkReply {
@@ -196,18 +208,14 @@ struct InstallChunkReply {
   /// cluster's unwind path removes exactly these on failure.
   std::uint64_t nodes_created = 0;
   std::uint64_t edges_created = 0;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<InstallChunkReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, nodes_created, edges_created)
 };
 
 /// Read the full snapshots of a list of vertices off their source
 /// server (migration copy step: one request per source and chunk).
 struct ExtractRequest {
   std::vector<VertexId> vertices;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<ExtractRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(vertices)
 };
 
 struct ExtractReply {
@@ -216,6 +224,7 @@ struct ExtractReply {
     std::uint32_t type = 0;
     bool properties_included = false;
     std::vector<WireProperty> properties;
+    HERMES_WIRE_FIELDS(other, type, properties_included, properties)
   };
   struct Snapshot {
     VertexId id = 0;
@@ -225,42 +234,38 @@ struct ExtractReply {
     std::uint64_t wire_bytes = 0;
     std::vector<WireProperty> properties;
     std::vector<Relationship> relationships;
+    HERMES_WIRE_FIELDS(id, weight, wire_bytes, properties, relationships)
   };
   /// The first failing vertex's status; the reply then carries no
   /// snapshot at all.
   Status status;
   /// Parallel to the request's `vertices` when `status` is OK.
   std::vector<Snapshot> snapshots;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<ExtractReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, snapshots)
 };
 
 /// Folds the server's pending read counts into its vertex weights
 /// (DESIGN.md §12, read-weight contract). A mutation: deduplicated by
 /// token, so a retried fold replays its reply and folds nothing twice.
 struct AuxExchangeRequest {
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<AuxExchangeRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS()
 };
 
 struct AuxExchangeReply {
   struct Entry {
     VertexId vertex = 0;
     std::uint64_t reads = 0;
+    HERMES_WIRE_FIELDS(vertex, reads)
   };
   Status status;
   /// The counts added to vertex weights, in vertex order. On a storage
   /// failure, the ones folded before it; the rest stay pending.
   std::vector<Entry> folded;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<AuxExchangeReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, folded)
 };
 
 struct HealthRequest {
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<HealthRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS()
 };
 
 struct HealthReply {
@@ -269,26 +274,21 @@ struct HealthReply {
   std::uint64_t nodes = 0;
   std::uint64_t relationships = 0;
   std::uint64_t ghost_relationships = 0;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<HealthReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, store_bytes, nodes, relationships,
+                     ghost_relationships)
 };
 
 struct CheckpointRequest {
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<CheckpointRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS()
 };
 
 struct CheckpointReply {
   Status status;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<CheckpointReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status)
 };
 
 struct DumpRequest {
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<DumpRequest> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS()
 };
 
 /// Everything recovery needs to rebuild the logical directory from one
@@ -299,19 +299,19 @@ struct DumpReply {
   struct Node {
     VertexId id = 0;
     double weight = 1.0;
+    HERMES_WIRE_FIELDS(id, weight)
   };
   struct Rel {
     VertexId src = 0;
     VertexId dst = 0;
     std::uint32_t type = 0;
     bool ghost = false;
+    HERMES_WIRE_FIELDS(src, dst, type, ghost)
   };
   Status status;
   std::vector<Node> nodes;
   std::vector<Rel> rels;
-
-  void EncodeTo(WireWriter* w) const;
-  [[nodiscard]] static Result<DumpReply> DecodeFrom(WireReader* r);
+  HERMES_WIRE_FIELDS(status, nodes, rels)
 };
 
 using MessagePayload =
@@ -334,6 +334,9 @@ struct Envelope {
   EndpointId src = 0;
   EndpointId dst = 0;
   MessagePayload payload;
+  /// The routing header, after the version and type bytes and before
+  /// the payload.
+  HERMES_WIRE_FIELDS(attempt, request_id, src, dst)
 
   [[nodiscard]] MsgType type() const;
 };

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <tuple>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "partition/metrics.h"
 
 namespace hermes {
@@ -88,8 +86,7 @@ PartitionId LightweightRepartitioner::GetTargetPartition(
 
 std::size_t LightweightRepartitioner::RunStage(const Graph& g, int stage,
                                                PartitionAssignment* asg,
-                                               AuxiliaryData* aux,
-                                               ThreadPool* pool) const {
+                                               AuxiliaryData* aux) const {
   const std::size_t n = g.NumVertices();
   const PartitionId alpha = asg->num_partitions();
 
@@ -103,46 +100,14 @@ std::size_t LightweightRepartitioner::RunStage(const Graph& g, int stage,
     PartitionId target;
   };
   std::vector<std::vector<Candidate>> per_partition(alpha);
-  auto scan_range = [&](VertexId begin, VertexId end,
-                        std::vector<std::vector<Candidate>>* out) {
-    for (VertexId v = begin; v < end; ++v) {
-      const PartitionId source = asg->PartitionOf(v);
-      long gain = 0;
-      const PartitionId target = GetTargetPartition(
-          *aux, v, g.VertexWeight(v), source, stage, &gain);
-      if (target != kInvalidPartition) {
-        (*out)[source].push_back(Candidate{gain, v, target});
-      }
+  for (VertexId v = 0; v < n; ++v) {
+    const PartitionId source = asg->PartitionOf(v);
+    long gain = 0;
+    const PartitionId target = GetTargetPartition(
+        *aux, v, g.VertexWeight(v), source, stage, &gain);
+    if (target != kInvalidPartition) {
+      per_partition[source].push_back(Candidate{gain, v, target});
     }
-  };
-
-  if (pool != nullptr && n > 1024) {
-    // Shard the read-only scan; merge shard results in shard order so the
-    // outcome is identical to the serial scan. The pool is created once per
-    // Run() and reused across every stage of every iteration.
-    const std::size_t shards = pool->num_threads();
-    const std::size_t chunk = (n + shards - 1) / shards;
-    std::vector<std::vector<std::vector<Candidate>>> shard_results(
-        shards, std::vector<std::vector<Candidate>>(alpha));
-    for (std::size_t s = 0; s < shards; ++s) {
-      const VertexId begin = static_cast<VertexId>(s * chunk);
-      const VertexId end =
-          static_cast<VertexId>(std::min(n, (s + 1) * chunk));
-      if (begin >= end) break;
-      pool->Submit([&, s, begin, end] {
-        scan_range(begin, end, &shard_results[s]);
-      });
-    }
-    pool->Wait();
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (PartitionId p = 0; p < alpha; ++p) {
-        auto& dst = per_partition[p];
-        auto& src = shard_results[s][p];
-        dst.insert(dst.end(), src.begin(), src.end());
-      }
-    }
-  } else {
-    scan_range(0, static_cast<VertexId>(n), &per_partition);
   }
 
   const std::size_t k = EffectiveK(n);
@@ -197,26 +162,15 @@ std::size_t LightweightRepartitioner::RunStage(const Graph& g, int stage,
 
 std::size_t LightweightRepartitioner::RunIteration(const Graph& g,
                                                    PartitionAssignment* asg,
-                                                   AuxiliaryData* aux,
-                                                   ThreadPool* pool) const {
+                                                   AuxiliaryData* aux) const {
   if (!options_.two_stage) {
     // Ablation: one bidirectional stage per iteration (stage index 0 means
     // no direction filter in GetTargetPartition).
-    return RunStage(g, 0, asg, aux, pool);
+    return RunStage(g, 0, asg, aux);
   }
-  std::size_t moves = RunStage(g, 1, asg, aux, pool);
-  moves += RunStage(g, 2, asg, aux, pool);
+  std::size_t moves = RunStage(g, 1, asg, aux);
+  moves += RunStage(g, 2, asg, aux);
   return moves;
-}
-
-std::size_t LightweightRepartitioner::RunIteration(const Graph& g,
-                                                   PartitionAssignment* asg,
-                                                   AuxiliaryData* aux) const {
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1 && g.NumVertices() > 1024) {
-    pool = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return RunIteration(g, asg, aux, pool.get());
 }
 
 RepartitionResult LightweightRepartitioner::Run(const Graph& g,
@@ -237,20 +191,12 @@ RepartitionResult LightweightRepartitioner::Run(const Graph& g,
   result.initial_edge_cut_fraction = EdgeCutFraction(g, *asg);
   result.initial_imbalance = AuxImbalance(*aux);
 
-  // One scan pool for the whole run; RunStage previously constructed and
-  // joined a fresh pool per stage, paying thread create/teardown up to
-  // 2 * max_iterations times.
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1 && g.NumVertices() > 1024) {
-    pool = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-
   std::size_t best_cut = EdgeCut(g, *asg);
   double best_imbalance = AuxImbalance(*aux);
   std::size_t stalled_iterations = 0;
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
     if (options_.iteration_hook_for_test) options_.iteration_hook_for_test();
-    const std::size_t moves = RunIteration(g, asg, aux, pool.get());
+    const std::size_t moves = RunIteration(g, asg, aux);
     ++result.iterations;
     result.total_logical_moves += moves;
     result.moves_per_iteration.push_back(moves);
@@ -266,9 +212,7 @@ RepartitionResult LightweightRepartitioner::Run(const Graph& g,
     m_aux_bytes->Increment(iter_bytes);
     m_iteration_moves->Record(moves);
     const std::size_t cut = EdgeCut(g, *asg);
-    if (options_.track_edge_cut_history) {
-      result.edge_cut_history.push_back(cut);
-    }
+    result.edge_cut_history.push_back(cut);
     if (moves == 0) {
       result.converged = true;
       break;

@@ -11,8 +11,6 @@
 
 namespace hermes {
 
-class ThreadPool;
-
 /// One logical vertex movement chosen by the repartitioner.
 struct MigrationRecord {
   VertexId vertex;
@@ -68,15 +66,6 @@ struct RepartitionerOptions {
   /// gain is admitted so overloaded partitions can always shed load.
   bool overloaded_admits_any_gain = true;
 
-  /// Record edge-cut after every iteration (costs O(m) per iteration).
-  bool track_edge_cut_history = false;
-
-  /// Worker threads for the candidate scan (Algorithm 2, lines 4-9 run
-  /// independently per server; within this process they shard across a
-  /// thread pool). 0/1 = serial. Results are identical either way: the
-  /// scan is read-only and candidates merge in deterministic order.
-  std::size_t num_threads = 0;
-
   /// Test hook: runs at the start of every iteration of Run(). Cluster
   /// concurrency tests park the algorithm here to prove the logical
   /// phase holds no cluster lock (readers must stay live while parked).
@@ -96,9 +85,10 @@ struct RepartitionResult {
   /// migration work list (phase two).
   std::vector<MigrationRecord> net_moves;
 
-  std::size_t moves_per_iteration_sum() const { return total_logical_moves; }
   std::vector<std::size_t> moves_per_iteration;
-  std::vector<std::size_t> edge_cut_history;  // filled when tracking enabled
+  /// Edge-cut after each iteration (Run() computes it every iteration for
+  /// quiescence detection).
+  std::vector<std::size_t> edge_cut_history;
 
   /// Network bytes of auxiliary data exchanged during phase one: each
   /// logical move ships the vertex's per-partition neighbor counters plus
@@ -156,12 +146,8 @@ class LightweightRepartitioner {
   std::size_t EffectiveK(std::size_t n) const;
 
  private:
-  /// `pool` is the shared scan pool (owned by Run(), created once per run
-  /// rather than per stage); nullptr means scan serially.
   std::size_t RunStage(const Graph& g, int stage, PartitionAssignment* asg,
-                       AuxiliaryData* aux, ThreadPool* pool) const;
-  std::size_t RunIteration(const Graph& g, PartitionAssignment* asg,
-                           AuxiliaryData* aux, ThreadPool* pool) const;
+                       AuxiliaryData* aux) const;
 
   RepartitionerOptions options_;
 };

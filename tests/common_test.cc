@@ -18,7 +18,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace hermes {
 namespace {
@@ -422,38 +421,6 @@ TEST(HistogramTest, ScopedTimerRecordsOnEveryExit) {
   const Histogram::Summary s = h.Summarize();
   EXPECT_EQ(s.count, 2u);
   EXPECT_GE(s.max, 2000.0);
-}
-
-// --- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, AtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "common/failpoint.h"
 #include "common/lock_order.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "partition/assignment.h"
 #include "storage/id_generator.h"
@@ -51,57 +50,6 @@ bool AwaitTrue(const std::atomic<bool>& flag, int timeout_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return flag.load();
-}
-
-// --- ThreadPool ------------------------------------------------------------
-
-// Regression for the Wait()/Submit() interleaving: in_flight_ counts queued
-// plus running tasks, so Wait() returning means every prior Submit's task
-// has fully completed — asserted here via an acquire on the counter.
-TEST(ConcurrencyStressTest, ThreadPoolWaitSeesAllSubmittedWork) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  for (int round = 0; round < 20; ++round) {
-    const int batch = 50;
-    for (int i = 0; i < batch; ++i) {
-      pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.Wait();
-    EXPECT_EQ(done.load(), (round + 1) * batch);
-  }
-}
-
-// Tasks submitted by running tasks are also covered by Wait(): the parent
-// increments in_flight_ before it finishes, so the counter never touches
-// zero while recursive work is pending.
-TEST(ConcurrencyStressTest, ThreadPoolWaitCoversRecursiveSubmissions) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 25; ++i) {
-    pool.Submit([&pool, &done] {
-      pool.Submit([&done] { done.fetch_add(1); });
-      done.fetch_add(1);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ConcurrencyStressTest, ThreadPoolConcurrentSubmittersAndWaiters) {
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 4; ++t) {
-    submitters.emplace_back([&pool, &done] {
-      for (int i = 0; i < 100; ++i) {
-        pool.Submit([&done] { done.fetch_add(1); });
-        if (i % 25 == 0) pool.Wait();  // waiters interleave with submitters
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  pool.Wait();
-  EXPECT_EQ(done.load(), 400);
 }
 
 // --- LockManager -----------------------------------------------------------
@@ -646,8 +594,7 @@ Graph RingWithChords(std::size_t n) {
   return g;
 }
 
-// Parallel repartitioner iterations (the paper's per-server passes run on
-// the ThreadPool) racing against reads and edge inserts. The cluster's
+// Repartitioner iterations racing against reads and edge inserts. The cluster's
 // coarse lock must keep the directory, stores, graph view, and auxiliary
 // data mutually consistent throughout.
 TEST(ConcurrencyStressTest, ClusterReadsWritesAndRepartitionInParallel) {
@@ -656,7 +603,6 @@ TEST(ConcurrencyStressTest, ClusterReadsWritesAndRepartitionInParallel) {
   PartitionAssignment asg(n, 4);
   for (VertexId v = 0; v < n; ++v) asg.Assign(v, v % 4);  // poor locality
   HermesCluster::Options options;
-  options.repartitioner.num_threads = 3;  // parallel candidate scans
   options.repartitioner.max_iterations = 4;
   HermesCluster cluster(std::move(g), std::move(asg), options);
 

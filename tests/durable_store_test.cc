@@ -577,17 +577,19 @@ struct HandRel {
   std::uint32_t flags;  // bit1: linked on src's side, bit2: dst's
 };
 
-// Writes `dir`/snapshot.bin holding `nodes` (weight 1, available, no
-// properties) and `rels` (type 0, no properties).
+// Writes `dir`/snapshot.bin holding `nodes` (weight 1, no properties)
+// and `rels` (type 0, no properties). Node i's state word is `states[i]`,
+// 0 (available) past the end of `states`.
 void WriteHandBuiltSnapshot(const std::string& dir,
                             const std::vector<VertexId>& nodes,
-                            const std::vector<HandRel>& rels) {
+                            const std::vector<HandRel>& rels,
+                            const std::vector<std::uint32_t>& states = {}) {
   WireWriter body;
   body.PutU64(nodes.size());
-  for (VertexId id : nodes) {
-    body.PutU64(id);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    body.PutU64(nodes[i]);
     body.PutF64(1.0);
-    body.PutU32(0);  // state
+    body.PutU32(i < states.size() ? states[i] : 0);
     body.PutU32(0);  // property count
   }
   body.PutU64(rels.size());
@@ -661,6 +663,55 @@ TEST(DurableStoreTest, SnapshotDuplicateChainLinkIsRejected) {
   WriteHandBuiltSnapshot(dir, {1, 2},
                          {{1, 2, kDstLinked}, {1, 2, kSrcLinked | kDstLinked}});
   ExpectSnapshotRejected(dir);
+}
+
+// A state word past kUnavailable names no NodeState. Loaded as is, it
+// left a node that exists but is not available: every read and write of
+// it answered Unavailable ("mid-migration") with no migration running,
+// and every later checkpoint wrote the state back.
+TEST(DurableStoreTest, SnapshotUnknownNodeStateIsRejected) {
+  const std::string ok_dir = FreshDir("hermes_hand_state_ok");
+  WriteHandBuiltSnapshot(ok_dir, {1, 2}, {}, {0, 1});
+  auto db = DurableGraphStore::Open(0, ok_dir);
+  ASSERT_OK(db);
+  EXPECT_TRUE((*db)->store().HasNode(1));
+  EXPECT_EQ(*(*db)->store().GetNodeState(2), NodeState::kUnavailable);
+
+  const std::string dir = FreshDir("hermes_hand_state_bad");
+  WriteHandBuiltSnapshot(dir, {1, 2}, {}, {0, 2});
+  ExpectSnapshotRejected(dir);
+}
+
+// The same state as a kSetNodeState flag: replay fails with IOError, and
+// the live path refuses the entry before it reaches the log.
+TEST(DurableStoreTest, WalUnknownNodeStateIsRejected) {
+  const std::string dir = FreshDir("hermes_wal_state_bad");
+  {
+    auto wal = WriteAheadLog::Open(dir + "/wal.log");
+    ASSERT_OK(wal);
+    ASSERT_OK(wal->Append({.type = WalOpType::kCreateNode, .a = 1,
+                           .weight = 1.0}));
+    ASSERT_OK(wal->Append({.type = WalOpType::kSetNodeState, .a = 1,
+                           .flag = 2}));
+    ASSERT_OK(wal->Sync());
+  }
+  auto replayed = DurableGraphStore::Open(0, dir);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_TRUE(replayed.status().IsIOError()) << replayed.status().ToString();
+
+  const std::string live = FreshDir("hermes_wal_state_live");
+  {
+    auto db = DurableGraphStore::Open(0, live);
+    ASSERT_OK(db);
+    ASSERT_OK((*db)->CreateNode(1));
+    const Status st = (*db)->SetNodeState(1, static_cast<NodeState>(2));
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_TRUE((*db)->store().HasNode(1));
+    ASSERT_OK((*db)->Sync());
+  }
+  auto reopened = DurableGraphStore::Open(0, live);
+  ASSERT_OK(reopened);
+  EXPECT_TRUE((*reopened)->store().HasNode(1));
 }
 
 }  // namespace

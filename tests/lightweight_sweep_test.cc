@@ -119,29 +119,5 @@ TEST_P(HotspotSweepTest, RebalancesWhateverPartitionHeatsUp) {
 INSTANTIATE_TEST_SUITE_P(HotPartitions, HotspotSweepTest,
                          ::testing::Values(0u, 1u, 2u, 3u));
 
-TEST(LightweightParallelTest, ParallelScanMatchesSerial) {
-  SocialGraphOptions gopt;
-  gopt.num_vertices = 4000;
-  gopt.seed = 123;
-  Graph g = GenerateSocialGraph(gopt);
-  const auto initial = HashPartitioner(2).Partition(g, 8);
-
-  auto run_with_threads = [&](std::size_t threads) {
-    PartitionAssignment asg = initial;
-    AuxiliaryData aux(g, asg);
-    RepartitionerOptions opt;
-    opt.k_fraction = 0.01;
-    opt.num_threads = threads;
-    LightweightRepartitioner(opt).Run(g, &asg, &aux);
-    return asg;
-  };
-
-  const auto serial = run_with_threads(0);
-  const auto parallel2 = run_with_threads(2);
-  const auto parallel4 = run_with_threads(4);
-  EXPECT_TRUE(serial == parallel2);
-  EXPECT_TRUE(serial == parallel4);
-}
-
 }  // namespace
 }  // namespace hermes

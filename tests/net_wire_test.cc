@@ -366,13 +366,18 @@ TEST(NetWireTest, HostileBatchCountsRejectedWithoutAllocation) {
   PutStatus(Status::OK(), &reply);
   reply.PutU32(0xffffffffu);
   // A count one past what the bytes hold: two whole entries under 3.
+  // An entry's bytes sit in a one-entry frame between the length prefix,
+  // the 20-byte header and the entry count, and the CRC.
   WireWriter short_batch;
   short_batch.PutU32(3);
   for (int i = 0; i < 2; ++i) {
-    MutateRequest one{.entries = {{.vertex = 7}}};
-    WireWriter entry;
-    one.EncodeTo(&entry);
-    short_batch.PutRaw(entry.bytes().substr(4));
+    Envelope one;
+    one.payload = MutateRequest{.entries = {{.vertex = 7}}};
+    const Result<std::string> frame = EncodeFrame(one);
+    ASSERT_OK(frame);
+    constexpr std::size_t kBeforeEntry = 4 + 20 + 4;
+    short_batch.PutRaw(std::string_view(*frame).substr(
+        kBeforeEntry, frame->size() - kBeforeEntry - 4));
   }
   const struct {
     MsgType type;
@@ -390,6 +395,53 @@ TEST(NetWireTest, HostileBatchCountsRejectedWithoutAllocation) {
     EXPECT_TRUE(decoded.status().IsOutOfRange())
         << static_cast<int>(c.type) << ": " << decoded.status().ToString();
   }
+}
+
+TEST(NetWireTest, OutOfRangeEnumsAreRejected) {
+  // CRC-valid frames whose one damage is an enum byte past its last
+  // value: only the codec's per-enum bound can reject them. Each last
+  // value itself decodes.
+  const auto probe = [](std::uint8_t mode) {
+    WireWriter payload;
+    payload.PutU8(mode);
+    payload.PutU64(1);  // vertex
+    payload.PutU64(2);  // other
+    return CraftFrame(kWireVersion,
+                      static_cast<std::uint8_t>(MsgType::kProbeRequest), 0,
+                      payload.bytes());
+  };
+  const auto mutate = [](std::uint8_t op, std::uint8_t node_state) {
+    WireWriter payload;
+    payload.PutU32(1);  // one entry
+    payload.PutU8(op);
+    payload.PutU64(1);  // vertex
+    payload.PutU64(2);  // other
+    payload.PutU32(0);  // type_or_key
+    payload.PutU8(node_state);
+    payload.PutF64(0.0);    // weight
+    payload.PutBool(false);  // other_is_local
+    payload.PutString("");   // value
+    return CraftFrame(kWireVersion,
+                      static_cast<std::uint8_t>(MsgType::kMutateRequest), 0,
+                      payload.bytes());
+  };
+  for (const std::string& frame : {probe(3), mutate(8, 0), mutate(0, 2)}) {
+    Result<Envelope> decoded = DecodeFrame(frame);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsInvalidArgument())
+        << decoded.status().ToString();
+  }
+
+  Result<Envelope> last_mode = DecodeFrame(probe(2));
+  ASSERT_OK(last_mode);
+  EXPECT_EQ(std::get<ProbeRequest>(last_mode->payload).mode,
+            ProbeRequest::Mode::kEdgeIsGhost);
+  Result<Envelope> last_op = DecodeFrame(mutate(7, 1));
+  ASSERT_OK(last_op);
+  const auto& entries = std::get<MutateRequest>(last_op->payload).entries;
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].op, MutateRequest::Op::kSetEdgeProperty);
+  EXPECT_EQ(entries[0].node_state, WireNodeState::kUnavailable);
 }
 
 TEST(NetWireTest, BatchedMutateAndExtractRoundTripInOrder) {

@@ -187,43 +187,6 @@ TEST(DriverTest, DeterministicSimulation) {
   EXPECT_EQ(a.writes_completed, b.writes_completed);
 }
 
-TEST(DriverTest, DeterministicAcrossRepartitionerThreads) {
-  // The cluster's repartitioner may shard its gain scan over a thread
-  // pool; the simulated workload before and after a repartition must be
-  // bit-identical regardless of that thread count.
-  auto run_once = [](std::size_t threads) {
-    Graph g = SmallSocial(17, 1200);
-    const auto asg = HashPartitioner(1).Partition(g, 4);
-    HermesCluster::Options copt;
-    copt.repartitioner.num_threads = threads;
-    HermesCluster cluster(std::move(g), asg, copt);
-    TraceOptions topt;
-    topt.num_requests = 600;
-    topt.hot_partition = 0;
-    topt.skew_factor = 2.0;
-    const auto trace =
-        GenerateTrace(cluster.graph(), cluster.assignment(), topt);
-    ThroughputReport before = RunWorkload(&cluster, trace);
-    EXPECT_OK(cluster.RunLightweightRepartition());
-    ThroughputReport after = RunWorkload(&cluster, trace);
-    return std::pair<ThroughputReport, ThroughputReport>(before, after);
-  };
-  const auto serial = run_once(1);
-  const auto threaded = run_once(4);
-  for (const auto& [a, b] : {std::pair(serial.first, threaded.first),
-                             std::pair(serial.second, threaded.second)}) {
-    EXPECT_DOUBLE_EQ(a.duration_us, b.duration_us);
-    EXPECT_EQ(a.vertices_processed, b.vertices_processed);
-    EXPECT_EQ(a.remote_hops, b.remote_hops);
-    EXPECT_DOUBLE_EQ(a.max_queue_delay_us, b.max_queue_delay_us);
-    EXPECT_EQ(a.peak_pending_events, b.peak_pending_events);
-    ASSERT_EQ(a.server_busy_us.size(), b.server_busy_us.size());
-    for (std::size_t p = 0; p < a.server_busy_us.size(); ++p) {
-      EXPECT_DOUBLE_EQ(a.server_busy_us[p], b.server_busy_us[p]);
-    }
-  }
-}
-
 TEST(DriverTest, EmptyTraceYieldsFiniteZeroReport) {
   // Edge case: zero requests means duration 0; the derived rates must
   // come out 0, never inf or NaN.

@@ -290,7 +290,7 @@ def opener_function(text):
 def build_var_types(code, classes):
     """Maps variable names to contract class names from declarations in
     comment-stripped code: `FdAppender file_`, `WriteAheadLog* wal`,
-    `std::unique_ptr<ThreadPool> pool_`, `Result<WriteAheadLog> wal`."""
+    `std::unique_ptr<WriteAheadLog> wal_`, `Result<WriteAheadLog> wal`."""
     types = {}
     for cls in classes:
         pat = re.compile(
@@ -629,7 +629,7 @@ class Auditor:
                                            f"condvar wait ({name})")
                     continue
                 # Fall through: no-arg Wait() is a submit-and-wait style
-                # blocking method (ThreadPool::Wait), matched below.
+                # blocking method, matched below.
 
             if name in NOTIFY_METHODS and prefix.endswith((".", "->")):
                 if held:

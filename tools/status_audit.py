@@ -117,7 +117,7 @@ MUTEX_MEMBER_RE = re.compile(
 # set during construction/Open, before the object is shared).
 SELF_SYNC_TYPES = {
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "CondVar",
-    "Mutex", "SharedMutex", "ThreadPool", "FailpointRegistry",
+    "Mutex", "SharedMutex", "FailpointRegistry",
     "TransactionManager",  # atomic id counter + internally-locked table
 }
 
